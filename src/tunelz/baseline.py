@@ -14,12 +14,13 @@ evaluation order and are reproducible bit for bit.
 from __future__ import annotations
 
 import json
+import math
 import random
 import statistics
 from dataclasses import dataclass
 from string import ascii_lowercase
 
-from .lz import Algorithm, compress_lz77, compress_lz78
+from .lz import Algorithm, compress
 
 DEFAULT_ALPHABET_SIZE = 13
 DEFAULT_SAMPLES = 1000
@@ -76,13 +77,12 @@ def estimate_baseline(
         raise ValueError("samples must be >= 1")
 
     letters = ascii_lowercase[:alphabet_size]
-    compress = compress_lz77 if algorithm is Algorithm.LZ77 else compress_lz78
     points = []
     for length in sorted(set(lengths)):
         ratios = []
         for index in range(samples):
             text = _random_string(letters, length, seed, index)
-            ratios.append(length / len(compress(text).tokens))
+            ratios.append(length / len(compress(text, algorithm).tokens))
         mean = statistics.fmean(ratios)
         std = statistics.stdev(ratios) if samples > 1 else 0.0
         points.append(BaselinePoint(length, mean, std))
@@ -143,17 +143,42 @@ def curve_to_json(curve: BaselineCurve) -> str:
 
 
 def curve_from_json(text: str) -> BaselineCurve:
+    """Load a curve saved by ``curve_to_json``.
+
+    Raises ValueError when a field is missing or not numeric, when
+    there are no points, when lengths are not strictly increasing, or
+    when a mean ratio is not a finite positive number.
+    """
     payload = json.loads(text)
-    points = tuple(
-        BaselinePoint(int(p["length"]), float(p["mean_ratio"]), float(p["std_dev"]))
-        for p in payload["points"]
-    )
-    return BaselineCurve(
-        alphabet_size=int(payload["alphabet_size"]),
-        samples_per_length=int(payload["samples_per_length"]),
-        points=points,
-        rng_seed=int(payload["rng_seed"]),
-    )
+    try:
+        points = tuple(
+            BaselinePoint(int(p["length"]), float(p["mean_ratio"]), float(p["std_dev"]))
+            for p in payload["points"]
+        )
+        curve = BaselineCurve(
+            alphabet_size=int(payload["alphabet_size"]),
+            samples_per_length=int(payload["samples_per_length"]),
+            points=points,
+            rng_seed=int(payload["rng_seed"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"baseline curve lacks field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"baseline curve has a non-numeric field: {exc}") from None
+    if not points:
+        raise ValueError("baseline curve has no points")
+    for left, right in zip(points, points[1:]):
+        if left.length >= right.length:
+            raise ValueError(
+                f"baseline curve lengths not strictly increasing: {left.length}, {right.length}"
+            )
+    for point in points:
+        if not (math.isfinite(point.mean_ratio) and point.mean_ratio > 0):
+            raise ValueError(
+                f"baseline curve mean_ratio at length {point.length} "
+                f"is not finite and > 0: {point.mean_ratio}"
+            )
+    return curve
 
 
 def curve_to_csv(curve: BaselineCurve) -> str:

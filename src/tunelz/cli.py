@@ -21,13 +21,6 @@ from .notation import NormalizationError
 PROG = "tunelz"
 
 
-def _common_flags(parser: argparse.ArgumentParser, formats: tuple[str, ...],
-                  default_format: str) -> None:
-    parser.add_argument("--format", choices=formats, default=default_format)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="random seed (only the baseline command draws samples)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,
@@ -37,24 +30,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("normalize", help="flatten ABC tunes onto the quaver grid")
-    _common_flags(p, ("text", "json"), "text")
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("paths", nargs="+")
 
     p = sub.add_parser("compress", help="tokenize a tune or raw symbol sequence")
-    _common_flags(p, ("text", "json"), "text")
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--algo", choices=("lz77", "lz78"), default="lz77")
     p.add_argument("--index-base", type=int, choices=(0, 1), default=0,
                    help="display base for back-reference positions")
     p.add_argument("path", help="ABC file, raw symbol file, or - for stdin")
 
     p = sub.add_parser("decompress", help="rebuild the symbol sequence of a token stream")
-    _common_flags(p, ("text",), "text")
+    p.add_argument("--format", choices=("text",), default="text")
     p.add_argument("--algo", choices=("lz77", "lz78"), default=None)
     p.add_argument("--index-base", type=int, choices=(0, 1), default=0)
     p.add_argument("path", help="token stream file (text or JSON), or - for stdin")
 
     p = sub.add_parser("analyze", help="per-tune token counts and ratios")
-    _common_flags(p, ("text", "json", "csv"), "text")
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--dump", help="JSON dump instead of ABC paths")
     p.add_argument("--baseline", dest="baseline_path", help="baseline curve JSON")
     p.add_argument("--normalize-to", type=int, dest="normalize_to",
@@ -62,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="*")
 
     p = sub.add_parser("corpus", help="aggregate statistics over a tune collection")
-    _common_flags(p, ("text", "json", "csv"), "text")
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--dump")
     p.add_argument("--category", choices=("reel", "jig", "all"), default="all")
     p.add_argument("--bins", type=int, default=cp.DEFAULT_BINS)
@@ -72,16 +65,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="*")
 
     p = sub.add_parser("baseline", help="sample random-string compression ratios")
-    _common_flags(p, ("csv", "json", "text"), "csv")
+    p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
     p.add_argument("--lengths", required=True,
                    help="comma-separated string lengths, e.g. 96,128")
     p.add_argument("--alphabet", type=int, default=bl.DEFAULT_ALPHABET_SIZE)
     p.add_argument("--samples", type=int, default=bl.DEFAULT_SAMPLES)
     p.add_argument("--algo", choices=("lz77", "lz78"), default="lz77")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the full curve as JSON to a file")
 
     p = sub.add_parser("rank", help="order tunes from most to least repetitive")
-    _common_flags(p, ("text", "json", "csv"), "text")
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--dump")
     p.add_argument("--order", choices=("easiest", "hardest"), default="easiest")
     p.add_argument("paths", nargs="*")
@@ -158,26 +152,26 @@ def cmd_normalize(args) -> int:
     return 1 if _report_rejections(records) else 0
 
 
-def _sequences_for_compression(args) -> tuple[list[tuple[str, str]], int]:
-    """Yield (label, symbols) pairs from an ABC file or raw sequence text."""
+def _sequences_for_compression(args) -> tuple[list[str], int]:
+    """Symbol sequences of an ABC file, or of raw letters when it has no tune."""
     text = _read_input(args.path)
-    if any(line.lstrip().startswith("X:") for line in text.splitlines()):
-        origin = "-" if args.path == "-" else Path(args.path).stem
-        records = cp.records_from_abc(text, origin)
+    origin = "-" if args.path == "-" else Path(args.path).stem
+    records = cp.records_from_abc(text, origin)
+    if records:
         rejected = _report_rejections(records)
-        return (
-            [(r.id, r.outcome.symbols) for r in records if r.accepted],
-            rejected,
-        )
-    return [("-", "".join(text.split()))], 0
+        return [r.outcome.symbols for r in records if r.accepted], rejected
+    bad = next((i for i, ch in enumerate(text) if not (ch.isalpha() or ch.isspace())), None)
+    if bad is not None:
+        raise ValueError(f"raw symbol {text[bad]!r} at offset {bad} is not a letter")
+    return ["".join(text.split())], 0
 
 
 def cmd_compress(args) -> int:
-    pairs, rejected = _sequences_for_compression(args)
-    compress = lz.compress_lz77 if args.algo == "lz77" else lz.compress_lz78
+    sequences, rejected = _sequences_for_compression(args)
+    algorithm = lz.Algorithm(args.algo)
     outputs = []
-    for _, symbols in pairs:
-        stream = compress(symbols)
+    for symbols in sequences:
+        stream = lz.compress(symbols, algorithm)
         if args.format == "json":
             outputs.append(lz.stream_to_json(stream))
         else:
@@ -206,18 +200,23 @@ def cmd_analyze(args) -> int:
     records = _load_records(args)
     curve, reference = _load_curve(args)
     reports = cp.analyze(records, curve, reference)
-    if args.format == "json":
-        print(json.dumps([cp.report_to_dict(r) for r in reports],
-                         indent=2, sort_keys=True))
-    elif args.format == "csv":
-        print(cp.reports_to_csv(reports), end="")
-    else:
+    if args.format == "text":
         for r in reports:
             extra = "" if r.normalized_ratio is None else f"\tnorm {r.normalized_ratio:.4f}"
             print(f"{r.id}\t{r.name}\t{r.category.value}\t{r.length}\t"
                   f"lz77 {r.lz77_tokens}\tlz78 {r.lz78_tokens}\t"
                   f"ratio {float(r.ratio_lz77):.4f}{extra}")
+    else:
+        _print_reports(reports, args.format)
     return 1 if _report_rejections(records) else 0
+
+
+def _print_reports(reports: list[cp.ComplexityReport], fmt: str) -> None:
+    if fmt == "json":
+        print(json.dumps([cp.report_to_dict(r) for r in reports],
+                         indent=2, sort_keys=True))
+    else:
+        print(cp.reports_to_csv(reports), end="")
 
 
 def _selected_categories(args, reports) -> list[cp.Category]:
@@ -285,14 +284,11 @@ def cmd_rank(args) -> int:
     reports = cp.analyze(records)
     order = cp.Order.EASIEST_FIRST if args.order == "easiest" else cp.Order.HARDEST_FIRST
     ranked = cp.rank(reports, order)
-    if args.format == "json":
-        print(json.dumps([cp.report_to_dict(r) for r in ranked],
-                         indent=2, sort_keys=True))
-    elif args.format == "csv":
-        print(cp.reports_to_csv(ranked), end="")
-    else:
+    if args.format == "text":
         for place, r in enumerate(ranked, start=1):
             print(f"{place}\t{r.id}\t{r.name}\t{float(r.ratio_lz77):.4f}")
+    else:
+        _print_reports(ranked, args.format)
     return 1 if _report_rejections(records) else 0
 
 

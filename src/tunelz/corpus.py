@@ -35,6 +35,7 @@ from .notation import (
 )
 
 DEFAULT_BINS = 20
+_ID_KEYS = ("setting_id", "tune_id")  # dump identifier, first present wins
 
 
 class IngestError(ValueError):
@@ -109,22 +110,15 @@ def category_from_type(type_name: str) -> Category:
 # ------------------------------------------------------------------ ingest
 
 
-def ingest_json_dump(
-    path: str | Path,
-    *,
-    id_keys: tuple[str, ...] = ("setting_id", "tune_id"),
-    name_key: str = "name",
-    type_key: str = "type",
-    abc_key: str = "abc",
-) -> list[TuneRecord]:
+def ingest_json_dump(path: str | Path) -> list[TuneRecord]:
     """Load a JSON dump and run the normalizer on every entry.
 
-    Each entry must carry an identifier (first hit among ``id_keys``),
-    a name, a type and an ABC body; ``meter`` and ``mode`` are used when
-    present (meter otherwise defaults by type).  Unknown fields are
-    ignored.  A file that is not a JSON array of such objects raises
-    IngestError; problems with an individual tune land in that record's
-    outcome.
+    Each entry must carry an identifier (``setting_id``, else
+    ``tune_id``), a ``name``, a ``type`` and an ``abc`` body; ``meter``
+    and ``mode`` are used when present (meter otherwise defaults by
+    type).  Unknown fields are ignored.  A file that is not a JSON array
+    of such objects raises IngestError; problems with an individual tune
+    land in that record's outcome.
     """
     path = Path(path)
     try:
@@ -141,21 +135,18 @@ def ingest_json_dump(
         if not isinstance(entry, dict):
             raise IngestError(f"dump {path} entry {n} is not an object")
         tune_id = next(
-            (str(entry[k]) for k in id_keys if entry.get(k) not in (None, "")), None
+            (str(entry[k]) for k in _ID_KEYS if entry.get(k) not in (None, "")), None
         )
-        if tune_id is None or name_key not in entry or type_key not in entry \
-                or abc_key not in entry:
-            raise IngestError(
-                f"dump {path} entry {n} lacks one of id/{name_key}/{type_key}/{abc_key}"
-            )
-        category = category_from_type(str(entry[type_key]))
+        if tune_id is None or not all(k in entry for k in ("name", "type", "abc")):
+            raise IngestError(f"dump {path} entry {n} lacks one of id/name/type/abc")
+        category = category_from_type(str(entry["type"]))
         meter = str(entry.get("meter") or _default_meter(category))
         mode = str(entry.get("mode") or "C")
-        body = str(entry[abc_key])
+        body = str(entry["abc"])
         block = (
             f"X: 1\n"
-            f"T: {entry[name_key]}\n"
-            f"R: {entry[type_key]}\n"
+            f"T: {entry['name']}\n"
+            f"R: {entry['type']}\n"
             f"M: {meter}\n"
             f"L: 1/8\n"
             f"K: {mode}\n"
@@ -169,7 +160,7 @@ def ingest_json_dump(
         records.append(
             TuneRecord(
                 id=tune_id,
-                name=str(entry[name_key]),
+                name=str(entry["name"]),
                 category=category,
                 key=mode,
                 abc=body,

@@ -153,6 +153,19 @@ def compress_lz78(seq: str) -> TokenStream:
     return TokenStream(Algorithm.LZ78, tuple(tokens), len(seq))
 
 
+def compress(seq: str, algorithm: Algorithm) -> TokenStream:
+    """Parse ``seq`` with the coder named by ``algorithm``."""
+    if algorithm is Algorithm.LZ77:
+        return compress_lz77(seq)
+    return compress_lz78(seq)
+
+
+def _decode(algorithm: Algorithm, tokens: tuple) -> str:
+    if algorithm is Algorithm.LZ77:
+        return _decompress_lz77(tokens)
+    return _decompress_lz78(tokens)
+
+
 def decompress(stream: TokenStream) -> str:
     """Reconstruct the source sequence of a token stream.
 
@@ -160,10 +173,7 @@ def decompress(stream: TokenStream) -> str:
     LZ78 token is not last, or the decoded length disagrees with the
     stream's ``source_length``.
     """
-    if stream.algorithm is Algorithm.LZ77:
-        text = _decompress_lz77(stream.tokens)
-    else:
-        text = _decompress_lz78(stream.tokens)
+    text = _decode(stream.algorithm, stream.tokens)
     if len(text) != stream.source_length:
         raise CorruptStream(
             f"decoded {len(text)} symbols, stream claims {stream.source_length}"
@@ -289,13 +299,8 @@ def stream_from_text(
                 raise CorruptStream(f"unrecognized LZ78 token {word!r}")
             prefix = int(m.group(1)) if m.group(1) else 0
             tokens.append(Lz78Token(prefix, m.group(2) or None))
-    stream = TokenStream(algorithm, tuple(tokens), 0)
-    decoded = (
-        _decompress_lz77(stream.tokens)
-        if algorithm is Algorithm.LZ77
-        else _decompress_lz78(stream.tokens)
-    )
-    return TokenStream(algorithm, stream.tokens, len(decoded))
+    parsed = tuple(tokens)
+    return TokenStream(algorithm, parsed, len(_decode(algorithm, parsed)))
 
 
 # ----------------------------------------------------------------- JSON form
@@ -326,12 +331,29 @@ def stream_from_json(text: str) -> TokenStream:
         source_length = int(payload["source_length"])
     except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         raise CorruptStream(f"malformed stream JSON: {exc}") from exc
-    tokens: list[Lz77Token | Lz78Token] = []
-    for entry in raw:
-        if "symbol" in entry:
-            tokens.append(Literal(entry["symbol"]))
-        elif "start" in entry:
-            tokens.append(BackRef(int(entry["start"]), int(entry["length"])))
-        else:
-            tokens.append(Lz78Token(int(entry["prefix"]), entry.get("extension")))
-    return TokenStream(algorithm, tuple(tokens), source_length)
+    if not isinstance(raw, list):
+        raise CorruptStream("malformed stream JSON: tokens is not an array")
+    tokens = tuple(_token_from_json(i, entry) for i, entry in enumerate(raw))
+    return TokenStream(algorithm, tokens, source_length)
+
+
+def _token_from_json(i: int, entry) -> Lz77Token | Lz78Token:
+    """One token object: {symbol}, {start, length} or {prefix, extension}."""
+    keys = set(entry) if isinstance(entry, dict) else None
+    if keys == {"symbol"} and _is_symbol(entry["symbol"]):
+        return Literal(entry["symbol"])
+    if keys == {"start", "length"} and _is_int(entry["start"]) and _is_int(entry["length"]):
+        return BackRef(entry["start"], entry["length"])
+    if keys == {"prefix", "extension"} and _is_int(entry["prefix"]) and (
+        entry["extension"] is None or _is_symbol(entry["extension"])
+    ):
+        return Lz78Token(entry["prefix"], entry["extension"])
+    raise CorruptStream(f"token {i} is not a valid token object: {json.dumps(entry)}")
+
+
+def _is_symbol(value) -> bool:
+    return isinstance(value, str) and len(value) == 1
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)

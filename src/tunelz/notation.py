@@ -123,10 +123,7 @@ def parse_abc(source: str) -> list[AbcTune]:
         offsets.append(total)
         total += len(line)
 
-    block_starts = [
-        i for i, line in enumerate(lines) if line.lstrip().startswith("X:")
-        or _is_field(line, "X")
-    ]
+    block_starts = [i for i, line in enumerate(lines) if _is_field(line, "X")]
     tunes = []
     for n, start in enumerate(block_starts):
         end = block_starts[n + 1] if n + 1 < len(block_starts) else len(lines)

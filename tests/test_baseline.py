@@ -1,5 +1,7 @@
 """Random-string baseline curve and length normalization."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -143,6 +145,31 @@ def test_normalization_composes(ratio, lengths):
 def test_json_round_trip():
     curve = estimate_baseline([10, 20], alphabet_size=4, samples=12, seed=9)
     assert curve_from_json(curve_to_json(curve)) == curve
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"rng_seed": None}, "lacks field 'rng_seed'"),
+    ({"points": [{"length": 96, "std_dev": 0.0}]}, "lacks field 'mean_ratio'"),
+    ({"points": [{"length": 96, "mean_ratio": "x", "std_dev": 0.0}]}, "non-numeric"),
+    ({"alphabet_size": [13]}, "non-numeric"),
+    ({"points": []}, "no points"),
+    ({"points": [{"length": 128, "mean_ratio": 1.29, "std_dev": 0.0},
+                 {"length": 96, "mean_ratio": 1.23, "std_dev": 0.0}]},
+     "not strictly increasing: 128, 96"),
+    ({"points": [{"length": 96, "mean_ratio": 1.23, "std_dev": 0.0},
+                 {"length": 96, "mean_ratio": 1.23, "std_dev": 0.0}]},
+     "not strictly increasing: 96, 96"),
+    ({"points": [{"length": 96, "mean_ratio": 0, "std_dev": 0.0}]}, "finite and > 0"),
+    ({"points": [{"length": 96, "mean_ratio": -1.2, "std_dev": 0.0}]}, "finite and > 0"),
+    ({"points": [{"length": 96, "mean_ratio": float("inf"), "std_dev": 0.0}]},
+     "finite and > 0"),
+])
+def test_json_load_rejects_bad_curve(changes, message):
+    payload = json.loads(curve_to_json(REFERENCE_CURVE)) | changes
+    text = json.dumps({k: v for k, v in payload.items() if v is not None})
+    with pytest.raises(ValueError, match=message) as exc:
+        curve_from_json(text)
+    assert type(exc.value) is ValueError
 
 
 def test_csv_export():

@@ -1,12 +1,18 @@
 """End-to-end runs of the tunelz command line."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from tunelz.cli import main
 
 import goldens
+
+DATA_DIR = Path(__file__).parent / "data"
+# argv (with {data} for tests/data) -> exit code and stdout, recorded
+# before the CLI was last refactored; every case must stay byte-identical.
+STDOUT_GOLDEN = json.loads((DATA_DIR / "cli_stdout.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -74,6 +80,29 @@ def test_compress_raw_sequence(capsys, tmp_path):
     assert out.splitlines()[0] == "a [0,3]"
 
 
+def test_compress_spaced_x_header_is_abc(capsys, tmp_path, sally_path):
+    spaced = tmp_path / "spaced.abc"
+    spaced.write_text(sally_path.read_text(encoding="utf-8").replace("X: 1", "X : 1", 1),
+                      encoding="utf-8")
+    _, expected, _ = run(capsys, "compress", str(sally_path))
+    code, out, _ = run(capsys, "compress", str(spaced))
+    assert code == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize("algo, raw, message", [
+    ("lz77", "ab1ab1\n", "raw symbol '1' at offset 2 is not a letter"),
+    ("lz78", "a a\n1a1", "raw symbol '1' at offset 4 is not a letter"),
+], ids=["lz77", "lz78"])
+def test_compress_rejects_raw_non_letter(capsys, tmp_path, algo, raw, message):
+    path = tmp_path / "seq.txt"
+    path.write_text(raw, encoding="utf-8")
+    code, out, err = run(capsys, "compress", "--algo", algo, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"tunelz: error: {message}\n"
+
+
 def test_compress_json(capsys, sally_path):
     _, out, _ = run(capsys, "compress", "--format", "json", str(sally_path))
     payload = json.loads(out)
@@ -120,6 +149,27 @@ def test_decompress_corrupt_stream(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("tokens, message", [
+    ([5], "token 0 is not a valid token object: 5"),
+    ([{"symbol": "a"}, {"symbol": 3}], 'token 1 is not a valid token object: {"symbol": 3}'),
+    ([{"symbol": "ab"}], 'token 0 is not a valid token object: {"symbol": "ab"}'),
+    ([{"start": 0, "length": "2"}], "token 0 is not a valid token object"),
+    ([{"prefix": 0, "extension": "ab"}], "token 0 is not a valid token object"),
+    ([{"prefix": 0}], "token 0 is not a valid token object"),
+    ([{"symbol": "a", "start": 0, "length": 2}], "token 0 is not a valid token object"),
+    ({"symbol": "a"}, "malformed stream JSON: tokens is not an array"),
+])
+def test_decompress_rejects_bad_json_tokens(capsys, tmp_path, tokens, message):
+    path = tmp_path / "stream.json"
+    path.write_text(json.dumps({"algorithm": "lz77", "source_length": 2, "tokens": tokens}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "decompress", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"tunelz: error: {message}")
+    assert err.count("\n") == 1
+
+
 # ----------------------------------------------------------------- analyze
 
 
@@ -150,6 +200,22 @@ def test_analyze_with_baseline(capsys, tmp_path, jig_path):
     assert code == 1  # the truncated tune is rejected
     (report,) = json.loads(out)
     assert report["normalized_ratio"] > report["ratio_lz77"]
+
+
+@pytest.mark.parametrize("curve", [
+    '{"points": []}',
+    '{"alphabet_size": 13, "samples_per_length": 1, "rng_seed": 0, '
+    '"points": [{"length": 96, "mean_ratio": 0, "std_dev": 0}]}',
+], ids=["missing-fields", "zero-mean"])
+def test_analyze_rejects_bad_curve(capsys, tmp_path, sally_path, curve):
+    curve_file = tmp_path / "curve.json"
+    curve_file.write_text(curve, encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--baseline", str(curve_file),
+                         "--normalize-to", "128", str(sally_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("tunelz: error: baseline curve")
+    assert err.count("\n") == 1
 
 
 def test_analyze_from_dump(capsys, dump_path):
@@ -281,3 +347,29 @@ def test_dump_and_paths_conflict(capsys, dump_path, sally_path):
     code, _, err = run(capsys, "analyze", "--dump", str(dump_path), str(sally_path))
     assert code == 2
     assert "not both" in err
+
+
+@pytest.mark.parametrize("case", sorted(STDOUT_GOLDEN))
+def test_stdout_matches_golden(capsys, case):
+    argv = case.replace("{data}", str(DATA_DIR)).split()
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (STDOUT_GOLDEN[case]["exit"], STDOUT_GOLDEN[case]["stdout"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "x.abc"],
+    ["compress", "x.abc"],
+    ["decompress", "x.txt"],
+    ["analyze", "x.abc"],
+    ["corpus", "x.abc"],
+    ["rank", "x.abc"],
+])
+def test_seed_is_a_usage_error_outside_baseline(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--seed", "1", *argv[1:]])
+    assert exc.value.code == 2
+
+
+def test_baseline_accepts_seed(capsys):
+    code, _, _ = run(capsys, "baseline", "--lengths", "4", "--samples", "2", "--seed", "1")
+    assert code == 0
