@@ -41,7 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="ABC file, raw symbol file, or - for stdin")
 
     p = sub.add_parser("decompress", help="rebuild the symbol sequence of a token stream")
-    p.add_argument("--format", choices=("text",), default="text")
     p.add_argument("--algo", choices=("lz77", "lz78"), default=None)
     p.add_argument("--index-base", type=int, choices=(0, 1), default=0)
     p.add_argument("path", help="token stream file (text or JSON), or - for stdin")

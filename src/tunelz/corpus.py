@@ -28,6 +28,7 @@ from .lz import compress_lz77, compress_lz78, compression_ratio
 from .notation import (
     AbcTune,
     Category,
+    ErrorKind,
     NormalizationError,
     QuaverSequence,
     normalize,
@@ -118,7 +119,8 @@ def ingest_json_dump(path: str | Path) -> list[TuneRecord]:
     and ``mode`` are used when present (meter otherwise defaults by
     type).  Unknown fields are ignored.  A file that is not a JSON array
     of such objects raises IngestError; problems with an individual tune
-    land in that record's outcome.
+    land in that record's outcome, including an ``abc`` body that holds
+    more than one tune (MALFORMED_HEADER).
     """
     path = Path(path)
     try:
@@ -154,7 +156,14 @@ def ingest_json_dump(path: str | Path) -> list[TuneRecord]:
         )
         outcome: QuaverSequence | NormalizationError
         try:
-            outcome = normalize(parse_abc(block)[0])
+            tunes = parse_abc(block)
+            if len(tunes) != 1:
+                raise NormalizationError(
+                    ErrorKind.MALFORMED_HEADER,
+                    f"abc body holds {len(tunes)} tunes (an X: line starts a new one); "
+                    "a dump entry must hold exactly one",
+                )
+            outcome = normalize(tunes[0])
         except NormalizationError as err:
             outcome = err
         records.append(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -160,10 +161,16 @@ def compress(seq: str, algorithm: Algorithm) -> TokenStream:
     return compress_lz78(seq)
 
 
-def _decode(algorithm: Algorithm, tokens: tuple) -> str:
+def _decode(algorithm: Algorithm, tokens: tuple, limit: int) -> str:
+    """Decode ``tokens``, failing at the first token that passes ``limit`` symbols."""
     if algorithm is Algorithm.LZ77:
-        return _decompress_lz77(tokens)
-    return _decompress_lz78(tokens)
+        return _decompress_lz77(tokens, limit)
+    return _decompress_lz78(tokens, limit)
+
+
+def _check_limit(i: int, end: int, limit: int) -> None:
+    if end > limit:
+        raise CorruptStream(f"token {i}: decodes to {end} symbols, stream claims {limit}")
 
 
 def decompress(stream: TokenStream) -> str:
@@ -171,9 +178,10 @@ def decompress(stream: TokenStream) -> str:
 
     Raises CorruptStream when a token index is out of range, a terminal
     LZ78 token is not last, or the decoded length disagrees with the
-    stream's ``source_length``.
+    stream's ``source_length``.  Decoding stops at the first token that
+    would pass ``source_length``.
     """
-    text = _decode(stream.algorithm, stream.tokens)
+    text = _decode(stream.algorithm, stream.tokens, stream.source_length)
     if len(text) != stream.source_length:
         raise CorruptStream(
             f"decoded {len(text)} symbols, stream claims {stream.source_length}"
@@ -181,10 +189,11 @@ def decompress(stream: TokenStream) -> str:
     return text
 
 
-def _decompress_lz77(tokens: tuple[Lz77Token, ...]) -> str:
+def _decompress_lz77(tokens: tuple[Lz77Token, ...], limit: int) -> str:
     out: list[str] = []
     for i, tok in enumerate(tokens):
         if isinstance(tok, Literal):
+            _check_limit(i, len(out) + 1, limit)
             out.append(tok.symbol)
             continue
         if not isinstance(tok, BackRef):
@@ -195,14 +204,16 @@ def _decompress_lz77(tokens: tuple[Lz77Token, ...]) -> str:
             raise CorruptStream(
                 f"token {i}: start {tok.start} outside emitted prefix of {len(out)}"
             )
+        _check_limit(i, len(out) + tok.length, limit)
         for k in range(tok.length):  # symbol by symbol so overlaps self-extend
             out.append(out[tok.start + k])
     return "".join(out)
 
 
-def _decompress_lz78(tokens: tuple[Lz78Token, ...]) -> str:
+def _decompress_lz78(tokens: tuple[Lz78Token, ...], limit: int) -> str:
     phrases = [""]
     out: list[str] = []
+    length = 0
     for i, tok in enumerate(tokens):
         if not isinstance(tok, Lz78Token):
             raise CorruptStream(f"token {i} is not an LZ78 token: {tok!r}")
@@ -213,10 +224,12 @@ def _decompress_lz78(tokens: tuple[Lz78Token, ...]) -> str:
         if tok.extension is None:
             if i != len(tokens) - 1:
                 raise CorruptStream(f"token {i}: terminal token before end of stream")
-            out.append(phrases[tok.prefix_index])
-            continue
-        phrase = phrases[tok.prefix_index] + tok.extension
-        phrases.append(phrase)
+            phrase = phrases[tok.prefix_index]
+        else:
+            phrase = phrases[tok.prefix_index] + tok.extension
+            phrases.append(phrase)
+        length += len(phrase)
+        _check_limit(i, length, limit)
         out.append(phrase)
     return "".join(out)
 
@@ -300,7 +313,8 @@ def stream_from_text(
             prefix = int(m.group(1)) if m.group(1) else 0
             tokens.append(Lz78Token(prefix, m.group(2) or None))
     parsed = tuple(tokens)
-    return TokenStream(algorithm, parsed, len(_decode(algorithm, parsed)))
+    # the text form declares no length: the decoded length is the claim
+    return TokenStream(algorithm, parsed, len(_decode(algorithm, parsed, sys.maxsize)))
 
 
 # ----------------------------------------------------------------- JSON form

@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 
 QUAVER = Fraction(1, 8)
 PITCH_LETTERS = frozenset("ABCDEFGabcdefg")
@@ -94,13 +95,8 @@ def _parse_meter(value: str, location: int) -> tuple[int, int]:
 
 def _parse_unit_length(value: str, location: int) -> Fraction:
     m = _METER_RE.match(value.strip())
-    if m:
-        try:
-            unit = Fraction(int(m.group(1)), int(m.group(2)))
-        except ZeroDivisionError:
-            unit = Fraction(0)
-        if 0 < unit <= 1:
-            return unit
+    if m and 0 < int(m.group(1)) <= int(m.group(2)):
+        return Fraction(int(m.group(1)), int(m.group(2)))
     raise NormalizationError(
         ErrorKind.MALFORMED_HEADER, f"unusable unit note length {value!r}", location
     )
@@ -117,18 +113,10 @@ def parse_abc(source: str) -> list[AbcTune]:
     unusable.
     """
     lines = source.splitlines(keepends=True)
-    offsets = []
-    total = 0
-    for line in lines:
-        offsets.append(total)
-        total += len(line)
-
-    block_starts = [i for i, line in enumerate(lines) if _is_field(line, "X")]
-    tunes = []
-    for n, start in enumerate(block_starts):
-        end = block_starts[n + 1] if n + 1 < len(block_starts) else len(lines)
-        tunes.append(_parse_block(lines, offsets, start, end))
-    return tunes
+    offsets = list(accumulate((len(line) for line in lines), initial=0))
+    starts = [i for i, line in enumerate(lines) if _is_field(line, "X")]
+    ends = starts[1:] + [len(lines)]
+    return [_parse_block(lines, offsets, start, end) for start, end in zip(starts, ends)]
 
 
 def _is_field(line: str, letter: str) -> bool:
@@ -211,12 +199,14 @@ def _parse_block(lines: list[str], offsets: list[int], start: int, end: int) -> 
 # ornaments with no pitch-grid content; stripped like spaces
 _SILENT = frozenset("~.HTuv-)")
 _RESTS = frozenset("zZx")
+_DIGITS = frozenset("0123456789")  # ASCII only: int() refuses digits such as "²"
 
 
 @dataclass
 class _Note:
     letter: str
-    multiplier: Fraction
+    num: int  # written length: num/den unit note lengths
+    den: int
     location: int
 
 
@@ -355,29 +345,29 @@ def _scan_note(body: str, i: int, note_start: int, events: list) -> int:
             f"{letter}{body[i]} lies outside the two-octave alphabet",
             note_start,
         )
+    start = i
     num = 0
-    has_num = False
-    while i < n and body[i].isdigit():
+    while i < n and body[i] in _DIGITS:
         num = num * 10 + int(body[i])
-        has_num = True
         i += 1
+    if i == start:
+        num = 1
     den = 1
     while i < n and body[i] == "/":
         i += 1
-        if i < n and body[i].isdigit():
+        if i < n and body[i] in _DIGITS:
             d = 0
-            while i < n and body[i].isdigit():
+            while i < n and body[i] in _DIGITS:
                 d = d * 10 + int(body[i])
                 i += 1
             den *= d
             break
         den *= 2
-    if den == 0 or (has_num and num == 0):
+    if num == 0 or den == 0:
         raise NormalizationError(
             ErrorKind.NON_QUAVER_DURATION, "zero duration", note_start
         )
-    multiplier = Fraction(num if has_num else 1, den)
-    events.append(_Note(letter, multiplier, note_start))
+    events.append(_Note(letter, num, den, note_start))
     return i
 
 
@@ -413,6 +403,23 @@ def _expand_repeats(events: list) -> list[_Note]:
     return out
 
 
+def _quaver_notes(body: str, unit_note_length: Fraction) -> list[tuple[str, int]]:
+    """``(letter, quavers)`` per note, repeats written out; scan errors win."""
+    # a note lasts unit * num/den whole notes, that is 8 * unit * num/den quavers
+    unit_num, unit_den = 8 * unit_note_length.numerator, unit_note_length.denominator
+    pairs = []
+    for note in _expand_repeats(_scan_body(body)):
+        quavers, rest = divmod(unit_num * note.num, unit_den * note.den)
+        if rest:
+            duration = Fraction(unit_num * note.num, unit_den * note.den)
+            raise NormalizationError(
+                ErrorKind.NON_QUAVER_DURATION, f"{note.letter} lasts {duration} quavers",
+                note.location,
+            )
+        pairs.append((note.letter, quavers))
+    return pairs
+
+
 def expand_body(body: str, unit_note_length: Fraction = QUAVER) -> str:
     """Expand a tune body into quaver-grid symbols, one letter per quaver.
 
@@ -421,28 +428,18 @@ def expand_body(body: str, unit_note_length: Fraction = QUAVER) -> str:
     out; accidentals fold to the bare letter.  No length gate is applied
     here -- see ``normalize`` for the standard-length filter.
     """
-    notes = _expand_repeats(_scan_body(body))
-    parts: list[str] = []
-    for note in notes:
-        quavers = unit_note_length * note.multiplier / QUAVER
-        if quavers.denominator != 1 or quavers < 1:
-            raise NormalizationError(
-                ErrorKind.NON_QUAVER_DURATION,
-                f"{note.letter} lasts {quavers} quavers",
-                note.location,
-            )
-        parts.append(note.letter * int(quavers))
-    return "".join(parts)
+    return "".join(letter * quavers for letter, quavers in _quaver_notes(body, unit_note_length))
 
 
 def normalize(tune: AbcTune) -> QuaverSequence:
     """Flatten a parsed tune into its quaver-grid symbol sequence.
 
     Accepts only standard-length tunes: 4/4 with 128 quavers (reel) or
-    6/8 with 96 (jig); anything else raises WRONG_LENGTH.
+    6/8 with 96 (jig); anything else raises WRONG_LENGTH, judged on the
+    quaver count before any symbol string is built.
     """
-    symbols = expand_body(tune.body, tune.unit_note_length)
-    total = len(symbols)
+    pairs = _quaver_notes(tune.body, tune.unit_note_length)
+    total = sum(quavers for _, quavers in pairs)
     if tune.meter == REEL_METER and total == REEL_LENGTH:
         category = Category.REEL
     elif tune.meter == JIG_METER and total == JIG_LENGTH:
@@ -453,4 +450,4 @@ def normalize(tune: AbcTune) -> QuaverSequence:
             f"meter {tune.meter[0]}/{tune.meter[1]} with {total} quavers is not a "
             f"standard-length reel (4/4, {REEL_LENGTH}) or jig (6/8, {JIG_LENGTH})",
         )
-    return QuaverSequence(symbols, category)
+    return QuaverSequence("".join(letter * quavers for letter, quavers in pairs), category)

@@ -170,6 +170,25 @@ def test_decompress_rejects_bad_json_tokens(capsys, tmp_path, tokens, message):
     assert err.count("\n") == 1
 
 
+def test_decompress_json_stops_at_the_declared_length(capsys, tmp_path):
+    path = tmp_path / "stream.json"
+    path.write_text(json.dumps({"algorithm": "lz77", "source_length": 3,
+                                "tokens": [{"symbol": "a"}, {"start": 0, "length": 10**6}]}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "decompress", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "tunelz: error: token 1: decodes to 1000001 symbols, stream claims 3\n"
+
+
+def test_decompress_has_no_format_flag(capsys, tmp_path):
+    path = tmp_path / "tokens.txt"
+    path.write_text("a b [0,2]", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["decompress", "--format", "text", str(path)])
+    assert exc.value.code == 2
+
+
 # ----------------------------------------------------------------- analyze
 
 

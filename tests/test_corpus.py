@@ -72,6 +72,23 @@ def test_dump_ingestion_keeps_rejections(dump_path):
     assert rests.outcome.kind is ErrorKind.UNSUPPORTED_CONSTRUCT
 
 
+def test_dump_body_holding_a_second_tune_is_rejected(tmp_path):
+    tail = "\nX: 2\nK: G\nz z z [CEG] A,,"
+    entries = [
+        {"setting_id": "7", "name": "Tail", "type": "reel", "abc": goldens.SALLY + tail},
+        {"setting_id": "8", "name": "Plain", "type": "reel", "abc": goldens.SALLY},
+    ]
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    hidden, plain = ingest_json_dump(path)
+    assert not hidden.accepted
+    assert hidden.outcome.kind is ErrorKind.MALFORMED_HEADER
+    assert "holds 2 tunes" in hidden.outcome.detail
+    assert hidden.abc == goldens.SALLY + tail
+    assert plain.accepted
+    assert plain.outcome.symbols == goldens.SALLY
+
+
 def test_dump_type_mapping_is_case_insensitive(dump_path):
     records = ingest_json_dump(dump_path)
     assert {r.id: r.category.value for r in records}["1403"] == "jig"

@@ -1,5 +1,7 @@
 """LZ77 coder: golden parses, round trips, and oracle equivalence."""
 
+import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -114,6 +116,27 @@ def test_decompress_rejects_short_backref():
 def test_decompress_rejects_wrong_source_length():
     stream = TokenStream(Algorithm.LZ77, (Literal("a"),), 5)
     with pytest.raises(CorruptStream):
+        decompress(stream)
+
+
+def test_decompress_stops_at_the_token_that_passes_the_declared_length():
+    text = json.dumps({"algorithm": "lz77", "source_length": 3,
+                       "tokens": [{"symbol": "a"}, {"start": 0, "length": 10**6}]})
+    stream = stream_from_json(text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptStream) as exc:
+            decompress(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "token 1: decodes to 1000001 symbols, stream claims 3"
+    assert peak < 64 * 1024
+
+
+def test_decompress_stops_at_a_literal_past_the_declared_length():
+    stream = TokenStream(Algorithm.LZ77, (Literal("a"), Literal("b"), Literal("c")), 2)
+    with pytest.raises(CorruptStream, match="^token 2: decodes to 3 symbols, stream claims 2$"):
         decompress(stream)
 
 

@@ -99,6 +99,14 @@ def test_decompress_rejects_wrong_source_length():
         decompress(stream)
 
 
+@pytest.mark.parametrize("last, end", [(Lz78Token(2, "c"), 6), (Lz78Token(2, None), 5)])
+def test_decompress_stops_at_the_token_that_passes_the_declared_length(last, end):
+    tokens = (Lz78Token(0, "a"), Lz78Token(1, "b"), last)
+    stream = TokenStream(Algorithm.LZ78, tokens, 4)
+    with pytest.raises(CorruptStream, match=f"^token 2: decodes to {end} symbols, stream claims 4$"):
+        decompress(stream)
+
+
 # ------------------------------------------------------------ serialization
 
 

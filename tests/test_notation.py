@@ -1,5 +1,6 @@
 """ABC parsing and quaver-grid normalization."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -256,6 +257,56 @@ def test_wrong_meter_rejected():
     assert exc.value.kind is ErrorKind.WRONG_LENGTH
 
 
+@pytest.mark.parametrize("value", ["0/8", "1/0", "0/0", "9/8"])
+def test_unusable_unit_length_rejected(value):
+    with pytest.raises(NormalizationError) as exc:
+        parse_abc(f"X:1\nL:{value}\nK:G\nABcd\n")
+    assert exc.value.kind is ErrorKind.MALFORMED_HEADER
+    assert exc.value.detail == f"unusable unit note length {value!r}"
+
+
+def test_whole_note_unit_length_accepted():
+    (tune,) = parse_abc("X:1\nL:8/8\nK:G\nA\n")
+    assert tune.unit_note_length == 1
+    assert expand_body(tune.body, tune.unit_note_length) == "A" * 8
+
+
+def test_non_ascii_digit_is_not_a_duration():
+    err = expect_error("AB\u00b2", ErrorKind.UNSUPPORTED_CONSTRUCT)
+    assert err.location == 2
+
+
+def test_scan_error_wins_over_earlier_duration_error():
+    err = expect_error("A/ B z", ErrorKind.UNSUPPORTED_CONSTRUCT)
+    assert err.location == 5
+
+
+def test_duration_error_wins_over_wrong_length():
+    with pytest.raises(NormalizationError) as exc:
+        normalize(make_tune("A/ B2000000"))
+    assert exc.value.kind is ErrorKind.NON_QUAVER_DURATION
+    assert exc.value.detail == "A lasts 1/2 quavers"
+    assert exc.value.location == 0
+
+
+def test_wrong_length_is_judged_before_the_string_is_built():
+    tune = make_tune("A2000000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(NormalizationError) as exc:
+            normalize(tune)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.kind is ErrorKind.WRONG_LENGTH
+    assert "with 2000000 quavers" in exc.value.detail
+    assert peak < 64 * 1024
+
+
+def test_expand_body_has_no_length_gate():
+    assert expand_body("A2000000") == "A" * 2_000_000
+
+
 def test_jig_gate(jig_path):
     jig, truncated = parse_abc(jig_path.read_text(encoding="utf-8"))
     seq = normalize(jig)
@@ -291,6 +342,42 @@ def test_total_duration_equals_sequence_length(notes):
     expanded = expand_body(body, UNIT)
     assert len(expanded) == sum(dur for _, dur in notes)
     assert expanded == "".join(letter * dur for letter, dur in notes)
+
+
+# written note -> multiplier of the unit note length
+_WRITTEN = st.one_of(
+    st.just(("", Fraction(1))),
+    st.integers(1, 32).map(lambda n: (str(n), Fraction(n))),
+    st.tuples(st.integers(1, 32), st.integers(1, 16)).map(
+        lambda nd: (f"{nd[0]}/{nd[1]}", Fraction(*nd))
+    ),
+    st.just(("/", Fraction(1, 2))),
+    st.just(("//", Fraction(1, 4))),
+)
+_UNITS = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(3, 16)]
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(LETTERS), _WRITTEN), min_size=1, max_size=24),
+    st.sampled_from(_UNITS),
+)
+def test_durations_match_fraction_oracle(notes, unit):
+    body, expected, error = "", "", None
+    for letter, (suffix, multiplier) in notes:
+        if body:
+            body += " "
+        quavers = unit * multiplier / Fraction(1, 8)
+        if error is None and quavers.denominator != 1:
+            error = (f"{letter} lasts {quavers} quavers", len(body))
+        expected += letter * int(quavers)
+        body += letter + suffix
+    if error is None:
+        assert expand_body(body, unit) == expected
+    else:
+        with pytest.raises(NormalizationError) as exc:
+            expand_body(body, unit)
+        assert exc.value.kind is ErrorKind.NON_QUAVER_DURATION
+        assert (exc.value.detail, exc.value.location) == error
 
 
 def test_normalization_is_deterministic(sally_path):
