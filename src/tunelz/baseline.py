@@ -20,7 +20,7 @@ import statistics
 from dataclasses import dataclass
 from string import ascii_lowercase
 
-from .lz import Algorithm, compress
+from .lz import Algorithm, token_count
 
 DEFAULT_ALPHABET_SIZE = 13
 DEFAULT_SAMPLES = 1000
@@ -82,7 +82,7 @@ def estimate_baseline(
         ratios = []
         for index in range(samples):
             text = _random_string(letters, length, seed, index)
-            ratios.append(length / len(compress(text, algorithm).tokens))
+            ratios.append(length / token_count(text, algorithm))
         mean = statistics.fmean(ratios)
         std = statistics.stdev(ratios) if samples > 1 else 0.0
         points.append(BaselinePoint(length, mean, std))

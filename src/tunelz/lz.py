@@ -82,29 +82,49 @@ class TokenStream:
     source_length: int
 
 
-def _longest_match(seq: str, pos: int) -> tuple[int, int] | None:
-    """Longest match for the text at ``pos`` against any earlier start.
+def _lz77_parse(seq: str) -> list[tuple[int, int] | None]:
+    """Greedy LZ77 parse: ``(start, length)`` per back-reference, None per literal.
 
-    Returns ``(start, length)`` with the smallest start among the
-    longest matches, or None when no match reaches MIN_MATCH.  A match
-    starting at ``s`` may run past ``pos`` (overlapping copy), so the
-    search asks whether ``seq[pos:pos+k]`` occurs anywhere beginning
-    strictly before ``pos`` -- equivalently, inside ``seq[:pos+k-1]``.
+    At each position the longest match against any earlier start is
+    taken, with the smallest start among the longest.  A match starting
+    at ``s`` may run past ``pos`` (overlapping copy), so a probe of
+    length ``k`` asks whether ``seq[pos:pos+k]`` occurs inside
+    ``seq[:pos+k-1]``.  Whether a match exists is monotone in ``k``, so
+    after the bigram probe the search gallops through lengths 3, 4, 6,
+    10, ... until a probe fails, then bisects that last gap.  The
+    smallest start of a longer match is never below that of a shorter
+    one, so each probe searches from the last start found.
     """
-    limit = len(seq) - pos
-    if limit < MIN_MATCH:
-        return None
-    if seq.find(seq[pos:pos + MIN_MATCH], 0, pos + MIN_MATCH - 1) == -1:
-        return None
-    lo, hi = MIN_MATCH, limit
-    while lo < hi:  # largest k for which a match exists; monotone in k
-        mid = (lo + hi + 1) // 2
-        if seq.find(seq[pos:pos + mid], 0, pos + mid - 1) != -1:
-            lo = mid
-        else:
-            hi = mid - 1
-    start = seq.find(seq[pos:pos + lo], 0, pos + lo - 1)
-    return start, lo
+    find = seq.find
+    n = len(seq)
+    parse: list[tuple[int, int] | None] = []
+    pos = 0
+    while pos < n:
+        start = -1
+        if n - pos >= MIN_MATCH:
+            start = find(seq[pos:pos + MIN_MATCH], 0, pos + MIN_MATCH - 1)
+        if start == -1:
+            parse.append(None)
+            pos += 1
+            continue
+        lo, hi, k = MIN_MATCH, n - pos + 1, MIN_MATCH + 1  # lo matches, hi does not
+        while k < hi:
+            found = find(seq[pos:pos + k], start, pos + k - 1)
+            if found == -1:
+                hi = k
+                break
+            start, lo = found, k
+            k += k - MIN_MATCH
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            found = find(seq[pos:pos + mid], start, pos + mid - 1)
+            if found == -1:
+                hi = mid
+            else:
+                start, lo = found, mid
+        parse.append((start, lo))
+        pos += lo
+    return parse
 
 
 def compress_lz77(seq: str) -> TokenStream:
@@ -116,16 +136,14 @@ def compress_lz77(seq: str) -> TokenStream:
     """
     tokens: list[Lz77Token] = []
     pos = 0
-    n = len(seq)
-    while pos < n:
-        match = _longest_match(seq, pos)
+    for match in _lz77_parse(seq):
         if match is None:
             tokens.append(Literal(seq[pos]))
             pos += 1
         else:
             tokens.append(BackRef(*match))
             pos += match[1]
-    return TokenStream(Algorithm.LZ77, tuple(tokens), n)
+    return TokenStream(Algorithm.LZ77, tuple(tokens), len(seq))
 
 
 def compress_lz78(seq: str) -> TokenStream:
@@ -159,6 +177,13 @@ def compress(seq: str, algorithm: Algorithm) -> TokenStream:
     if algorithm is Algorithm.LZ77:
         return compress_lz77(seq)
     return compress_lz78(seq)
+
+
+def token_count(seq: str, algorithm: Algorithm) -> int:
+    """``len(compress(seq, algorithm).tokens)``, without building LZ77 tokens."""
+    if algorithm is Algorithm.LZ77:
+        return len(_lz77_parse(seq))
+    return len(compress_lz78(seq).tokens)
 
 
 def _decode(algorithm: Algorithm, tokens: tuple, limit: int) -> str:

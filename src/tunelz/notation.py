@@ -76,7 +76,12 @@ class QuaverSequence:
 
 
 _FIELD_RE = re.compile(r"^([A-Za-z])\s*:\s*(.*?)\s*$")
-_METER_RE = re.compile(r"^(\d+)\s*/\s*(\d+)$")
+# Longest number (or note length) read from ABC text.  Longer ones are
+# refused unread: int() of a long digit string is slow, and a value past
+# Python's int/str digit limit could neither be read nor printed in a detail.
+_MAX_DIGITS = 100
+_NUMBER = rf"(\d{{1,{_MAX_DIGITS}}})"
+_METER_RE = re.compile(rf"^{_NUMBER}\s*/\s*{_NUMBER}$")
 
 
 def _parse_meter(value: str, location: int) -> tuple[int, int]:
@@ -199,7 +204,10 @@ def _parse_block(lines: list[str], offsets: list[int], start: int, end: int) -> 
 # ornaments with no pitch-grid content; stripped like spaces
 _SILENT = frozenset("~.HTuv-)")
 _RESTS = frozenset("zZx")
-_DIGITS = frozenset("0123456789")  # ASCII only: int() refuses digits such as "²"
+# written note length: digits, then slashes, then digits after the last
+# slash; ASCII digits only, since int() refuses digits such as "²"
+_LENGTH_RE = re.compile(r"([0-9]*)(/*)([0-9]*)")
+_LENGTH_START = frozenset("0123456789/")  # most notes have no written length
 
 
 @dataclass
@@ -345,30 +353,26 @@ def _scan_note(body: str, i: int, note_start: int, events: list) -> int:
             f"{letter}{body[i]} lies outside the two-octave alphabet",
             note_start,
         )
-    start = i
-    num = 0
-    while i < n and body[i] in _DIGITS:
-        num = num * 10 + int(body[i])
-        i += 1
-    if i == start:
-        num = 1
-    den = 1
-    while i < n and body[i] == "/":
-        i += 1
-        if i < n and body[i] in _DIGITS:
-            d = 0
-            while i < n and body[i] in _DIGITS:
-                d = d * 10 + int(body[i])
-                i += 1
-            den *= d
-            break
-        den *= 2
+    if i == n or body[i] not in _LENGTH_START:
+        events.append(_Note(letter, 1, 1, note_start))
+        return i
+    m = _LENGTH_RE.match(body, i)
+    if m.end() - i > _MAX_DIGITS:
+        raise NormalizationError(
+            ErrorKind.NON_QUAVER_DURATION,
+            f"{letter} has a written length of more than {_MAX_DIGITS} characters",
+            note_start,
+        )
+    digits, slashes, divisor = m.groups()
+    num = int(digits) if digits else 1
+    # A/ halves, A// quarters, A/3 divides by 3 and A//3 by 6
+    den = 2 ** (len(slashes) - 1) * int(divisor) if divisor else 2 ** len(slashes)
     if num == 0 or den == 0:
         raise NormalizationError(
             ErrorKind.NON_QUAVER_DURATION, "zero duration", note_start
         )
     events.append(_Note(letter, num, den, note_start))
-    return i
+    return m.end()
 
 
 def _expand_repeats(events: list) -> list[_Note]:

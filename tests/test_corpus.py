@@ -89,6 +89,23 @@ def test_dump_body_holding_a_second_tune_is_rejected(tmp_path):
     assert plain.outcome.symbols == goldens.SALLY
 
 
+def test_dump_entry_with_an_oversized_number_fails_alone(tmp_path):
+    nines = "9" * 5000
+    entries = [
+        {"setting_id": "1", "name": "Long note", "type": "reel", "abc": "A" + nines},
+        {"setting_id": "2", "name": "Long meter", "type": "reel", "meter": "4/" + nines,
+         "abc": goldens.SALLY},
+        {"setting_id": "3", "name": "Plain", "type": "reel", "abc": goldens.SALLY},
+    ]
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    note, meter, plain = ingest_json_dump(path)
+    assert note.outcome.kind is ErrorKind.NON_QUAVER_DURATION
+    assert meter.outcome.kind is ErrorKind.MALFORMED_HEADER
+    assert plain.accepted
+    assert plain.outcome.symbols == goldens.SALLY
+
+
 def test_dump_type_mapping_is_case_insensitive(dump_path):
     records = ingest_json_dump(dump_path)
     assert {r.id: r.category.value for r in records}["1403"] == "jig"

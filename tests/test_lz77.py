@@ -13,6 +13,7 @@ from tunelz.lz import (
     CorruptStream,
     Literal,
     TokenStream,
+    compress,
     compress_lz77,
     compression_ratio,
     decompress,
@@ -20,6 +21,7 @@ from tunelz.lz import (
     stream_from_text,
     stream_to_json,
     stream_to_text,
+    token_count,
 )
 
 import goldens
@@ -188,6 +190,34 @@ def test_round_trip(seq):
 @settings(max_examples=150, deadline=None)
 def test_matches_naive_oracle(seq):
     assert oracles.plain_tokens(compress_lz77(seq)) == oracles.naive_compress_lz77(seq)
+
+
+@st.composite
+def repetitive_sequences(draw):
+    """Concatenated picks of a few short motifs: long matches, often to the end."""
+    letters = ALPHABET[:draw(st.integers(1, 4))]
+    motifs = draw(st.lists(st.text(letters, min_size=1, max_size=12), min_size=1, max_size=4))
+    seq = ""
+    for motif in draw(st.lists(st.sampled_from(motifs), max_size=200)):
+        if len(seq) + len(motif) > 200:
+            break
+        seq += motif
+    if draw(st.booleans()):  # end inside a motif, so a match can run to the end
+        seq += draw(st.sampled_from(motifs))[:draw(st.integers(1, 11))]
+    return seq
+
+
+@given(repetitive_sequences())
+@settings(max_examples=300, deadline=None)
+def test_matches_naive_oracle_on_repetitive_input(seq):
+    assert oracles.plain_tokens(compress_lz77(seq)) == oracles.naive_compress_lz77(seq)
+
+
+@given(st.one_of(sequences(max_size=256), repetitive_sequences()),
+       st.sampled_from(list(Algorithm)))
+@settings(max_examples=150, deadline=None)
+def test_token_count_matches_compress(seq, algorithm):
+    assert token_count(seq, algorithm) == len(compress(seq, algorithm).tokens)
 
 
 @pytest.mark.parametrize("seq", [

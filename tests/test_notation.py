@@ -1,5 +1,6 @@
 """ABC parsing and quaver-grid normalization."""
 
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -305,6 +306,54 @@ def test_wrong_length_is_judged_before_the_string_is_built():
 
 def test_expand_body_has_no_length_gate():
     assert expand_body("A2000000") == "A" * 2_000_000
+
+
+# Python converts no int of more than 4,300 digits to or from str, so a
+# number that long must be refused before it is read or printed.
+
+
+@pytest.mark.parametrize("length", [
+    pytest.param("9" * 5000, id="5000-digits"),
+    pytest.param("3/" + "9" * 5000, id="5000-digit-divisor"),
+    pytest.param("/" * 5000, id="5000-slashes"),
+    pytest.param("9" * 1_000_000, id="1000000-digits"),
+])
+def test_oversized_note_length_is_a_duration_error(length):
+    tune = make_tune("AB A" + length + " cd")
+    start = time.perf_counter()
+    with pytest.raises(NormalizationError) as exc:
+        normalize(tune)
+    assert time.perf_counter() - start < 1
+    assert exc.value.kind is ErrorKind.NON_QUAVER_DURATION
+    assert exc.value.detail == "A has a written length of more than 100 characters"
+    assert exc.value.location == 3
+
+
+def test_note_length_of_100_characters_is_read():
+    assert normalize(make_tune("A" + "0" * 97 + "128")).symbols == "A" * 128
+
+
+def test_longest_note_length_reaches_the_length_gate():
+    with pytest.raises(NormalizationError) as exc:
+        normalize(make_tune("A" + "9" * 100))
+    assert exc.value.kind is ErrorKind.WRONG_LENGTH
+    assert f"with {10**100 - 1} quavers" in exc.value.detail
+
+
+@pytest.mark.parametrize("field,value,detail", [
+    ("L", "1/{}", "unusable unit note length"),
+    ("M", "4/{}", "unusable meter"),
+], ids=["L", "M"])
+@pytest.mark.parametrize("digits", [5000, 1_000_000])
+def test_oversized_header_number_is_malformed(field, value, detail, digits):
+    value = value.format("9" * digits)
+    start = time.perf_counter()
+    with pytest.raises(NormalizationError) as exc:
+        parse_abc(f"X:1\n{field}:{value}\nK:G\nABcd\n")
+    assert time.perf_counter() - start < 1
+    assert exc.value.kind is ErrorKind.MALFORMED_HEADER
+    assert exc.value.detail == f"{detail} {value!r}"
+    assert exc.value.location == 4
 
 
 def test_jig_gate(jig_path):
