@@ -149,7 +149,10 @@ def curve_from_json(text: str) -> BaselineCurve:
     there are no points, when lengths are not strictly increasing, or
     when a mean ratio is not a finite positive number.
     """
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError as exc:  # nesting deeper than the interpreter's stack
+        raise ValueError(f"baseline curve is not valid JSON: {exc}") from None
     try:
         points = tuple(
             BaselinePoint(int(p["length"]), float(p["mean_ratio"]), float(p["std_dev"]))

@@ -96,9 +96,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise cp.IngestError(f"cannot read input {path}: {exc}") from exc
 
 
 def _load_records(args) -> list[cp.TuneRecord]:
@@ -126,7 +129,12 @@ def _load_curve(args) -> tuple[bl.BaselineCurve | None, int | None]:
         raise cp.IngestError("--baseline and --normalize-to go together")
     if path is None:
         return None, None
-    return bl.curve_from_json(Path(path).read_text(encoding="utf-8")), reference
+    try:
+        return bl.curve_from_json(Path(path).read_text(encoding="utf-8")), reference
+    except (OSError, UnicodeDecodeError) as exc:
+        raise cp.IngestError(f"cannot read baseline curve {path}: {exc}") from exc
+    except ValueError as exc:
+        raise cp.IngestError(f"baseline curve {path} is not usable: {exc}") from exc
 
 
 def cmd_normalize(args) -> int:

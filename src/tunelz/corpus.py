@@ -125,9 +125,11 @@ def ingest_json_dump(path: str | Path) -> list[TuneRecord]:
     path = Path(path)
     try:
         entries = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read dump {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError also covers a number past Python's int/str digit limit,
+    # and RecursionError nesting deeper than the interpreter's stack
+    except (ValueError, RecursionError) as exc:
         raise IngestError(f"dump {path} is not valid JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise IngestError(f"dump {path} is not a JSON array")
@@ -202,7 +204,7 @@ def ingest_abc_files(paths: list[str | Path]) -> list[TuneRecord]:
         path = Path(path)
         try:
             source = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise IngestError(f"cannot read ABC file {path}: {exc}") from exc
         try:
             records.extend(records_from_abc(source, path.stem))

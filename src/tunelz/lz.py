@@ -368,7 +368,7 @@ def stream_from_json(text: str) -> TokenStream:
         algorithm = Algorithm(payload["algorithm"])
         raw = payload["tokens"]
         source_length = int(payload["source_length"])
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, RecursionError) as exc:
         raise CorruptStream(f"malformed stream JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise CorruptStream("malformed stream JSON: tokens is not an array")

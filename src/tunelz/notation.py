@@ -201,40 +201,115 @@ def _parse_block(lines: list[str], offsets: list[int], start: int, end: int) -> 
 
 # ------------------------------------------------------------- body scanning
 
-# ornaments with no pitch-grid content; stripped like spaces
-_SILENT = frozenset("~.HTuv-)")
+# stripped like spaces: ornaments with no pitch-grid content, line
+# continuations, and the commonest whitespace (spared an isspace() call)
+_SILENT = frozenset("~.HTuv-)\\ \n")
 _RESTS = frozenset("zZx")
 # written note length: digits, then slashes, then digits after the last
 # slash; ASCII digits only, since int() refuses digits such as "²"
 _LENGTH_RE = re.compile(r"([0-9]*)(/*)([0-9]*)")
-_LENGTH_START = frozenset("0123456789/")  # most notes have no written length
+# an octave mark or a written length; most notes have neither
+_NOTE_SUFFIX = frozenset("',0123456789/")
 
 
-@dataclass
-class _Note:
-    letter: str
-    num: int  # written length: num/den unit note lengths
-    den: int
-    location: int
+def _quaver_notes(body: str, unit_note_length: Fraction) -> list[tuple[str, int]]:
+    """``(letter, quavers)`` per note in one pass over the body, repeats written out.
 
-
-class _Marker(Enum):
-    BAR = "bar"
-    REPEAT_START = "repeat_start"
-    REPEAT_END = "repeat_end"
-    ENDING_1 = "ending_1"
-    ENDING_2 = "ending_2"
-
-
-def _scan_body(body: str) -> list:
-    """Tokenize a tune body into note and structure events."""
-    events: list = []
+    ``|: section :|`` plays the section twice; a ``:|`` without an
+    opening ``|:`` repeats from the start of the current section.  With
+    numbered endings the first pass plays through ending 1, the second
+    pass stops where ending 1 began and continues into ending 2.  The
+    first construct that cannot be read raises at once; the first note
+    that does not fill whole quavers raises only once the scan has ended.
+    """
+    # a note lasts unit * num/den whole notes, that is 8 * unit * num/den quavers
+    unit_num, unit_den = 8 * unit_note_length.numerator, unit_note_length.denominator
+    out: list[tuple[str, int]] = []
+    append = out.append
+    section_start = 0  # where the section a ":|" repeats begins in out
+    ending_1_at = None  # where ending 1 of that section begins in out
+    off_grid = None  # the error for the first note that does not fill whole quavers
     i = 0
     n = len(body)
     while i < n:
         c = body[i]
-        if c.isspace() or c == "\\" or c in _SILENT:
+        start = i
+        if c in "^_=":  # accidentals fold onto the bare letter
+            while i < n and body[i] in "^_=":
+                i += 1
+            if i >= n or body[i] not in PITCH_LETTERS:
+                raise NormalizationError(
+                    ErrorKind.UNSUPPORTED_CONSTRUCT,
+                    "accidental without a pitch letter",
+                    start,
+                )
+            c = body[i]
+        if c in PITCH_LETTERS:
             i += 1
+            if i == n or body[i] not in _NOTE_SUFFIX:
+                num = den = 1
+            elif body[i] in "',":
+                raise NormalizationError(
+                    ErrorKind.OUT_OF_RANGE_NOTE,
+                    f"{c}{body[i]} lies outside the two-octave alphabet",
+                    start,
+                )
+            else:
+                m = _LENGTH_RE.match(body, i)
+                if m.end() - i > _MAX_DIGITS:
+                    raise NormalizationError(
+                        ErrorKind.NON_QUAVER_DURATION,
+                        f"{c} has a written length of more than {_MAX_DIGITS} characters",
+                        start,
+                    )
+                digits, slashes, divisor = m.groups()
+                num = int(digits) if digits else 1
+                # A/ halves, A// quarters, A/3 divides by 3 and A//3 by 6
+                den = 2 ** (len(slashes) - 1) * int(divisor) if divisor else 2 ** len(slashes)
+                if num == 0 or den == 0:
+                    raise NormalizationError(
+                        ErrorKind.NON_QUAVER_DURATION, "zero duration", start
+                    )
+                i = m.end()
+            quavers, rest = divmod(unit_num * num, unit_den * den)
+            if rest and off_grid is None:
+                off_grid = NormalizationError(
+                    ErrorKind.NON_QUAVER_DURATION,
+                    f"{c} lasts {Fraction(unit_num * num, unit_den * den)} quavers",
+                    start,
+                )
+            append((c, quavers))
+        elif c in _SILENT or c.isspace():
+            i += 1
+        elif c == "|":
+            i += 1
+            if i < n and body[i] in "]|":
+                i += 1
+            if i < n and body[i] == ":":  # repeat start
+                section_start, ending_1_at = len(out), None
+                i += 1
+            elif i < n and body[i].isdigit():
+                if _opens_ending_1(body[i], i) and ending_1_at is None:
+                    ending_1_at = len(out)
+                i += 1
+        elif c == ":":
+            # ":|" ends a repeat, and so does "::", whose repeat start then
+            # changes nothing: the next section starts here either way
+            if i + 1 < n and body[i + 1] in ":|":
+                out += out[section_start:len(out) if ending_1_at is None else ending_1_at]
+                section_start, ending_1_at = len(out), None
+                i += 2
+                if body[i - 1] == "|" and i < n:
+                    if body[i] == ":":
+                        i += 1
+                    elif body[i].isdigit():
+                        if _opens_ending_1(body[i], i):
+                            ending_1_at = len(out)
+                        i += 1
+            else:
+                raise NormalizationError(
+                    ErrorKind.UNSUPPORTED_CONSTRUCT, "stray colon", i
+                )
         elif c == "{":
             close = body.find("}", i)
             if close == -1:
@@ -257,41 +332,12 @@ def _scan_body(body: str) -> list:
                     i,
                 )
             i += 1  # slur
-        elif c == "|":
-            events.append(_Marker.BAR)
-            i += 1
-            if i < n and body[i] in "]|":
-                i += 1
-            if i < n and body[i] == ":":
-                events.append(_Marker.REPEAT_START)
-                i += 1
-            elif i < n and body[i].isdigit():
-                events.append(_ending_marker(body[i], i))
-                i += 1
-        elif c == ":":
-            if i + 1 < n and body[i + 1] == ":":
-                events.append(_Marker.REPEAT_END)
-                events.append(_Marker.REPEAT_START)
-                i += 2
-            elif i + 1 < n and body[i + 1] == "|":
-                events.append(_Marker.REPEAT_END)
-                i += 2
-                if i < n and body[i] == ":":
-                    events.append(_Marker.REPEAT_START)
-                    i += 1
-                elif i < n and body[i].isdigit():
-                    events.append(_ending_marker(body[i], i))
-                    i += 1
-            else:
-                raise NormalizationError(
-                    ErrorKind.UNSUPPORTED_CONSTRUCT, "stray colon", i
-                )
         elif c == "[":
             if i + 1 < n and body[i + 1].isdigit():
-                events.append(_ending_marker(body[i + 1], i))
+                if _opens_ending_1(body[i + 1], i) and ending_1_at is None:
+                    ending_1_at = len(out)
                 i += 2
             elif i + 1 < n and body[i + 1] == "|":
-                events.append(_Marker.BAR)
                 i += 2
             elif i + 2 < n and body[i + 1].isalpha() and body[i + 2] == ":":
                 raise NormalizationError(
@@ -313,115 +359,24 @@ def _scan_body(body: str) -> list:
                 "broken rhythm cannot sit on the quaver grid",
                 i,
             )
-        elif c in "^_=":
-            start = i
-            while i < n and body[i] in "^_=":
-                i += 1
-            if i >= n or body[i] not in PITCH_LETTERS:
-                raise NormalizationError(
-                    ErrorKind.UNSUPPORTED_CONSTRUCT,
-                    "accidental without a pitch letter",
-                    start,
-                )
-            i = _scan_note(body, i, start, events)
-        elif c in PITCH_LETTERS:
-            i = _scan_note(body, i, i, events)
         else:
             raise NormalizationError(
                 ErrorKind.UNSUPPORTED_CONSTRUCT, f"unsupported character {c!r}", i
             )
-    return events
-
-
-def _ending_marker(digit: str, location: int) -> _Marker:
-    if digit == "1":
-        return _Marker.ENDING_1
-    if digit == "2":
-        return _Marker.ENDING_2
-    raise NormalizationError(
-        ErrorKind.UNSUPPORTED_CONSTRUCT, f"ending |{digit} beyond second", location
-    )
-
-
-def _scan_note(body: str, i: int, note_start: int, events: list) -> int:
-    letter = body[i]
-    i += 1
-    n = len(body)
-    if i < n and body[i] in "',":
-        raise NormalizationError(
-            ErrorKind.OUT_OF_RANGE_NOTE,
-            f"{letter}{body[i]} lies outside the two-octave alphabet",
-            note_start,
-        )
-    if i == n or body[i] not in _LENGTH_START:
-        events.append(_Note(letter, 1, 1, note_start))
-        return i
-    m = _LENGTH_RE.match(body, i)
-    if m.end() - i > _MAX_DIGITS:
-        raise NormalizationError(
-            ErrorKind.NON_QUAVER_DURATION,
-            f"{letter} has a written length of more than {_MAX_DIGITS} characters",
-            note_start,
-        )
-    digits, slashes, divisor = m.groups()
-    num = int(digits) if digits else 1
-    # A/ halves, A// quarters, A/3 divides by 3 and A//3 by 6
-    den = 2 ** (len(slashes) - 1) * int(divisor) if divisor else 2 ** len(slashes)
-    if num == 0 or den == 0:
-        raise NormalizationError(
-            ErrorKind.NON_QUAVER_DURATION, "zero duration", note_start
-        )
-    events.append(_Note(letter, num, den, note_start))
-    return m.end()
-
-
-def _expand_repeats(events: list) -> list[_Note]:
-    """Write out repeated sections literally.
-
-    ``|: section :|`` plays the section twice; a ``:|`` without an
-    opening ``|:`` repeats from the start of the current section.  With
-    numbered endings the first pass plays through ending 1, the second
-    pass stops where ending 1 began and continues into ending 2.
-    """
-    out: list[_Note] = []
-    section: list[_Note] = []
-    ending_1_at: int | None = None
-    for ev in events:
-        if isinstance(ev, _Note):
-            section.append(ev)
-        elif ev is _Marker.REPEAT_START:
-            out.extend(section)
-            section = []
-            ending_1_at = None
-        elif ev is _Marker.REPEAT_END:
-            out.extend(section)
-            out.extend(section if ending_1_at is None else section[:ending_1_at])
-            section = []
-            ending_1_at = None
-        elif ev is _Marker.ENDING_1:
-            if ending_1_at is None:
-                ending_1_at = len(section)
-        # BAR and ENDING_2 carry no content: ending-2 notes simply
-        # continue the stream after the second pass stops short.
-    out.extend(section)
+    if off_grid is not None:
+        raise off_grid
     return out
 
 
-def _quaver_notes(body: str, unit_note_length: Fraction) -> list[tuple[str, int]]:
-    """``(letter, quavers)`` per note, repeats written out; scan errors win."""
-    # a note lasts unit * num/den whole notes, that is 8 * unit * num/den quavers
-    unit_num, unit_den = 8 * unit_note_length.numerator, unit_note_length.denominator
-    pairs = []
-    for note in _expand_repeats(_scan_body(body)):
-        quavers, rest = divmod(unit_num * note.num, unit_den * note.den)
-        if rest:
-            duration = Fraction(unit_num * note.num, unit_den * note.den)
-            raise NormalizationError(
-                ErrorKind.NON_QUAVER_DURATION, f"{note.letter} lasts {duration} quavers",
-                note.location,
-            )
-        pairs.append((note.letter, quavers))
-    return pairs
+def _opens_ending_1(digit: str, location: int) -> bool:
+    """Whether an ending number opens ending 1 (ending 2 carries no content)."""
+    if digit == "1":
+        return True
+    if digit == "2":
+        return False
+    raise NormalizationError(
+        ErrorKind.UNSUPPORTED_CONSTRUCT, f"ending |{digit} beyond second", location
+    )
 
 
 def expand_body(body: str, unit_note_length: Fraction = QUAVER) -> str:
@@ -432,7 +387,8 @@ def expand_body(body: str, unit_note_length: Fraction = QUAVER) -> str:
     out; accidentals fold to the bare letter.  No length gate is applied
     here -- see ``normalize`` for the standard-length filter.
     """
-    return "".join(letter * quavers for letter, quavers in _quaver_notes(body, unit_note_length))
+    pairs = _quaver_notes(body, unit_note_length)
+    return "".join([letter * quavers for letter, quavers in pairs])
 
 
 def normalize(tune: AbcTune) -> QuaverSequence:
@@ -443,7 +399,7 @@ def normalize(tune: AbcTune) -> QuaverSequence:
     quaver count before any symbol string is built.
     """
     pairs = _quaver_notes(tune.body, tune.unit_note_length)
-    total = sum(quavers for _, quavers in pairs)
+    total = sum([quavers for _, quavers in pairs])
     if tune.meter == REEL_METER and total == REEL_LENGTH:
         category = Category.REEL
     elif tune.meter == JIG_METER and total == JIG_LENGTH:
@@ -454,4 +410,4 @@ def normalize(tune: AbcTune) -> QuaverSequence:
             f"meter {tune.meter[0]}/{tune.meter[1]} with {total} quavers is not a "
             f"standard-length reel (4/4, {REEL_LENGTH}) or jig (6/8, {JIG_LENGTH})",
         )
-    return QuaverSequence("".join(letter * quavers for letter, quavers in pairs), category)
+    return QuaverSequence("".join([letter * quavers for letter, quavers in pairs]), category)

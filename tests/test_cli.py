@@ -1,9 +1,12 @@
 """End-to-end runs of the tunelz command line."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tunelz.cli import main
 
@@ -366,6 +369,92 @@ def test_dump_and_paths_conflict(capsys, dump_path, sally_path):
     code, _, err = run(capsys, "analyze", "--dump", str(dump_path), str(sally_path))
     assert code == 2
     assert "not both" in err
+
+
+NOT_UTF8 = b"X:1\nT:Caf\xe9\nK:G\nABcd\n"
+NOT_JSON = b"not json"
+LONG_INT = b'[{"setting_id": ' + b"9" * 5000 + b"}]"
+DEEP = b"[" * 100_000
+
+
+@pytest.mark.parametrize("argv, content, message", [
+    (["normalize", "{f}"], NOT_UTF8, "cannot read ABC file {f}: 'utf-8' codec"),
+    (["analyze", "{f}"], NOT_UTF8, "cannot read ABC file {f}: 'utf-8' codec"),
+    (["corpus", "{f}"], NOT_UTF8, "cannot read ABC file {f}: 'utf-8' codec"),
+    (["rank", "{f}"], NOT_UTF8, "cannot read ABC file {f}: 'utf-8' codec"),
+    (["compress", "{f}"], NOT_UTF8, "cannot read input {f}: 'utf-8' codec"),
+    (["decompress", "{f}"], NOT_UTF8, "cannot read input {f}: 'utf-8' codec"),
+    (["corpus", "--dump", "{f}"], NOT_UTF8, "cannot read dump {f}: 'utf-8' codec"),
+    (["corpus", "--dump", "{f}"], LONG_INT, "dump {f} is not valid JSON: Exceeds the limit"),
+    (["corpus", "--dump", "{f}"], DEEP, "dump {f} is not valid JSON: maximum recursion"),
+    (["analyze", "--baseline", "{f}", "--normalize-to", "128", "{sally}"], NOT_JSON,
+     "baseline curve {f} is not usable: Expecting value"),
+    (["analyze", "--baseline", "{f}", "--normalize-to", "128", "{sally}"], NOT_UTF8,
+     "cannot read baseline curve {f}: 'utf-8' codec"),
+    (["analyze", "--baseline", "{f}", "--normalize-to", "128", "{sally}"], DEEP,
+     "baseline curve {f} is not usable: baseline curve is not valid JSON: maximum recursion"),
+    (["decompress", "{f}"], b'{"tokens": ' + DEEP, "malformed stream JSON: maximum recursion"),
+], ids=["normalize", "analyze", "corpus", "rank", "compress", "decompress", "dump-not-utf8",
+        "dump-long-int", "dump-deep", "baseline-not-json", "baseline-not-utf8",
+        "baseline-deep", "decompress-deep"])
+def test_unloadable_input_is_a_one_line_error(capsys, tmp_path, sally_path, argv, content,
+                                              message):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    names = {"f": path, "sally": sally_path}
+    code, out, err = run(capsys, *[arg.format(**names) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("tunelz: error: " + message.format(**names))
+    assert err.count("\n") == 1
+
+
+# Property: whatever bytes a file holds, every subcommand ends in a result,
+# recorded rejections or a one-line error, and no exception escapes main.
+_ATOMS = st.sampled_from([
+    # ABC headers and body
+    "X:1\n", "X : 2\n", "T:t\n", "M:4/4\n", "M:6/8\n", "M:C\n", "M:4/0\n", "L:1/8\n",
+    "L:1/16\n", "L:3/16\n", "R:reel\n", "K:G\n", "%c\n", "\n", " ", "A", "B2", "c/", "d3/2",
+    "^f", "_B", "=e", "A'", "C,", "|", "|:", ":|", "::", "|1", "|2", ":|2", "[2", "|3", "|\u00b2",
+    "(3", "{g}", '"Am"', "[K:D]", "[", "z", "<", "~", "\\", "*",
+    # token streams, text and JSON
+    "a ", "[", "]", ",", "(", ")", "{", "}", ":", '"', '"algorithm"', '"lz77"', '"lz78"',
+    '"source_length"', '"tokens"', '"symbol"', '"start"', '"length"', '"prefix"',
+    '"extension"', "null", "-",
+    # dump entries
+    '"setting_id"', '"tune_id"', '"name"', '"type"', '"abc"', '"reel"', '"jig"', '"meter"',
+])
+_NUMBERS = st.integers(0, 10**4).map(str)
+_DUMPS = st.lists(
+    st.fixed_dictionaries({
+        "setting_id": st.one_of(st.integers(0, 10**4), st.text(max_size=3)),
+        "name": st.text(max_size=5),
+        "type": st.sampled_from(["reel", "jig", "polka", ""]),
+        "abc": st.lists(st.one_of(_ATOMS, _NUMBERS), max_size=12).map("".join),
+    }),
+    max_size=3,
+).map(json.dumps)
+_CONTENTS = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.one_of(_ATOMS, _NUMBERS), max_size=30).map("".join).map(str.encode),
+    _DUMPS.map(str.encode),
+)
+_SUBCOMMANDS = (
+    ["normalize"], ["compress", "--algo", "lz77"], ["compress", "--algo", "lz78"],
+    ["decompress"], ["analyze"], ["corpus"], ["rank"], ["corpus", "--dump"],
+)
+
+
+@settings(deadline=None)
+@given(content=_CONTENTS)
+def test_every_subcommand_is_total_on_arbitrary_input(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "arbitrary_input"
+    path.write_bytes(content)
+    for argv in _SUBCOMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, str(path)])
+        assert code in (0, 1, 2), argv
 
 
 @pytest.mark.parametrize("case", sorted(STDOUT_GOLDEN))

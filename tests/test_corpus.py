@@ -167,6 +167,29 @@ def test_abc_ingestion_unreadable_path(tmp_path):
         ingest_abc_files([tmp_path / "nowhere.abc"])
 
 
+def test_abc_file_not_utf8_names_the_path(tmp_path):
+    path = tmp_path / "latin1.abc"
+    path.write_bytes(b"X:1\nT:Caf\xe9\nK:G\nABcd\n")
+    with pytest.raises(IngestError) as exc:
+        ingest_abc_files([path])
+    assert str(exc.value).startswith(f"cannot read ABC file {path}: 'utf-8' codec")
+
+
+@pytest.mark.parametrize("content, message", [
+    pytest.param(b"\xff[]", "cannot read dump {}: 'utf-8' codec", id="not-utf8"),
+    pytest.param(b'[{"setting_id": ' + b"9" * 5000 + b"}]",
+                 "dump {} is not valid JSON: Exceeds the limit", id="5000-digit-id"),
+    pytest.param(b"[" * 100_000, "dump {} is not valid JSON: maximum recursion",
+                 id="nested-100000-deep"),
+])
+def test_unloadable_dump_names_the_path(tmp_path, content, message):
+    path = tmp_path / "dump.json"
+    path.write_bytes(content)
+    with pytest.raises(IngestError) as exc:
+        ingest_json_dump(path)
+    assert str(exc.value).startswith(message.format(path))
+
+
 def test_category_falls_back_to_normalized_meter(tmp_path):
     path = tmp_path / "nor.abc"
     path.write_text("X:1\nT:Unlabelled\nM:6/8\nK:D\n"

@@ -1,8 +1,10 @@
 """ABC parsing and quaver-grid normalization."""
 
+import json
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +22,12 @@ from tunelz.notation import (
 import goldens
 
 UNIT = Fraction(1, 8)
+# ~2,000 bodies of 0-12 atoms drawn over every scanner branch, each with its
+# expand_body outcome under L:1/8 and L:3/16 (symbols, or [kind, detail,
+# offset]), recorded before the body scanner became a single pass.
+BODY_OUTCOMES = json.loads(
+    (Path(__file__).parent / "data" / "body_outcomes.json").read_text(encoding="utf-8")
+)
 
 
 def make_tune(body, meter=(4, 4), unit=UNIT, key="Gmajor"):
@@ -191,6 +199,11 @@ def test_multibar_endings():
     assert expand_body(body, UNIT) == "ABcdefga" + "ABcdegfa"
 
 
+@pytest.mark.parametrize("body", ["|: AB |1 cd |1 ef :|2 ga |", "|: AB [1 cd [1 ef :|2 ga |"])
+def test_second_pass_stops_at_the_first_ending_1_mark(body):
+    assert expand_body(body, UNIT) == "ABcdef" + "ABga"
+
+
 # ------------------------------------------------------------- rejections
 
 
@@ -302,6 +315,16 @@ def test_wrong_length_is_judged_before_the_string_is_built():
     assert exc.value.kind is ErrorKind.WRONG_LENGTH
     assert "with 2000000 quavers" in exc.value.detail
     assert peak < 64 * 1024
+
+
+def test_body_outcomes_match_the_recorded_golden():
+    for case in BODY_OUTCOMES:
+        for unit in ("1/8", "3/16"):
+            try:
+                outcome = expand_body(case["body"], Fraction(unit))
+            except NormalizationError as err:
+                outcome = [err.kind.value, err.detail, err.location]
+            assert outcome == case[unit], (case["body"], unit)
 
 
 def test_expand_body_has_no_length_gate():
