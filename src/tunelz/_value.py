@@ -1,0 +1,47 @@
+"""Slotted value classes, in place of ``@dataclass``.
+
+``dataclasses`` imports ``inspect`` (and with it ``ast``, ``dis`` and
+``tokenize``) and ``exec``s generated code for every class it builds,
+all of which every command paid at start-up.  A subclass lists its
+fields, in constructor order, in ``__slots__`` and sets each of them in
+its own ``__init__`` (through ``object.__setattr__`` when frozen).
+"""
+
+
+class Value:
+    """Field-wise ``==`` between objects of one class; unhashable, since mutable."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # rebuilt through __init__: unpickling must not assign fields one by one
+        return type(self), self._values()
+
+
+class FrozenValue(Value):
+    """A Value whose fields cannot change after construction; hashed by its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

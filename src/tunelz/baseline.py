@@ -16,33 +16,38 @@ from __future__ import annotations
 import json
 import math
 import random
-import statistics
-from dataclasses import dataclass
-from string import ascii_lowercase
 
+from ._value import FrozenValue
 from .lz import Algorithm, token_count
 
 DEFAULT_ALPHABET_SIZE = 13
 DEFAULT_SAMPLES = 1000
+# string.ascii_lowercase; importing string would compile Template's regex at start-up
+_LOWERCASE = "abcdefghijklmnopqrstuvwxyz"
 
 
 class CurveRangeError(ValueError):
     """A query length outside the sampled span; no extrapolation."""
 
 
-@dataclass(frozen=True)
-class BaselinePoint:
-    length: int
-    mean_ratio: float
-    std_dev: float
+class BaselinePoint(FrozenValue):
+    __slots__ = __match_args__ = ("length", "mean_ratio", "std_dev")
+
+    def __init__(self, length: int, mean_ratio: float, std_dev: float):
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "mean_ratio", mean_ratio)
+        object.__setattr__(self, "std_dev", std_dev)
 
 
-@dataclass(frozen=True)
-class BaselineCurve:
-    alphabet_size: int
-    samples_per_length: int
-    points: tuple[BaselinePoint, ...]
-    rng_seed: int
+class BaselineCurve(FrozenValue):
+    __slots__ = __match_args__ = ("alphabet_size", "samples_per_length", "points", "rng_seed")
+
+    def __init__(self, alphabet_size: int, samples_per_length: int,
+                 points: tuple[BaselinePoint, ...], rng_seed: int):
+        object.__setattr__(self, "alphabet_size", alphabet_size)
+        object.__setattr__(self, "samples_per_length", samples_per_length)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "rng_seed", rng_seed)
 
     @property
     def lengths(self) -> tuple[int, ...]:
@@ -76,7 +81,9 @@ def estimate_baseline(
     if samples < 1:
         raise ValueError("samples must be >= 1")
 
-    letters = ascii_lowercase[:alphabet_size]
+    import statistics  # here, not at the top: commands that never sample skip its import
+
+    letters = _LOWERCASE[:alphabet_size]
     points = []
     for length in sorted(set(lengths)):
         ratios = []

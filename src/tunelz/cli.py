@@ -194,11 +194,15 @@ def cmd_compress(args) -> int:
 
 def cmd_decompress(args) -> int:
     text = _read_input(args.path)
-    if text.lstrip().startswith("{"):
-        stream = lz.stream_from_json(text)
-    else:
-        algo = None if args.algo is None else lz.Algorithm(args.algo)
-        stream = lz.stream_from_text(text, algorithm=algo, index_base=args.index_base)
+    try:
+        if text.lstrip().startswith("{"):
+            stream = lz.stream_from_json(text)
+        else:
+            algo = None if args.algo is None else lz.Algorithm(args.algo)
+            stream = lz.stream_from_text(text, algorithm=algo, index_base=args.index_base)
+    except lz.CorruptStream as exc:
+        # the path goes last, so each message still starts with what went wrong
+        raise lz.CorruptStream(f"{exc} (token stream {args.path})") from exc
     print(lz.decompress(stream))
     return 0
 

@@ -17,12 +17,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import statistics
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
+from ._value import FrozenValue, Value
 from .baseline import BaselineCurve, normalize_ratio
 from .lz import compress_lz77, compress_lz78, compression_ratio
 from .notation import (
@@ -47,51 +46,67 @@ class EmptyCategoryError(ValueError):
     """Aggregation requested for a category with no reports."""
 
 
-@dataclass
-class TuneRecord:
-    id: str
-    name: str
-    category: Category
-    key: str
-    abc: str
-    outcome: QuaverSequence | NormalizationError
+class TuneRecord(Value):
+    __slots__ = __match_args__ = ("id", "name", "category", "key", "abc", "outcome")
+
+    def __init__(self, id: str, name: str, category: Category, key: str, abc: str,
+                 outcome: QuaverSequence | NormalizationError):
+        self.id = id
+        self.name = name
+        self.category = category
+        self.key = key
+        self.abc = abc
+        self.outcome = outcome
 
     @property
     def accepted(self) -> bool:
         return isinstance(self.outcome, QuaverSequence)
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
-    id: str
-    name: str
-    category: Category
-    length: int
-    lz77_tokens: int
-    lz78_tokens: int
-    ratio_lz77: Fraction
-    ratio_lz78: Fraction
-    normalized_ratio: float | None = None
+class ComplexityReport(FrozenValue):
+    __slots__ = __match_args__ = (
+        "id", "name", "category", "length", "lz77_tokens", "lz78_tokens",
+        "ratio_lz77", "ratio_lz78", "normalized_ratio")
+
+    def __init__(self, id: str, name: str, category: Category, length: int,
+                 lz77_tokens: int, lz78_tokens: int, ratio_lz77: Fraction,
+                 ratio_lz78: Fraction, normalized_ratio: float | None = None):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "lz77_tokens", lz77_tokens)
+        object.__setattr__(self, "lz78_tokens", lz78_tokens)
+        object.__setattr__(self, "ratio_lz77", ratio_lz77)
+        object.__setattr__(self, "ratio_lz78", ratio_lz78)
+        object.__setattr__(self, "normalized_ratio", normalized_ratio)
 
 
-@dataclass(frozen=True)
-class HistogramSpec:
-    bin_count: int
-    lower: float
-    upper: float
-    counts: tuple[int, ...]
+class HistogramSpec(FrozenValue):
+    __slots__ = __match_args__ = ("bin_count", "lower", "upper", "counts")
+
+    def __init__(self, bin_count: int, lower: float, upper: float, counts: tuple[int, ...]):
+        object.__setattr__(self, "bin_count", bin_count)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "counts", counts)
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    category: Category
-    count: int
-    mean_ratio: float
-    std_dev: float
-    min: tuple[str, Fraction]
-    max: tuple[str, Fraction]
-    histogram: HistogramSpec
-    degenerate: bool = False
+class CorpusStats(FrozenValue):
+    __slots__ = __match_args__ = (
+        "category", "count", "mean_ratio", "std_dev", "min", "max", "histogram", "degenerate")
+
+    def __init__(self, category: Category, count: int, mean_ratio: float, std_dev: float,
+                 min: tuple[str, Fraction], max: tuple[str, Fraction],
+                 histogram: HistogramSpec, degenerate: bool = False):
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "mean_ratio", mean_ratio)
+        object.__setattr__(self, "std_dev", std_dev)
+        object.__setattr__(self, "min", min)
+        object.__setattr__(self, "max", max)
+        object.__setattr__(self, "histogram", histogram)
+        object.__setattr__(self, "degenerate", degenerate)
 
 
 class Order(Enum):
@@ -329,6 +344,8 @@ def aggregate(
     )
     if not selected:
         raise EmptyCategoryError(f"no reports in category {category.value!r}")
+    import statistics  # here, not at the top: commands that never aggregate skip its import
+
     ratios = [float(r.ratio_lz77) for r in selected]
     mean = statistics.fmean(ratios)
     degenerate = len(selected) == 1

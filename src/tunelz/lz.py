@@ -22,9 +22,10 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+
+from ._value import FrozenValue
 
 MIN_MATCH = 2
 
@@ -38,15 +39,16 @@ class CorruptStream(ValueError):
     """A token stream violates its own invariants and cannot be decoded."""
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(FrozenValue):
     """A single symbol emitted verbatim."""
 
-    symbol: str
+    __slots__ = __match_args__ = ("symbol",)
+
+    def __init__(self, symbol: str):
+        object.__setattr__(self, "symbol", symbol)
 
 
-@dataclass(frozen=True)
-class BackRef:
+class BackRef(FrozenValue):
     """Copy ``length`` symbols starting at absolute 0-based ``start``.
 
     ``start`` always precedes the position where the token begins
@@ -55,15 +57,17 @@ class BackRef:
     itself.
     """
 
-    start: int
-    length: int
+    __slots__ = __match_args__ = ("start", "length")
+
+    def __init__(self, start: int, length: int):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "length", length)
 
 
 Lz77Token = Literal | BackRef
 
 
-@dataclass(frozen=True)
-class Lz78Token:
+class Lz78Token(FrozenValue):
     """Dictionary phrase ``prefix_index`` extended by one symbol.
 
     ``prefix_index`` 0 is the empty phrase; index k >= 1 is the phrase
@@ -71,15 +75,21 @@ class Lz78Token:
     on a final token whose phrase already exists in the dictionary.
     """
 
-    prefix_index: int
-    extension: str | None = None
+    __slots__ = __match_args__ = ("prefix_index", "extension")
+
+    def __init__(self, prefix_index: int, extension: str | None = None):
+        object.__setattr__(self, "prefix_index", prefix_index)
+        object.__setattr__(self, "extension", extension)
 
 
-@dataclass(frozen=True)
-class TokenStream:
-    algorithm: Algorithm
-    tokens: tuple[Lz77Token | Lz78Token, ...]
-    source_length: int
+class TokenStream(FrozenValue):
+    __slots__ = __match_args__ = ("algorithm", "tokens", "source_length")
+
+    def __init__(self, algorithm: Algorithm, tokens: tuple[Lz77Token | Lz78Token, ...],
+                 source_length: int):
+        object.__setattr__(self, "algorithm", algorithm)
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "source_length", source_length)
 
 
 def _lz77_parse(seq: str) -> list[tuple[int, int] | None]:

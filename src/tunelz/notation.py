@@ -18,10 +18,12 @@ Everything here is a pure function of its inputs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import sys
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
+
+from ._value import FrozenValue, Value
 
 QUAVER = Fraction(1, 8)
 PITCH_LETTERS = frozenset("ABCDEFGabcdefg")
@@ -56,23 +58,29 @@ class NormalizationError(Exception):
         self.location = location
 
 
-@dataclass
-class AbcTune:
-    reference_number: int
-    title: str
-    meter: tuple[int, int]
-    unit_note_length: Fraction
-    key: str
-    body: str
-    rhythm: str | None = None
+class AbcTune(Value):
+    __slots__ = __match_args__ = (
+        "reference_number", "title", "meter", "unit_note_length", "key", "body", "rhythm")
+
+    def __init__(self, reference_number: int, title: str, meter: tuple[int, int],
+                 unit_note_length: Fraction, key: str, body: str, rhythm: str | None = None):
+        self.reference_number = reference_number
+        self.title = title
+        self.meter = meter
+        self.unit_note_length = unit_note_length
+        self.key = key
+        self.body = body
+        self.rhythm = rhythm
 
 
-@dataclass(frozen=True)
-class QuaverSequence:
+class QuaverSequence(FrozenValue):
     """A normalized melody: one pitch symbol per quaver, in order."""
 
-    symbols: str
-    category: Category
+    __slots__ = __match_args__ = ("symbols", "category")
+
+    def __init__(self, symbols: str, category: Category):
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "category", category)
 
 
 _FIELD_RE = re.compile(r"^([A-Za-z])\s*:\s*(.*?)\s*$")
@@ -212,7 +220,9 @@ _LENGTH_RE = re.compile(r"([0-9]*)(/*)([0-9]*)")
 _NOTE_SUFFIX = frozenset("',0123456789/")
 
 
-def _quaver_notes(body: str, unit_note_length: Fraction) -> list[tuple[str, int]]:
+def _quaver_notes(
+    body: str, unit_note_length: Fraction, max_quavers: int | None = None
+) -> list[tuple[str, int]]:
     """``(letter, quavers)`` per note in one pass over the body, repeats written out.
 
     ``|: section :|`` plays the section twice; a ``:|`` without an
@@ -220,7 +230,8 @@ def _quaver_notes(body: str, unit_note_length: Fraction) -> list[tuple[str, int]
     numbered endings the first pass plays through ending 1, the second
     pass stops where ending 1 began and continues into ending 2.  The
     first construct that cannot be read raises at once; the first note
-    that does not fill whole quavers raises only once the scan has ended.
+    that does not fill whole quavers, or lasts more than ``max_quavers``,
+    raises only once the scan has ended.
     """
     # a note lasts unit * num/den whole notes, that is 8 * unit * num/den quavers
     unit_num, unit_den = 8 * unit_note_length.numerator, unit_note_length.denominator
@@ -228,7 +239,7 @@ def _quaver_notes(body: str, unit_note_length: Fraction) -> list[tuple[str, int]
     append = out.append
     section_start = 0  # where the section a ":|" repeats begins in out
     ending_1_at = None  # where ending 1 of that section begins in out
-    off_grid = None  # the error for the first note that does not fill whole quavers
+    off_grid = None  # the error for the first note whose duration cannot be written out
     i = 0
     n = len(body)
     while i < n:
@@ -271,6 +282,14 @@ def _quaver_notes(body: str, unit_note_length: Fraction) -> list[tuple[str, int]
                         ErrorKind.NON_QUAVER_DURATION, "zero duration", start
                     )
                 i = m.end()
+                # only a written length makes a note longer than 8 quavers
+                if (max_quavers is not None and off_grid is None
+                        and unit_num * num // (unit_den * den) > max_quavers):
+                    off_grid = NormalizationError(
+                        ErrorKind.NON_QUAVER_DURATION,
+                        f"{c} lasts more than {max_quavers} quavers",
+                        start,
+                    )
             quavers, rest = divmod(unit_num * num, unit_den * den)
             if rest and off_grid is None:
                 off_grid = NormalizationError(
@@ -385,9 +404,11 @@ def expand_body(body: str, unit_note_length: Fraction = QUAVER) -> str:
     Each note lasting k quavers (unit note length x written multiplier,
     measured in quavers) becomes k repeated letters; repeats are written
     out; accidentals fold to the bare letter.  No length gate is applied
-    here -- see ``normalize`` for the standard-length filter.
+    here -- see ``normalize`` for the standard-length filter -- but a
+    note longer than the longest string (``sys.maxsize``) is a
+    NON_QUAVER_DURATION error.
     """
-    pairs = _quaver_notes(body, unit_note_length)
+    pairs = _quaver_notes(body, unit_note_length, sys.maxsize)
     return "".join([letter * quavers for letter, quavers in pairs])
 
 

@@ -3,11 +3,14 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tunelz
 from tunelz.cli import main
 
 import goldens
@@ -394,9 +397,11 @@ DEEP = b"[" * 100_000
     (["analyze", "--baseline", "{f}", "--normalize-to", "128", "{sally}"], DEEP,
      "baseline curve {f} is not usable: baseline curve is not valid JSON: maximum recursion"),
     (["decompress", "{f}"], b'{"tokens": ' + DEEP, "malformed stream JSON: maximum recursion"),
+    (["decompress", "{f}"], b'{"tokens": ',
+     "malformed stream JSON: Expecting value: line 1 column 12 (char 11) (token stream {f})\n"),
 ], ids=["normalize", "analyze", "corpus", "rank", "compress", "decompress", "dump-not-utf8",
         "dump-long-int", "dump-deep", "baseline-not-json", "baseline-not-utf8",
-        "baseline-deep", "decompress-deep"])
+        "baseline-deep", "decompress-deep", "decompress-not-json"])
 def test_unloadable_input_is_a_one_line_error(capsys, tmp_path, sally_path, argv, content,
                                               message):
     path = tmp_path / "input"
@@ -481,3 +486,14 @@ def test_seed_is_a_usage_error_outside_baseline(capsys, argv):
 def test_baseline_accepts_seed(capsys):
     code, _, _ = run(capsys, "baseline", "--lengths", "4", "--samples", "2", "--seed", "1")
     assert code == 0
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S -I: no site hooks or environment, so only tunelz and what it imports load;
+    # -B: -I ignores PYTHONDONTWRITEBYTECODE, and the test leaves no bytecode behind
+    src = str(Path(tunelz.__file__).parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import tunelz.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-I", "-B", "-c", code],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

@@ -1,6 +1,7 @@
 """ABC parsing and quaver-grid normalization."""
 
 import json
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -329,6 +330,21 @@ def test_body_outcomes_match_the_recorded_golden():
 
 def test_expand_body_has_no_length_gate():
     assert expand_body("A2000000") == "A" * 2_000_000
+
+
+@pytest.mark.parametrize("body, kind, detail, location", [
+    ("A" + "9" * 30, ErrorKind.NON_QUAVER_DURATION,
+     f"A lasts more than {sys.maxsize} quavers", 0),
+    ("AB |: c" + "9" * 30 + " d :|", ErrorKind.NON_QUAVER_DURATION,
+     f"c lasts more than {sys.maxsize} quavers", 6),
+    ("A/ B" + "9" * 30, ErrorKind.NON_QUAVER_DURATION, "A lasts 1/2 quavers", 0),
+    ("B" + "9" * 30 + " z", ErrorKind.UNSUPPORTED_CONSTRUCT,
+     "rest has no symbol in the pitch alphabet", 32),
+], ids=["alone", "in-a-repeat", "after-an-off-grid-note", "before-a-rest"])
+def test_note_longer_than_any_string_is_a_duration_error(body, kind, detail, location):
+    with pytest.raises(NormalizationError) as exc:
+        expand_body(body)
+    assert (exc.value.kind, exc.value.detail, exc.value.location) == (kind, detail, location)
 
 
 # Python converts no int of more than 4,300 digits to or from str, so a
