@@ -23,7 +23,7 @@ from pathlib import Path
 
 from ._value import FrozenValue, Value
 from .baseline import BaselineCurve, normalize_ratio
-from .lz import compress_lz77, compress_lz78, compression_ratio
+from .lz import Algorithm, compress_lz77, compression_ratio, token_count
 from .notation import (
     AbcTune,
     Category,
@@ -272,7 +272,7 @@ def analyze(
             continue
         symbols = record.outcome.symbols
         stream_77 = compress_lz77(symbols)
-        stream_78 = compress_lz78(symbols)
+        lz78_tokens = token_count(symbols, Algorithm.LZ78)
         ratio_77 = compression_ratio(stream_77)
         normalized = None
         if curve is not None:
@@ -286,9 +286,9 @@ def analyze(
                 category=record.category,
                 length=len(symbols),
                 lz77_tokens=len(stream_77.tokens),
-                lz78_tokens=len(stream_78.tokens),
+                lz78_tokens=lz78_tokens,
                 ratio_lz77=ratio_77,
-                ratio_lz78=compression_ratio(stream_78),
+                ratio_lz78=Fraction(len(symbols), lz78_tokens),
                 normalized_ratio=normalized,
             )
         )

@@ -156,6 +156,34 @@ def compress_lz77(seq: str) -> TokenStream:
     return TokenStream(Algorithm.LZ77, tuple(tokens), len(seq))
 
 
+def _lz78_parse(seq: str) -> list[tuple[int, str | None]]:
+    """Incremental LZ78 parse: ``(prefix_index, extension)`` per token.
+
+    The dictionary is a trie held as one ``{symbol: phrase index}`` dict
+    per phrase, listed by phrase index (0 = the empty phrase), so walking
+    it builds no key per input symbol.  ``extension`` is None only on a
+    final token whose phrase is already known.
+    """
+    trie: list[dict[str, int]] = [{}]
+    root = children = trie[0]
+    parse: list[tuple[int, str | None]] = []
+    node = 0
+    for ch in seq:
+        child = children.get(ch)
+        if child is not None:
+            node = child
+            children = trie[child]
+            continue
+        children[ch] = len(trie)
+        trie.append({})
+        parse.append((node, ch))
+        node = 0
+        children = root
+    if node:
+        parse.append((node, None))
+    return parse
+
+
 def compress_lz78(seq: str) -> TokenStream:
     """Incremental LZ78 parse of ``seq``.
 
@@ -164,22 +192,8 @@ def compress_lz78(seq: str) -> TokenStream:
     are numbered from 1 in emission order).  If the input ends exactly
     on a known phrase, a terminal token without extension is emitted.
     """
-    children: dict[tuple[int, str], int] = {}
-    tokens: list[Lz78Token] = []
-    node = 0
-    next_index = 1
-    for ch in seq:
-        child = children.get((node, ch))
-        if child is not None:
-            node = child
-            continue
-        tokens.append(Lz78Token(node, ch))
-        children[(node, ch)] = next_index
-        next_index += 1
-        node = 0
-    if node:
-        tokens.append(Lz78Token(node, None))
-    return TokenStream(Algorithm.LZ78, tuple(tokens), len(seq))
+    tokens = tuple(Lz78Token(node, ch) for node, ch in _lz78_parse(seq))
+    return TokenStream(Algorithm.LZ78, tokens, len(seq))
 
 
 def compress(seq: str, algorithm: Algorithm) -> TokenStream:
@@ -190,10 +204,10 @@ def compress(seq: str, algorithm: Algorithm) -> TokenStream:
 
 
 def token_count(seq: str, algorithm: Algorithm) -> int:
-    """``len(compress(seq, algorithm).tokens)``, without building LZ77 tokens."""
+    """``len(compress(seq, algorithm).tokens)``, without building any token."""
     if algorithm is Algorithm.LZ77:
         return len(_lz77_parse(seq))
-    return len(compress_lz78(seq).tokens)
+    return len(_lz78_parse(seq))
 
 
 def _decode(algorithm: Algorithm, tokens: tuple, limit: int) -> str:

@@ -57,6 +57,10 @@ class NormalizationError(Exception):
         self.detail = detail
         self.location = location
 
+    def __reduce__(self):
+        # ``args`` holds only the message, so pickle and copy rebuild from the fields
+        return type(self), (self.kind, self.detail, self.location)
+
 
 class AbcTune(Value):
     __slots__ = __match_args__ = (

@@ -2,7 +2,7 @@
 against.  Deliberately written as plain triple loops over plain tuples so
 they share nothing with the production matcher."""
 
-from tunelz.lz import BackRef, Literal
+from tunelz.lz import BackRef, Literal, Lz78Token
 
 
 def naive_longest_match(seq, pos):
@@ -51,4 +51,38 @@ def plain_tokens(stream):
             out.append((tok.start, tok.length))
         else:
             raise TypeError(f"not an LZ77 token: {tok!r}")
+    return out
+
+
+def naive_compress_lz78(seq):
+    """LZ78 parse against a plain list of phrases, scanned in full at each step.
+
+    Returns (prefix_index, extension) pairs.  The extension is None only
+    on a final pair whose phrase runs exactly to the end of ``seq``.
+    """
+    phrases = [""]
+    tokens = []
+    pos = 0
+    while pos < len(seq):
+        best = 0
+        for index, phrase in enumerate(phrases):
+            if len(phrase) > len(phrases[best]) and seq.startswith(phrase, pos):
+                best = index
+        end = pos + len(phrases[best])
+        if end == len(seq):
+            tokens.append((best, None))
+            break
+        tokens.append((best, seq[end]))
+        phrases.append(phrases[best] + seq[end])
+        pos = end + 1
+    return tokens
+
+
+def plain_lz78_tokens(stream):
+    """Production LZ78 stream as the oracle's plain pairs."""
+    out = []
+    for tok in stream.tokens:
+        if not isinstance(tok, Lz78Token):
+            raise TypeError(f"not an LZ78 token: {tok!r}")
+        out.append((tok.prefix_index, tok.extension))
     return out

@@ -27,6 +27,7 @@ from tunelz.corpus import (
 )
 from tunelz.notation import ErrorKind, NormalizationError, QuaverSequence
 from tunelz.corpus import TuneRecord
+from tunelz.lz import compress_lz78, compression_ratio
 
 import goldens
 
@@ -219,6 +220,19 @@ def test_analyze_star_ratio_exactly_two(extreme_reels_path):
     reports = analyze(ingest_abc_files([extreme_reels_path]))
     star = next(r for r in reports if "Star" in r.name)
     assert star.ratio_lz77 == 2
+
+
+def test_analyze_lz78_counts_equal_the_coders_stream(data_dir, dump_path):
+    records = ingest_abc_files(sorted(data_dir.glob("*.abc"))) + ingest_json_dump(dump_path)
+    accepted = [r for r in records if r.accepted]
+    reports = analyze(records)
+    assert [r.id for r in reports] == [r.id for r in accepted]
+    assert len(reports) == 6  # every accepted tune in tests/data
+    for record, report in zip(accepted, reports):
+        stream = compress_lz78(record.outcome.symbols)
+        assert report.lz78_tokens == len(stream.tokens), record.id
+        assert report.ratio_lz78 == compression_ratio(stream), record.id
+        assert type(report.ratio_lz78) is Fraction
 
 
 def test_analyze_empty():

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tunelz.lz import (
     Algorithm,
@@ -17,9 +17,12 @@ from tunelz.lz import (
     stream_from_text,
     stream_to_json,
     stream_to_text,
+    token_count,
 )
 
 import goldens
+import oracles
+from test_lz77 import repetitive_sequences
 
 
 # ----------------------------------------------------------------- goldens
@@ -186,3 +189,43 @@ def test_serialization_round_trip(seq):
     stream = compress_lz78(seq)
     assert stream_from_text(stream_to_text(stream), Algorithm.LZ78) == stream
     assert stream_from_json(stream_to_json(stream)) == stream
+
+
+@st.composite
+def ending_on_known_phrase(draw):
+    """A prefix whose parse ends on a token boundary, then one of its phrases."""
+    seq = draw(sequences(max_size=300))
+    phrases, end = [""], 0
+    for prefix, extension in oracles.naive_compress_lz78(seq):
+        if extension is None:
+            break
+        phrases.append(phrases[prefix] + extension)
+        end += len(phrases[-1])
+    assume(len(phrases) > 1)
+    return seq[:end] + draw(st.sampled_from(phrases[1:]))
+
+
+def assert_matches_oracle(seq):
+    """Both the coder and the count agree with the naive parse; returns it."""
+    expected = oracles.naive_compress_lz78(seq)
+    assert oracles.plain_lz78_tokens(compress_lz78(seq)) == expected
+    assert token_count(seq, Algorithm.LZ78) == len(expected)
+    return expected
+
+
+@given(st.one_of(sequences(max_size=400), repetitive_sequences()))
+@settings(max_examples=200, deadline=None)
+def test_matches_naive_oracle(seq):
+    assert_matches_oracle(seq)
+
+
+@given(ending_on_known_phrase())
+@settings(max_examples=150, deadline=None)
+def test_terminal_token_matches_naive_oracle(seq):
+    assert assert_matches_oracle(seq)[-1][1] is None
+
+
+@pytest.mark.parametrize("seq", ["", "a", "aaaa", "ab" * 100, goldens.SALLY,
+                                 goldens.CONCERTINA, goldens.STAR_OF_MUNSTER])
+def test_matches_naive_oracle_on_structured_inputs(seq):
+    assert_matches_oracle(seq)

@@ -19,9 +19,11 @@ from tunelz import (
     Category,
     ComplexityReport,
     CorpusStats,
+    ErrorKind,
     HistogramSpec,
     Literal,
     Lz78Token,
+    NormalizationError,
     QuaverSequence,
     TokenStream,
     TuneRecord,
@@ -206,3 +208,43 @@ def test_copies_equal_the_original(cls, fields, text, duplicate):
     assert type(twin) is cls
     assert twin == obj
     assert repr(twin) == text
+
+
+# A NormalizationError compares by identity, like any exception, so its
+# duplicates are checked field by field, message included.
+ERROR = NormalizationError(ErrorKind.WRONG_LENGTH, "96 quavers, expected 128", 3)
+
+
+def pickled(protocol):
+    return lambda obj: pickle.loads(pickle.dumps(obj, protocol))
+
+
+DUPLICATES = {
+    **{f"pickle{p}": pickled(p) for p in range(pickle.HIGHEST_PROTOCOL + 1)},
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+EVERY_DUPLICATE = pytest.mark.parametrize(
+    "duplicate", list(DUPLICATES.values()), ids=list(DUPLICATES))
+
+
+def error_fields(err):
+    return type(err), err.kind, err.detail, err.location, err.args, str(err)
+
+
+@EVERY_DUPLICATE
+def test_normalization_error_survives_pickling_and_copying(duplicate):
+    twin = duplicate(ERROR)
+    assert twin is not ERROR
+    assert error_fields(twin) == error_fields(ERROR)
+    assert str(twin) == "wrong_length: 96 quavers, expected 128 (offset 3)"
+
+
+@EVERY_DUPLICATE
+def test_rejected_record_survives_pickling_and_copying(duplicate):
+    record = TuneRecord("7", "N", Category.JIG, "D", "AB", ERROR)
+    twin = duplicate(record)
+    assert type(twin) is TuneRecord
+    assert not twin.accepted
+    assert [twin.id, twin.name, twin.category, twin.key, twin.abc] == ["7", "N", Category.JIG, "D", "AB"]
+    assert error_fields(twin.outcome) == error_fields(ERROR)
