@@ -28,12 +28,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "with Lempel-Ziv token coders.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags of the commands that read tune collections, declared once
+    tunes = argparse.ArgumentParser(add_help=False)
+    tunes.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    tunes.add_argument("--dump", help="JSON dump instead of ABC paths")
+    tunes.add_argument("paths", nargs="*")
+    curve = argparse.ArgumentParser(add_help=False)
+    curve.add_argument("--baseline", dest="baseline_path", help="baseline curve JSON")
+    curve.add_argument("--normalize-to", type=int, dest="normalize_to",
+                       help="reference length for normalized ratios")
 
     p = sub.add_parser("normalize", help="flatten ABC tunes onto the quaver grid")
+    p.set_defaults(run=cmd_normalize)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("paths", nargs="+")
 
     p = sub.add_parser("compress", help="tokenize a tune or raw symbol sequence")
+    p.set_defaults(run=cmd_compress)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--algo", choices=("lz77", "lz78"), default="lz77")
     p.add_argument("--index-base", type=int, choices=(0, 1), default=0,
@@ -41,29 +52,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="ABC file, raw symbol file, or - for stdin")
 
     p = sub.add_parser("decompress", help="rebuild the symbol sequence of a token stream")
-    p.add_argument("--algo", choices=("lz77", "lz78"), default=None)
+    p.set_defaults(run=cmd_decompress)
     p.add_argument("--index-base", type=int, choices=(0, 1), default=0)
     p.add_argument("path", help="token stream file (text or JSON), or - for stdin")
 
-    p = sub.add_parser("analyze", help="per-tune token counts and ratios")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--dump", help="JSON dump instead of ABC paths")
-    p.add_argument("--baseline", dest="baseline_path", help="baseline curve JSON")
-    p.add_argument("--normalize-to", type=int, dest="normalize_to",
-                   help="reference length for normalized ratios")
-    p.add_argument("paths", nargs="*")
+    p = sub.add_parser("analyze", parents=[tunes, curve],
+                       help="per-tune token counts and ratios")
+    p.set_defaults(run=cmd_analyze)
 
-    p = sub.add_parser("corpus", help="aggregate statistics over a tune collection")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--dump")
+    p = sub.add_parser("corpus", parents=[tunes, curve],
+                       help="aggregate statistics over a tune collection")
+    p.set_defaults(run=cmd_corpus)
     p.add_argument("--category", choices=("reel", "jig", "all"), default="all")
     p.add_argument("--bins", type=int, default=cp.DEFAULT_BINS)
-    p.add_argument("--baseline", dest="baseline_path")
-    p.add_argument("--normalize-to", type=int, dest="normalize_to")
     p.add_argument("--hist-out", dest="hist_out", help="write histogram CSV to a file")
-    p.add_argument("paths", nargs="*")
 
     p = sub.add_parser("baseline", help="sample random-string compression ratios")
+    p.set_defaults(run=cmd_baseline)
     p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
     p.add_argument("--lengths", required=True,
                    help="comma-separated string lengths, e.g. 96,128")
@@ -73,11 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the full curve as JSON to a file")
 
-    p = sub.add_parser("rank", help="order tunes from most to least repetitive")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--dump")
+    p = sub.add_parser("rank", parents=[tunes],
+                       help="order tunes from most to least repetitive")
+    p.set_defaults(run=cmd_rank)
     p.add_argument("--order", choices=("easiest", "hardest"), default="easiest")
-    p.add_argument("paths", nargs="*")
 
     return parser
 
@@ -85,9 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (cp.IngestError, lz.CorruptStream, bl.CurveRangeError,
-            NormalizationError, OSError, ValueError) as exc:
+        return args.run(args)
+    except (NormalizationError, OSError, ValueError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
 
@@ -105,7 +108,7 @@ def _read_input(path: str) -> str:
 
 
 def _load_records(args) -> list[cp.TuneRecord]:
-    if getattr(args, "dump", None):
+    if args.dump:
         if args.paths:
             raise cp.IngestError("give either --dump or ABC paths, not both")
         return cp.ingest_json_dump(args.dump)
@@ -123,8 +126,7 @@ def _report_rejections(records: list[cp.TuneRecord]) -> int:
 
 
 def _load_curve(args) -> tuple[bl.BaselineCurve | None, int | None]:
-    path = getattr(args, "baseline_path", None)
-    reference = getattr(args, "normalize_to", None)
+    path, reference = args.baseline_path, args.normalize_to
     if (path is None) != (reference is None):
         raise cp.IngestError("--baseline and --normalize-to go together")
     if path is None:
@@ -198,8 +200,7 @@ def cmd_decompress(args) -> int:
         if text.lstrip().startswith("{"):
             stream = lz.stream_from_json(text)
         else:
-            algo = None if args.algo is None else lz.Algorithm(args.algo)
-            stream = lz.stream_from_text(text, algorithm=algo, index_base=args.index_base)
+            stream = lz.stream_from_text(text, index_base=args.index_base)
     except lz.CorruptStream as exc:
         # the path goes last, so each message still starts with what went wrong
         raise lz.CorruptStream(f"{exc} (token stream {args.path})") from exc
@@ -301,17 +302,6 @@ def cmd_rank(args) -> int:
     else:
         _print_reports(ranked, args.format)
     return 1 if _report_rejections(records) else 0
-
-
-_COMMANDS = {
-    "normalize": cmd_normalize,
-    "compress": cmd_compress,
-    "decompress": cmd_decompress,
-    "analyze": cmd_analyze,
-    "corpus": cmd_corpus,
-    "baseline": cmd_baseline,
-    "rank": cmd_rank,
-}
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from ._value import FrozenValue, Value
-from .baseline import BaselineCurve, normalize_ratio
+from .baseline import BaselineCurve, mean_and_spread, normalize_ratio
 from .lz import Algorithm, compress_lz77, compression_ratio, token_count
 from .notation import (
     AbcTune,
@@ -335,8 +335,9 @@ def aggregate(
     """Mean, spread, extremes and histogram of a category's LZ77 ratios.
 
     Standard deviation uses the sample (n-1) convention; a single-report
-    category gets std 0 and the ``degenerate`` flag.  Extremes are tied
-    broken by name then id, matching the ranking order.
+    category gets std 0 and the ``degenerate`` flag.  The extremes are
+    the reports ``rank`` would put first in each order, so ties break
+    by name then id.
     """
     selected = sorted(
         (r for r in reports if r.category is category),
@@ -344,18 +345,10 @@ def aggregate(
     )
     if not selected:
         raise EmptyCategoryError(f"no reports in category {category.value!r}")
-    import statistics  # here, not at the top: commands that never aggregate skip its import
-
     ratios = [float(r.ratio_lz77) for r in selected]
-    mean = statistics.fmean(ratios)
-    degenerate = len(selected) == 1
-    std = 0.0 if degenerate else statistics.stdev(ratios)
-    low = min(selected, key=lambda r: (r.ratio_lz77, r.name, r.id))
-    high_ratio = max(r.ratio_lz77 for r in selected)
-    high = min(
-        (r for r in selected if r.ratio_lz77 == high_ratio),
-        key=lambda r: (r.name, r.id),
-    )
+    mean, std = mean_and_spread(ratios)
+    low = min(selected, key=_rank_key(Order.HARDEST_FIRST))
+    high = min(selected, key=_rank_key(Order.EASIEST_FIRST))
     return CorpusStats(
         category=category,
         count=len(selected),
@@ -364,7 +357,7 @@ def aggregate(
         min=(low.id, low.ratio_lz77),
         max=(high.id, high.ratio_lz77),
         histogram=build_histogram(ratios, bin_count),
-        degenerate=degenerate,
+        degenerate=len(selected) == 1,
     )
 
 
@@ -373,9 +366,13 @@ def rank(reports: list[ComplexityReport], order: Order = Order.EASIEST_FIRST) ->
 
     Ties break by ascending name then id, in both orders.
     """
+    return sorted(reports, key=_rank_key(order))
+
+
+def _rank_key(order: Order):
     if order is Order.EASIEST_FIRST:
-        return sorted(reports, key=lambda r: (-r.ratio_lz77, r.name, r.id))
-    return sorted(reports, key=lambda r: (r.ratio_lz77, r.name, r.id))
+        return lambda r: (-r.ratio_lz77, r.name, r.id)
+    return lambda r: (r.ratio_lz77, r.name, r.id)
 
 
 # ------------------------------------------------------------------ exports

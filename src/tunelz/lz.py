@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from enum import Enum
 from fractions import Fraction
 
 from ._value import FrozenValue
 
 MIN_MATCH = 2
+# Most symbols a loaded token stream may decode to; the longest tune is a
+# few hundred quavers, and this keeps a tiny stream from decoding to gigabytes.
+MAX_STREAM_SYMBOLS = 1_000_000
 
 
 class Algorithm(Enum):
@@ -210,16 +212,19 @@ def token_count(seq: str, algorithm: Algorithm) -> int:
     return len(_lz78_parse(seq))
 
 
-def _decode(algorithm: Algorithm, tokens: tuple, limit: int) -> str:
-    """Decode ``tokens``, failing at the first token that passes ``limit`` symbols."""
+def _decode(algorithm: Algorithm, tokens: tuple, limit: int, bound: str) -> str:
+    """Decode ``tokens``, failing at the first token that passes ``limit`` symbols.
+
+    ``bound`` names ``limit`` in the error, as in "stream claims".
+    """
     if algorithm is Algorithm.LZ77:
-        return _decompress_lz77(tokens, limit)
-    return _decompress_lz78(tokens, limit)
+        return _decompress_lz77(tokens, limit, bound)
+    return _decompress_lz78(tokens, limit, bound)
 
 
-def _check_limit(i: int, end: int, limit: int) -> None:
+def _check_limit(i: int, end: int, limit: int, bound: str) -> None:
     if end > limit:
-        raise CorruptStream(f"token {i}: decodes to {end} symbols, stream claims {limit}")
+        raise CorruptStream(f"token {i}: decodes to {end} symbols, {bound} {limit}")
 
 
 def decompress(stream: TokenStream) -> str:
@@ -230,7 +235,7 @@ def decompress(stream: TokenStream) -> str:
     stream's ``source_length``.  Decoding stops at the first token that
     would pass ``source_length``.
     """
-    text = _decode(stream.algorithm, stream.tokens, stream.source_length)
+    text = _decode(stream.algorithm, stream.tokens, stream.source_length, "stream claims")
     if len(text) != stream.source_length:
         raise CorruptStream(
             f"decoded {len(text)} symbols, stream claims {stream.source_length}"
@@ -238,11 +243,11 @@ def decompress(stream: TokenStream) -> str:
     return text
 
 
-def _decompress_lz77(tokens: tuple[Lz77Token, ...], limit: int) -> str:
+def _decompress_lz77(tokens: tuple[Lz77Token, ...], limit: int, bound: str) -> str:
     out: list[str] = []
     for i, tok in enumerate(tokens):
         if isinstance(tok, Literal):
-            _check_limit(i, len(out) + 1, limit)
+            _check_limit(i, len(out) + 1, limit, bound)
             out.append(tok.symbol)
             continue
         if not isinstance(tok, BackRef):
@@ -253,13 +258,13 @@ def _decompress_lz77(tokens: tuple[Lz77Token, ...], limit: int) -> str:
             raise CorruptStream(
                 f"token {i}: start {tok.start} outside emitted prefix of {len(out)}"
             )
-        _check_limit(i, len(out) + tok.length, limit)
+        _check_limit(i, len(out) + tok.length, limit, bound)
         for k in range(tok.length):  # symbol by symbol so overlaps self-extend
             out.append(out[tok.start + k])
     return "".join(out)
 
 
-def _decompress_lz78(tokens: tuple[Lz78Token, ...], limit: int) -> str:
+def _decompress_lz78(tokens: tuple[Lz78Token, ...], limit: int, bound: str) -> str:
     phrases = [""]
     out: list[str] = []
     length = 0
@@ -278,7 +283,7 @@ def _decompress_lz78(tokens: tuple[Lz78Token, ...], limit: int) -> str:
             phrase = phrases[tok.prefix_index] + tok.extension
             phrases.append(phrase)
         length += len(phrase)
-        _check_limit(i, length, limit)
+        _check_limit(i, length, limit, bound)
         out.append(phrase)
     return "".join(out)
 
@@ -332,18 +337,17 @@ def stream_from_text(
 
     When ``algorithm`` is None it is inferred: bracketed pairs mean
     LZ77, digit-prefixed tokens mean LZ78, and a stream of bare letters
-    defaults to LZ77 (both coders decode it identically).
+    defaults to LZ77 (both coders decode it identically).  The text form
+    declares no length, so the stream is decoded to learn it, and a
+    stream that decodes to more than ``MAX_STREAM_SYMBOLS`` symbols
+    raises CorruptStream.
     """
     if index_base not in (0, 1):
         raise ValueError("index_base must be 0 or 1")
-    words = text.split()
     if algorithm is None:
-        if any("[" in w for w in words):
-            algorithm = Algorithm.LZ77
-        elif any(any(c.isdigit() for c in w) for w in words):
-            algorithm = Algorithm.LZ78
-        else:
-            algorithm = Algorithm.LZ77
+        lz78 = "[" not in text and any(c.isdigit() for c in text)
+        algorithm = Algorithm.LZ78 if lz78 else Algorithm.LZ77
+    words = text.split()
     tokens: list[Lz77Token | Lz78Token] = []
     for word in words:
         if algorithm is Algorithm.LZ77:
@@ -362,8 +366,8 @@ def stream_from_text(
             prefix = int(m.group(1)) if m.group(1) else 0
             tokens.append(Lz78Token(prefix, m.group(2) or None))
     parsed = tuple(tokens)
-    # the text form declares no length: the decoded length is the claim
-    return TokenStream(algorithm, parsed, len(_decode(algorithm, parsed, sys.maxsize)))
+    decoded = _decode(algorithm, parsed, MAX_STREAM_SYMBOLS, "more than the ceiling of")
+    return TokenStream(algorithm, parsed, len(decoded))
 
 
 # ----------------------------------------------------------------- JSON form
@@ -387,6 +391,12 @@ def stream_to_json(stream: TokenStream) -> str:
 
 
 def stream_from_json(text: str) -> TokenStream:
+    """Load a stream saved by ``stream_to_json``.
+
+    Raises CorruptStream when the text is not such a stream, or when it
+    declares a ``source_length`` above ``MAX_STREAM_SYMBOLS``; the tokens
+    are checked against the declared length only by ``decompress``.
+    """
     try:
         payload = json.loads(text)
         algorithm = Algorithm(payload["algorithm"])
@@ -394,6 +404,9 @@ def stream_from_json(text: str) -> TokenStream:
         source_length = int(payload["source_length"])
     except (KeyError, ValueError, TypeError, RecursionError) as exc:
         raise CorruptStream(f"malformed stream JSON: {exc}") from exc
+    if source_length > MAX_STREAM_SYMBOLS:
+        raise CorruptStream(f"stream claims {source_length} symbols, "
+                            f"more than the ceiling of {MAX_STREAM_SYMBOLS}")
     if not isinstance(raw, list):
         raise CorruptStream("malformed stream JSON: tokens is not an array")
     tokens = tuple(_token_from_json(i, entry) for i, entry in enumerate(raw))

@@ -94,6 +94,15 @@ _FIELD_RE = re.compile(r"^([A-Za-z])\s*:\s*(.*?)\s*$")
 _MAX_DIGITS = 100
 _NUMBER = rf"(\d{{1,{_MAX_DIGITS}}})"
 _METER_RE = re.compile(rf"^{_NUMBER}\s*/\s*{_NUMBER}$")
+# Most characters of input text quoted in an error detail
+_MAX_QUOTED = 120
+
+
+def _quote(text: str) -> str:
+    """``repr`` of ``text``, cut after ``_MAX_QUOTED`` characters with the full length noted."""
+    if len(text) <= _MAX_QUOTED:
+        return repr(text)
+    return f"{text[:_MAX_QUOTED]!r}... ({len(text)} characters)"
 
 
 def _parse_meter(value: str, location: int) -> tuple[int, int]:
@@ -105,7 +114,7 @@ def _parse_meter(value: str, location: int) -> tuple[int, int]:
     m = _METER_RE.match(value)
     if not m or int(m.group(1)) < 1 or int(m.group(2)) < 1:
         raise NormalizationError(
-            ErrorKind.MALFORMED_HEADER, f"unusable meter {value!r}", location
+            ErrorKind.MALFORMED_HEADER, f"unusable meter {_quote(value)}", location
         )
     return (int(m.group(1)), int(m.group(2)))
 
@@ -115,7 +124,7 @@ def _parse_unit_length(value: str, location: int) -> Fraction:
     if m and 0 < int(m.group(1)) <= int(m.group(2)):
         return Fraction(int(m.group(1)), int(m.group(2)))
     raise NormalizationError(
-        ErrorKind.MALFORMED_HEADER, f"unusable unit note length {value!r}", location
+        ErrorKind.MALFORMED_HEADER, f"unusable unit note length {_quote(value)}", location
     )
 
 
@@ -159,7 +168,7 @@ def _parse_block(lines: list[str], offsets: list[int], start: int, end: int) -> 
         if not m:
             raise NormalizationError(
                 ErrorKind.MALFORMED_HEADER,
-                f"expected a header field before K:, got {stripped!r}",
+                f"expected a header field before K:, got {_quote(stripped)}",
                 offsets[i],
             )
         letter, value = m.group(1), m.group(2)
@@ -169,7 +178,7 @@ def _parse_block(lines: list[str], offsets: list[int], start: int, end: int) -> 
             except ValueError:
                 raise NormalizationError(
                     ErrorKind.MALFORMED_HEADER,
-                    f"reference number is not an integer: {stripped!r}",
+                    f"reference number is not an integer: {_quote(stripped)}",
                     offsets[i],
                 ) from None
         elif letter == "T":
@@ -186,11 +195,10 @@ def _parse_block(lines: list[str], offsets: list[int], start: int, end: int) -> 
             break
         # any other field letter: retained in the source, ignored here
 
-    if reference is None or key is None:
-        missing = "X:" if reference is None else "K:"
+    if key is None:
         raise NormalizationError(
             ErrorKind.MALFORMED_HEADER,
-            f"tune block is missing its {missing} line: {lines[start].strip()!r}",
+            f"tune block is missing its K: line: {_quote(lines[start].strip())}",
             offsets[start],
         )
 

@@ -1,6 +1,8 @@
 """Random-string baseline curve and length normalization."""
 
 import json
+import statistics
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from tunelz.baseline import (
     curve_to_csv,
     curve_to_json,
     estimate_baseline,
+    mean_and_spread,
     normalize_ratio,
 )
 from tunelz.lz import Algorithm
@@ -177,3 +180,12 @@ def test_csv_export():
     assert lines[0] == "length,mean_ratio"
     assert lines[1] == "96,1.230000"
     assert lines[2] == "128,1.290000"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="statistics.stdev rounds twice before Python 3.11")
+@given(st.lists(st.floats(min_value=-1e12, max_value=1e12), min_size=1, max_size=300))
+@settings(max_examples=300)
+def test_mean_and_spread_match_statistics(values):
+    spread = statistics.stdev(values) if len(values) > 1 else 0.0
+    assert mean_and_spread(values) == (statistics.fmean(values), spread)

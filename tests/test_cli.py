@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -195,6 +196,14 @@ def test_decompress_has_no_format_flag(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+def test_decompress_has_no_algo_flag(capsys, tmp_path):
+    path = tmp_path / "tokens.txt"
+    path.write_text("a b [0,2]", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["decompress", "--algo", "lz77", str(path)])
+    assert exc.value.code == 2
+
+
 # ----------------------------------------------------------------- analyze
 
 
@@ -356,6 +365,27 @@ def test_rank_hardest(capsys, extreme_reels_path):
 # ------------------------------------------------------------------- misc
 
 
+def _help_entries(capsys, command) -> dict[str, str]:
+    """Each flag's and positional's entry in ``tunelz COMMAND --help``."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    return {m.group(1): m.group(0)
+            for m in re.finditer(r"^  (--[a-z-]+|paths)\b.*(?:\n {5,}\S.*)*", out, re.M)}
+
+
+@pytest.mark.parametrize("command, shared", [
+    ("corpus", ("--format", "--dump", "paths", "--baseline", "--normalize-to")),
+    ("rank", ("--format", "--dump", "paths")),
+])
+def test_shared_flags_read_the_same_in_help(capsys, command, shared):
+    analyze = _help_entries(capsys, "analyze")
+    assert "JSON dump instead of ABC paths" in analyze["--dump"]
+    entries = _help_entries(capsys, command)
+    assert [entries[flag] for flag in shared] == [analyze[flag] for flag in shared]
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compress", "--algo", "zip", "whatever"])
@@ -399,9 +429,16 @@ DEEP = b"[" * 100_000
     (["decompress", "{f}"], b'{"tokens": ' + DEEP, "malformed stream JSON: maximum recursion"),
     (["decompress", "{f}"], b'{"tokens": ',
      "malformed stream JSON: Expecting value: line 1 column 12 (char 11) (token stream {f})\n"),
+    (["decompress", "{f}"], b"a [0,2000000]",
+     "token 1: decodes to 2000001 symbols, more than the ceiling of 1000000 (token stream {f})\n"),
+    (["decompress", "{f}"], json.dumps({
+        "algorithm": "lz77", "source_length": 2_000_001,
+        "tokens": [{"symbol": "a"}, {"start": 0, "length": 2_000_000}]}).encode(),
+     "stream claims 2000001 symbols, more than the ceiling of 1000000 (token stream {f})\n"),
 ], ids=["normalize", "analyze", "corpus", "rank", "compress", "decompress", "dump-not-utf8",
         "dump-long-int", "dump-deep", "baseline-not-json", "baseline-not-utf8",
-        "baseline-deep", "decompress-deep", "decompress-not-json"])
+        "baseline-deep", "decompress-deep", "decompress-not-json",
+        "decompress-text-past-ceiling", "decompress-json-past-ceiling"])
 def test_unloadable_input_is_a_one_line_error(capsys, tmp_path, sally_path, argv, content,
                                               message):
     path = tmp_path / "input"

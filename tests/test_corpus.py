@@ -307,6 +307,19 @@ def test_aggregate_uses_sample_std():
     assert stats.std_dev == pytest.approx(0.7071067811865476)
 
 
+def test_aggregate_breaks_ties_at_both_extremes_by_name_then_id():
+    reports = [
+        make_report("5", 3.0, name="Bravo"),
+        make_report("4", 3.0, name="Alpha"),
+        make_report("3", 3.0, name="Alpha"),
+        make_report("2", 1.0, name="Bravo"),
+        make_report("1", 1.0, name="Bravo"),
+        make_report("0", 2.0, name="Alpha"),
+    ]
+    stats = aggregate(reports, Category.REEL)
+    assert (stats.max[0], stats.min[0]) == ("3", "1")
+
+
 def test_histogram_mass_and_last_bin():
     hist = build_histogram([1.0, 1.5, 2.0, 2.0], bin_count=4)
     assert sum(hist.counts) == 4

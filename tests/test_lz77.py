@@ -11,6 +11,7 @@ from tunelz.lz import (
     Algorithm,
     BackRef,
     CorruptStream,
+    MAX_STREAM_SYMBOLS,
     Literal,
     TokenStream,
     compress,
@@ -134,6 +135,32 @@ def test_decompress_stops_at_the_token_that_passes_the_declared_length():
         tracemalloc.stop()
     assert str(exc.value) == "token 1: decodes to 1000001 symbols, stream claims 3"
     assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (stream_from_text, "a [0,2000000]",
+     "token 1: decodes to 2000001 symbols, more than the ceiling of 1000000"),
+    (stream_from_json,
+     json.dumps({"algorithm": "lz77", "source_length": 2_000_001,
+                 "tokens": [{"symbol": "a"}, {"start": 0, "length": 2_000_000}]}),
+     "stream claims 2000001 symbols, more than the ceiling of 1000000"),
+], ids=["text", "json"])
+def test_loaded_stream_stops_at_the_ceiling(load, text, message):
+    assert MAX_STREAM_SYMBOLS == 1_000_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptStream) as exc:
+            load(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == message
+    assert peak < 64 * 1024
+
+
+def test_text_stream_at_the_ceiling_loads():
+    stream = stream_from_text(f"a [0,{MAX_STREAM_SYMBOLS - 1}]")
+    assert stream.source_length == MAX_STREAM_SYMBOLS
 
 
 def test_decompress_stops_at_a_literal_past_the_declared_length():
@@ -273,3 +300,12 @@ def test_text_serialization_round_trip(seq):
     stream = compress_lz77(seq)
     assert stream_from_text(stream_to_text(stream), Algorithm.LZ77) == stream
     assert stream_from_json(stream_to_json(stream)) == stream
+
+
+@given(st.one_of(sequences(max_size=300), repetitive_sequences()),
+       st.sampled_from(Algorithm), st.sampled_from((0, 1)))
+@settings(max_examples=100, deadline=None)
+def test_text_form_decodes_without_naming_the_coder(seq, algorithm, index_base):
+    # the text form alone says which coder made it, so decompress needs no --algo
+    text = stream_to_text(compress(seq, algorithm), index_base)
+    assert decompress(stream_from_text(text, index_base=index_base)) == seq

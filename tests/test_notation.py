@@ -391,8 +391,24 @@ def test_oversized_header_number_is_malformed(field, value, detail, digits):
         parse_abc(f"X:1\n{field}:{value}\nK:G\nABcd\n")
     assert time.perf_counter() - start < 1
     assert exc.value.kind is ErrorKind.MALFORMED_HEADER
-    assert exc.value.detail == f"{detail} {value!r}"
+    # a detail quotes at most 120 characters of the value and notes its length
+    assert exc.value.detail == f"{detail} '{value[:120]}'... ({len(value)} characters)"
     assert exc.value.location == 4
+
+
+@pytest.mark.parametrize("source, detail", [
+    ("X:1\n" + "?" * 10**6 + "\nK:G\n",
+     "expected a header field before K:, got '" + "?" * 120 + "'... (1000000 characters)"),
+    ("X:" + "a" * 10**6 + "\nK:G\n",
+     "reference number is not an integer: 'X:" + "a" * 118 + "'... (1000002 characters)"),
+    ("X:" + "1" * 200 + "\nT:t\n",
+     "tune block is missing its K: line: 'X:" + "1" * 118 + "'... (202 characters)"),
+], ids=["not-a-field", "reference", "missing-K"])
+def test_long_header_line_is_excerpted_in_the_detail(source, detail):
+    with pytest.raises(NormalizationError) as exc:
+        parse_abc(source)
+    assert exc.value.kind is ErrorKind.MALFORMED_HEADER
+    assert exc.value.detail == detail
 
 
 def test_jig_gate(jig_path):
