@@ -5,7 +5,24 @@
 all of which every command paid at start-up.  A subclass lists its
 fields, in constructor order, in ``__slots__`` and sets each of them in
 its own ``__init__`` (through ``object.__setattr__`` when frozen).
+
+The two limits on reading numbers from input text and on quoting input
+in an error are kept here too, shared by the ABC and token-stream loaders.
 """
+
+# Longest number read from input text.  Longer ones are refused unread:
+# int() of a long digit string is slow, and a value past Python's int/str
+# digit limit could neither be read nor printed in an error.
+MAX_DIGITS = 100
+# Most characters of input text quoted in an error
+_MAX_QUOTED = 120
+
+
+def excerpt(text: str, show=repr) -> str:
+    """``show(text)``, cut after ``_MAX_QUOTED`` characters with the full length noted."""
+    if len(text) <= _MAX_QUOTED:
+        return show(text)
+    return f"{show(text[:_MAX_QUOTED])}... ({len(text)} characters)"
 
 
 class Value:

@@ -24,7 +24,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 
-from ._value import FrozenValue
+from ._value import MAX_DIGITS, FrozenValue, excerpt
 
 MIN_MATCH = 2
 # Most symbols a loaded token stream may decode to; the longest tune is a
@@ -67,6 +67,10 @@ class BackRef(FrozenValue):
 
 
 Lz77Token = Literal | BackRef
+# one shared literal per ASCII letter, the symbols of every tune; frozen
+# values, so compress_lz77 need not build a new one per literal token
+_LETTER_LITERALS = {ch: Literal(ch)
+                    for ch in "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"}
 
 
 class Lz78Token(FrozenValue):
@@ -147,10 +151,12 @@ def compress_lz77(seq: str) -> TokenStream:
     allowed); matches shorter than two symbols become literals.
     """
     tokens: list[Lz77Token] = []
+    letter = _LETTER_LITERALS.get
     pos = 0
     for match in _lz77_parse(seq):
         if match is None:
-            tokens.append(Literal(seq[pos]))
+            ch = seq[pos]
+            tokens.append(letter(ch) or Literal(ch))
             pos += 1
         else:
             tokens.append(BackRef(*match))
@@ -212,19 +218,62 @@ def token_count(seq: str, algorithm: Algorithm) -> int:
     return len(_lz78_parse(seq))
 
 
-def _decode(algorithm: Algorithm, tokens: tuple, limit: int, bound: str) -> str:
-    """Decode ``tokens``, failing at the first token that passes ``limit`` symbols.
-
-    ``bound`` names ``limit`` in the error, as in "stream claims".
-    """
-    if algorithm is Algorithm.LZ77:
-        return _decompress_lz77(tokens, limit, bound)
-    return _decompress_lz78(tokens, limit, bound)
+def _shown(value) -> str:
+    """``str(value)`` excerpted, for an error that quotes a token or one of its fields."""
+    return excerpt(str(value), str)
 
 
 def _check_limit(i: int, end: int, limit: int, bound: str) -> None:
     if end > limit:
-        raise CorruptStream(f"token {i}: decodes to {end} symbols, {bound} {limit}")
+        raise CorruptStream(f"token {i}: decodes to {_shown(end)} symbols, {bound} {limit}")
+
+
+def _stream_length(algorithm: Algorithm, tokens: tuple, limit: int, bound: str) -> int:
+    """The number of symbols ``tokens`` decode to, found without decoding them.
+
+    Raises CorruptStream at the first token that is not of ``algorithm``'s
+    kind, that names a start or phrase not yet decoded, that is a short
+    back-reference or an early terminal token, or that passes ``limit``
+    symbols; ``bound`` names ``limit`` in the error, as in "stream claims".
+    The decoders check nothing themselves, so ``decompress`` runs this first.
+    """
+    length = 0
+    if algorithm is Algorithm.LZ77:
+        for i, tok in enumerate(tokens):
+            if isinstance(tok, Literal):
+                end = length + 1
+            elif not isinstance(tok, BackRef):
+                raise CorruptStream(f"token {i} is not an LZ77 token: {_shown(repr(tok))}")
+            elif tok.length < MIN_MATCH:
+                raise CorruptStream(
+                    f"token {i}: back-reference length {_shown(tok.length)} < {MIN_MATCH}")
+            elif not 0 <= tok.start < length:
+                raise CorruptStream(
+                    f"token {i}: start {_shown(tok.start)} outside emitted prefix of {length}"
+                )
+            else:
+                end = length + tok.length
+            _check_limit(i, end, limit, bound)
+            length = end
+        return length
+    phrase_lengths = [0]  # by phrase index; 0 is the empty phrase
+    for i, tok in enumerate(tokens):
+        if not isinstance(tok, Lz78Token):
+            raise CorruptStream(f"token {i} is not an LZ78 token: {_shown(repr(tok))}")
+        if not 0 <= tok.prefix_index < len(phrase_lengths):
+            raise CorruptStream(
+                f"token {i}: phrase index {_shown(tok.prefix_index)} not yet defined"
+            )
+        phrase = phrase_lengths[tok.prefix_index]
+        if tok.extension is None:
+            if i != len(tokens) - 1:
+                raise CorruptStream(f"token {i}: terminal token before end of stream")
+        else:
+            phrase += len(tok.extension)
+            phrase_lengths.append(phrase)
+        length += phrase
+        _check_limit(i, length, limit, bound)
+    return length
 
 
 def decompress(stream: TokenStream) -> str:
@@ -232,59 +281,39 @@ def decompress(stream: TokenStream) -> str:
 
     Raises CorruptStream when a token index is out of range, a terminal
     LZ78 token is not last, or the decoded length disagrees with the
-    stream's ``source_length``.  Decoding stops at the first token that
-    would pass ``source_length``.
+    stream's ``source_length``.  The stream is checked before any symbol
+    is decoded, so a token that would pass ``source_length`` builds nothing.
     """
-    text = _decode(stream.algorithm, stream.tokens, stream.source_length, "stream claims")
-    if len(text) != stream.source_length:
-        raise CorruptStream(
-            f"decoded {len(text)} symbols, stream claims {stream.source_length}"
-        )
-    return text
+    length = _stream_length(stream.algorithm, stream.tokens, stream.source_length,
+                            "stream claims")
+    if length != stream.source_length:
+        raise CorruptStream(f"decoded {length} symbols, stream claims {stream.source_length}")
+    if stream.algorithm is Algorithm.LZ77:
+        return _decompress_lz77(stream.tokens)
+    return _decompress_lz78(stream.tokens)
 
 
-def _decompress_lz77(tokens: tuple[Lz77Token, ...], limit: int, bound: str) -> str:
+def _decompress_lz77(tokens: tuple[Lz77Token, ...]) -> str:
     out: list[str] = []
-    for i, tok in enumerate(tokens):
+    for tok in tokens:
         if isinstance(tok, Literal):
-            _check_limit(i, len(out) + 1, limit, bound)
             out.append(tok.symbol)
-            continue
-        if not isinstance(tok, BackRef):
-            raise CorruptStream(f"token {i} is not an LZ77 token: {tok!r}")
-        if tok.length < MIN_MATCH:
-            raise CorruptStream(f"token {i}: back-reference length {tok.length} < {MIN_MATCH}")
-        if not 0 <= tok.start < len(out):
-            raise CorruptStream(
-                f"token {i}: start {tok.start} outside emitted prefix of {len(out)}"
-            )
-        _check_limit(i, len(out) + tok.length, limit, bound)
-        for k in range(tok.length):  # symbol by symbol so overlaps self-extend
-            out.append(out[tok.start + k])
+        else:
+            for k in range(tok.start, tok.start + tok.length):  # so overlaps self-extend
+                out.append(out[k])
     return "".join(out)
 
 
-def _decompress_lz78(tokens: tuple[Lz78Token, ...], limit: int, bound: str) -> str:
+def _decompress_lz78(tokens: tuple[Lz78Token, ...]) -> str:
     phrases = [""]
     out: list[str] = []
-    length = 0
-    for i, tok in enumerate(tokens):
-        if not isinstance(tok, Lz78Token):
-            raise CorruptStream(f"token {i} is not an LZ78 token: {tok!r}")
-        if not 0 <= tok.prefix_index < len(phrases):
-            raise CorruptStream(
-                f"token {i}: phrase index {tok.prefix_index} not yet defined"
-            )
+    for tok in tokens:
         if tok.extension is None:
-            if i != len(tokens) - 1:
-                raise CorruptStream(f"token {i}: terminal token before end of stream")
-            phrase = phrases[tok.prefix_index]
+            out.append(phrases[tok.prefix_index])
         else:
             phrase = phrases[tok.prefix_index] + tok.extension
             phrases.append(phrase)
-        length += len(phrase)
-        _check_limit(i, length, limit, bound)
-        out.append(phrase)
+            out.append(phrase)
     return "".join(out)
 
 
@@ -338,36 +367,44 @@ def stream_from_text(
     When ``algorithm`` is None it is inferred: bracketed pairs mean
     LZ77, digit-prefixed tokens mean LZ78, and a stream of bare letters
     defaults to LZ77 (both coders decode it identically).  The text form
-    declares no length, so the stream is decoded to learn it, and a
-    stream that decodes to more than ``MAX_STREAM_SYMBOLS`` symbols
-    raises CorruptStream.
+    declares no length, so it is summed from the tokens, which are
+    checked as ``decompress`` checks them; a stream that decodes to more
+    than ``MAX_STREAM_SYMBOLS`` symbols, or a number of more than
+    ``MAX_DIGITS`` digits, raises CorruptStream.
     """
     if index_base not in (0, 1):
         raise ValueError("index_base must be 0 or 1")
     if algorithm is None:
         lz78 = "[" not in text and any(c.isdigit() for c in text)
         algorithm = Algorithm.LZ78 if lz78 else Algorithm.LZ77
-    words = text.split()
     tokens: list[Lz77Token | Lz78Token] = []
-    for word in words:
+    for i, word in enumerate(text.split()):
         if algorithm is Algorithm.LZ77:
             m = _LZ77_REF_RE.fullmatch(word)
             if m:
-                start = int(m.group(1)) - index_base
-                tokens.append(BackRef(start, int(m.group(2))))
+                start, length = m.groups()
+                _check_digits(i, word, start, length)
+                tokens.append(BackRef(int(start) - index_base, int(length)))
             elif len(word) == 1 and not word.isdigit():
                 tokens.append(Literal(word))
             else:
-                raise CorruptStream(f"unrecognized LZ77 token {word!r}")
+                raise CorruptStream(f"unrecognized LZ77 token {excerpt(word)}")
         else:
             m = _LZ78_TOKEN_RE.fullmatch(word)
             if not m or (not m.group(1) and not m.group(2)):
-                raise CorruptStream(f"unrecognized LZ78 token {word!r}")
+                raise CorruptStream(f"unrecognized LZ78 token {excerpt(word)}")
+            _check_digits(i, word, m.group(1))
             prefix = int(m.group(1)) if m.group(1) else 0
             tokens.append(Lz78Token(prefix, m.group(2) or None))
     parsed = tuple(tokens)
-    decoded = _decode(algorithm, parsed, MAX_STREAM_SYMBOLS, "more than the ceiling of")
-    return TokenStream(algorithm, parsed, len(decoded))
+    length = _stream_length(algorithm, parsed, MAX_STREAM_SYMBOLS, "more than the ceiling of")
+    return TokenStream(algorithm, parsed, length)
+
+
+def _check_digits(i: int, word: str, *numbers: str) -> None:
+    if any(len(number) > MAX_DIGITS for number in numbers):
+        raise CorruptStream(
+            f"token {i}: number of more than {MAX_DIGITS} digits in {excerpt(word)}")
 
 
 # ----------------------------------------------------------------- JSON form
@@ -403,7 +440,7 @@ def stream_from_json(text: str) -> TokenStream:
         raw = payload["tokens"]
         source_length = int(payload["source_length"])
     except (KeyError, ValueError, TypeError, RecursionError) as exc:
-        raise CorruptStream(f"malformed stream JSON: {exc}") from exc
+        raise CorruptStream(f"malformed stream JSON: {_shown(exc)}") from exc
     if source_length > MAX_STREAM_SYMBOLS:
         raise CorruptStream(f"stream claims {source_length} symbols, "
                             f"more than the ceiling of {MAX_STREAM_SYMBOLS}")
@@ -424,7 +461,7 @@ def _token_from_json(i: int, entry) -> Lz77Token | Lz78Token:
         entry["extension"] is None or _is_symbol(entry["extension"])
     ):
         return Lz78Token(entry["prefix"], entry["extension"])
-    raise CorruptStream(f"token {i} is not a valid token object: {json.dumps(entry)}")
+    raise CorruptStream(f"token {i} is not a valid token object: {_shown(json.dumps(entry))}")
 
 
 def _is_symbol(value) -> bool:

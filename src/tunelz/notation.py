@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 
-from ._value import FrozenValue, Value
+from ._value import MAX_DIGITS, FrozenValue, Value, excerpt
 
 QUAVER = Fraction(1, 8)
 PITCH_LETTERS = frozenset("ABCDEFGabcdefg")
@@ -88,21 +88,8 @@ class QuaverSequence(FrozenValue):
 
 
 _FIELD_RE = re.compile(r"^([A-Za-z])\s*:\s*(.*?)\s*$")
-# Longest number (or note length) read from ABC text.  Longer ones are
-# refused unread: int() of a long digit string is slow, and a value past
-# Python's int/str digit limit could neither be read nor printed in a detail.
-_MAX_DIGITS = 100
-_NUMBER = rf"(\d{{1,{_MAX_DIGITS}}})"
+_NUMBER = rf"(\d{{1,{MAX_DIGITS}}})"
 _METER_RE = re.compile(rf"^{_NUMBER}\s*/\s*{_NUMBER}$")
-# Most characters of input text quoted in an error detail
-_MAX_QUOTED = 120
-
-
-def _quote(text: str) -> str:
-    """``repr`` of ``text``, cut after ``_MAX_QUOTED`` characters with the full length noted."""
-    if len(text) <= _MAX_QUOTED:
-        return repr(text)
-    return f"{text[:_MAX_QUOTED]!r}... ({len(text)} characters)"
 
 
 def _parse_meter(value: str, location: int) -> tuple[int, int]:
@@ -114,7 +101,7 @@ def _parse_meter(value: str, location: int) -> tuple[int, int]:
     m = _METER_RE.match(value)
     if not m or int(m.group(1)) < 1 or int(m.group(2)) < 1:
         raise NormalizationError(
-            ErrorKind.MALFORMED_HEADER, f"unusable meter {_quote(value)}", location
+            ErrorKind.MALFORMED_HEADER, f"unusable meter {excerpt(value)}", location
         )
     return (int(m.group(1)), int(m.group(2)))
 
@@ -124,7 +111,7 @@ def _parse_unit_length(value: str, location: int) -> Fraction:
     if m and 0 < int(m.group(1)) <= int(m.group(2)):
         return Fraction(int(m.group(1)), int(m.group(2)))
     raise NormalizationError(
-        ErrorKind.MALFORMED_HEADER, f"unusable unit note length {_quote(value)}", location
+        ErrorKind.MALFORMED_HEADER, f"unusable unit note length {excerpt(value)}", location
     )
 
 
@@ -140,7 +127,8 @@ def parse_abc(source: str) -> list[AbcTune]:
     """
     lines = source.splitlines(keepends=True)
     offsets = list(accumulate((len(line) for line in lines), initial=0))
-    starts = [i for i, line in enumerate(lines) if _is_field(line, "X")]
+    starts = [i for i, line in enumerate(lines)
+              if line.lstrip()[:1] == "X" and _is_field(line, "X")]
     ends = starts[1:] + [len(lines)]
     return [_parse_block(lines, offsets, start, end) for start, end in zip(starts, ends)]
 
@@ -168,7 +156,7 @@ def _parse_block(lines: list[str], offsets: list[int], start: int, end: int) -> 
         if not m:
             raise NormalizationError(
                 ErrorKind.MALFORMED_HEADER,
-                f"expected a header field before K:, got {_quote(stripped)}",
+                f"expected a header field before K:, got {excerpt(stripped)}",
                 offsets[i],
             )
         letter, value = m.group(1), m.group(2)
@@ -178,7 +166,7 @@ def _parse_block(lines: list[str], offsets: list[int], start: int, end: int) -> 
             except ValueError:
                 raise NormalizationError(
                     ErrorKind.MALFORMED_HEADER,
-                    f"reference number is not an integer: {_quote(stripped)}",
+                    f"reference number is not an integer: {excerpt(stripped)}",
                     offsets[i],
                 ) from None
         elif letter == "T":
@@ -198,7 +186,7 @@ def _parse_block(lines: list[str], offsets: list[int], start: int, end: int) -> 
     if key is None:
         raise NormalizationError(
             ErrorKind.MALFORMED_HEADER,
-            f"tune block is missing its K: line: {_quote(lines[start].strip())}",
+            f"tune block is missing its K: line: {excerpt(lines[start].strip())}",
             offsets[start],
         )
 
@@ -222,7 +210,8 @@ def _parse_block(lines: list[str], offsets: list[int], start: int, end: int) -> 
 # ------------------------------------------------------------- body scanning
 
 # stripped like spaces: ornaments with no pitch-grid content, line
-# continuations, and the commonest whitespace (spared an isspace() call)
+# continuations, and the commonest whitespace (spared an isspace() call,
+# which the scanner makes only after testing for a bar line)
 _SILENT = frozenset("~.HTuv-)\\ \n")
 _RESTS = frozenset("zZx")
 # written note length: digits, then slashes, then digits after the last
@@ -230,6 +219,8 @@ _RESTS = frozenset("zZx")
 _LENGTH_RE = re.compile(r"([0-9]*)(/*)([0-9]*)")
 # an octave mark or a written length; most notes have neither
 _NOTE_SUFFIX = frozenset("',0123456789/")
+# the commonest written lengths, one digit with no suffix after it
+_ONE_DIGIT = {str(k): k for k in range(1, 10)}
 
 
 def _quaver_notes(
@@ -247,6 +238,7 @@ def _quaver_notes(
     """
     # a note lasts unit * num/den whole notes, that is 8 * unit * num/den quavers
     unit_num, unit_den = 8 * unit_note_length.numerator, unit_note_length.denominator
+    bare = divmod(unit_num, unit_den)  # the quavers of a note with no written length
     out: list[tuple[str, int]] = []
     append = out.append
     section_start = 0  # where the section a ":|" repeats begins in out
@@ -270,7 +262,19 @@ def _quaver_notes(
         if c in PITCH_LETTERS:
             i += 1
             if i == n or body[i] not in _NOTE_SUFFIX:
-                num = den = 1
+                quavers, rest = bare
+                if rest and off_grid is None:
+                    off_grid = NormalizationError(
+                        ErrorKind.NON_QUAVER_DURATION,
+                        f"{c} lasts {Fraction(unit_num, unit_den)} quavers",
+                        start,
+                    )
+                append((c, quavers))
+                continue
+            num = _ONE_DIGIT.get(body[i])
+            if num is not None and (i + 1 == n or body[i + 1] not in _NOTE_SUFFIX):
+                den = 1
+                i += 1
             elif body[i] in "',":
                 raise NormalizationError(
                     ErrorKind.OUT_OF_RANGE_NOTE,
@@ -279,10 +283,10 @@ def _quaver_notes(
                 )
             else:
                 m = _LENGTH_RE.match(body, i)
-                if m.end() - i > _MAX_DIGITS:
+                if m.end() - i > MAX_DIGITS:
                     raise NormalizationError(
                         ErrorKind.NON_QUAVER_DURATION,
-                        f"{c} has a written length of more than {_MAX_DIGITS} characters",
+                        f"{c} has a written length of more than {MAX_DIGITS} characters",
                         start,
                     )
                 digits, slashes, divisor = m.groups()
@@ -294,14 +298,14 @@ def _quaver_notes(
                         ErrorKind.NON_QUAVER_DURATION, "zero duration", start
                     )
                 i = m.end()
-                # only a written length makes a note longer than 8 quavers
-                if (max_quavers is not None and off_grid is None
-                        and unit_num * num // (unit_den * den) > max_quavers):
-                    off_grid = NormalizationError(
-                        ErrorKind.NON_QUAVER_DURATION,
-                        f"{c} lasts more than {max_quavers} quavers",
-                        start,
-                    )
+            # only a written length makes a note longer than 8 quavers
+            if (max_quavers is not None and off_grid is None
+                    and unit_num * num // (unit_den * den) > max_quavers):
+                off_grid = NormalizationError(
+                    ErrorKind.NON_QUAVER_DURATION,
+                    f"{c} lasts more than {max_quavers} quavers",
+                    start,
+                )
             quavers, rest = divmod(unit_num * num, unit_den * den)
             if rest and off_grid is None:
                 off_grid = NormalizationError(
@@ -310,7 +314,7 @@ def _quaver_notes(
                     start,
                 )
             append((c, quavers))
-        elif c in _SILENT or c.isspace():
+        elif c in _SILENT:
             i += 1
         elif c == "|":
             i += 1
@@ -323,6 +327,8 @@ def _quaver_notes(
                 if _opens_ending_1(body[i], i) and ending_1_at is None:
                     ending_1_at = len(out)
                 i += 1
+        elif c.isspace():
+            i += 1
         elif c == ":":
             # ":|" ends a repeat, and so does "::", whose repeat start then
             # changes nothing: the next section starts here either way

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tunelz
+from tunelz import lz
 from tunelz.cli import main
 
 import goldens
@@ -186,6 +187,22 @@ def test_decompress_json_stops_at_the_declared_length(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "tunelz: error: token 1: decodes to 1000001 symbols, stream claims 3\n"
+
+
+def test_decompress_decodes_a_text_stream_once(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "tokens.txt"
+    path.write_text(lz.stream_to_text(lz.compress_lz77(goldens.SALLY)), encoding="utf-8")
+    decodes = []
+
+    def counted(tokens):
+        decodes.append(len(tokens))
+        return decompress_lz77(tokens)
+
+    decompress_lz77 = lz._decompress_lz77
+    monkeypatch.setattr(lz, "_decompress_lz77", counted)
+    code, out, _ = run(capsys, "decompress", str(path))
+    assert (code, out) == (0, goldens.SALLY + "\n")
+    assert len(decodes) == 1
 
 
 def test_decompress_has_no_format_flag(capsys, tmp_path):
@@ -435,10 +452,21 @@ DEEP = b"[" * 100_000
         "algorithm": "lz77", "source_length": 2_000_001,
         "tokens": [{"symbol": "a"}, {"start": 0, "length": 2_000_000}]}).encode(),
      "stream claims 2000001 symbols, more than the ceiling of 1000000 (token stream {f})\n"),
+    (["decompress", "{f}"], b"a [0," + b"9" * 5000 + b"]",
+     "token 1: number of more than 100 digits in '[0," + "9" * 117
+     + "'... (5004 characters) (token stream {f})\n"),
+    (["decompress", "{f}"], b"a " + b"x" * 10**6,
+     "unrecognized LZ77 token '" + "x" * 120 + "'... (1000000 characters) (token stream {f})\n"),
+    (["decompress", "{f}"], json.dumps({
+        "algorithm": "lz77", "source_length": 1, "tokens": [{"symbol": "a" * 10**6}]}).encode(),
+     'token 0 is not a valid token object: {{"symbol": "' + "a" * 108
+     + "... (1000014 characters) (token stream {f})\n"),
 ], ids=["normalize", "analyze", "corpus", "rank", "compress", "decompress", "dump-not-utf8",
         "dump-long-int", "dump-deep", "baseline-not-json", "baseline-not-utf8",
         "baseline-deep", "decompress-deep", "decompress-not-json",
-        "decompress-text-past-ceiling", "decompress-json-past-ceiling"])
+        "decompress-text-past-ceiling", "decompress-json-past-ceiling",
+        "decompress-text-long-number", "decompress-text-long-token",
+        "decompress-json-long-token"])
 def test_unloadable_input_is_a_one_line_error(capsys, tmp_path, sally_path, argv, content,
                                               message):
     path = tmp_path / "input"

@@ -169,6 +169,37 @@ def test_decompress_stops_at_a_literal_past_the_declared_length():
         decompress(stream)
 
 
+@pytest.mark.parametrize("seq", ["\u00e9\u00e9\u00e9", "0120120", "a1a1\u00e9a1"],
+                         ids=["accented", "digits", "mixed"])
+def test_non_letter_symbols_parse_as_the_oracle_does(seq):
+    assert oracles.plain_tokens(compress_lz77(seq)) == oracles.naive_compress_lz77(seq)
+
+
+def test_shared_literals_are_plain_frozen_values():
+    tokens = compress_lz77("abAB").tokens
+    assert compress_lz77("ab").tokens[0] is tokens[0]  # shared, though identity is no contract
+    for tok, ch in zip(tokens, "abAB"):
+        assert tok == Literal(ch)
+        assert hash(tok) == hash(Literal(ch))
+        with pytest.raises(AttributeError):
+            tok.symbol = "c"
+        assert tok.symbol == ch
+
+
+def test_decompress_checks_the_whole_stream_before_decoding():
+    stream = TokenStream(Algorithm.LZ77, (Literal("a"), BackRef(0, 10**6), BackRef(5, 1)),
+                         10**6 + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptStream) as exc:
+            decompress(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "token 2: back-reference length 1 < 2"
+    assert peak < 64 * 1024
+
+
 # ------------------------------------------------------------ serialization
 
 
@@ -194,6 +225,45 @@ def test_json_form_round_trip():
 def test_text_form_rejects_garbage():
     with pytest.raises(CorruptStream):
         stream_from_text("[3,2] what?", algorithm=Algorithm.LZ77)
+
+
+@pytest.mark.parametrize("text, algorithm, message", [
+    ("a [" + "0" * 101 + ",2]", Algorithm.LZ77,
+     "token 1: number of more than 100 digits in '[" + "0" * 101 + ",2]'"),
+    ("a " + "9" * 5000 + "b", Algorithm.LZ78,
+     "token 1: number of more than 100 digits in '" + "9" * 120 + "'... (5001 characters)"),
+], ids=["lz77-101-digits", "lz78-5000-digits"])
+def test_text_form_refuses_long_numbers_unread(text, algorithm, message):
+    with pytest.raises(CorruptStream) as exc:
+        stream_from_text(text, algorithm)
+    assert str(exc.value) == message
+
+
+def test_text_form_reads_numbers_of_100_digits():
+    stream = stream_from_text("a b [" + "0" * 99 + "1,2]")
+    assert stream.tokens[2] == BackRef(1, 2)
+    assert decompress(stream) == "abbb"
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (stream_from_text, "1a " + "?" * 10**6 + "b",
+     "unrecognized LZ78 token '" + "?" * 120 + "'... (1000001 characters)"),
+    (stream_from_json, json.dumps({"algorithm": "q" * 10**6, "source_length": 1, "tokens": []}),
+     "malformed stream JSON: '" + "q" * 119 + "... (1000027 characters)"),
+], ids=["lz78-text", "json-algorithm"])
+def test_long_stream_input_is_excerpted_in_the_error(load, text, message):
+    # the command line cases are in test_cli.test_unloadable_input_is_a_one_line_error
+    with pytest.raises(CorruptStream) as exc:
+        load(text)
+    assert str(exc.value) == message
+
+
+def test_long_token_field_is_excerpted_in_the_error():
+    stream = TokenStream(Algorithm.LZ77, (Literal("a"), BackRef(10**200, 2)), 3)
+    with pytest.raises(CorruptStream) as exc:
+        decompress(stream)
+    assert str(exc.value) == ("token 1: start 1" + "0" * 119
+                              + "... (201 characters) outside emitted prefix of 1")
 
 
 # -------------------------------------------------------------- properties

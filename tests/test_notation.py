@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tunelz.notation import (
     AbcTune,
@@ -97,6 +97,12 @@ def test_parse_body_line_before_key_is_malformed():
     with pytest.raises(NormalizationError) as exc:
         parse_abc("X:1\nABCD ABCD|\nK:D\n")
     assert exc.value.kind is ErrorKind.MALFORMED_HEADER
+
+
+def test_parse_finds_indented_reference_lines_only():
+    tunes = parse_abc("  X:1\nK:G\nAB\n\tX : 2\nK:D\ncd\nXY\nX\n")
+    assert [tune.reference_number for tune in tunes] == [1, 2]
+    assert tunes[1].body == "cd\nXY\nX\n"
 
 
 def test_parse_ignores_unknown_header_fields():
@@ -318,6 +324,28 @@ def test_wrong_length_is_judged_before_the_string_is_built():
     assert peak < 64 * 1024
 
 
+@pytest.mark.parametrize("body, unit, outcome", [
+    ("A9", UNIT, "A" * 9),
+    ("A0", UNIT, (ErrorKind.NON_QUAVER_DURATION, "zero duration", 0)),
+    ("A10", UNIT, "A" * 10),
+    ("A2/", UNIT, "A"),
+    ("A2'", UNIT, (ErrorKind.UNSUPPORTED_CONSTRUCT, "unsupported character \"'\"", 2)),
+    ("B A2", UNIT, "BAA"),
+    ("A2|1 B :|2 c", UNIT, "AABAAc"),
+    ("B A2", Fraction(3, 16), (ErrorKind.NON_QUAVER_DURATION, "B lasts 3/2 quavers", 0)),
+    ("A2 B", Fraction(3, 16), (ErrorKind.NON_QUAVER_DURATION, "B lasts 3/2 quavers", 3)),
+], ids=["one-digit", "zero", "two-digits", "digit-then-slash", "digit-then-octave-mark",
+        "digit-at-the-end", "digit-before-an-ending", "bare-note-off-grid",
+        "bare-note-off-grid-after-a-digit"])
+def test_written_lengths_read_on_and_off_the_common_path(body, unit, outcome):
+    if isinstance(outcome, str):
+        assert expand_body(body, unit) == outcome
+        return
+    with pytest.raises(NormalizationError) as exc:
+        expand_body(body, unit)
+    assert (exc.value.kind, exc.value.detail, exc.value.location) == outcome
+
+
 def test_body_outcomes_match_the_recorded_golden():
     for case in BODY_OUTCOMES:
         for unit in ("1/8", "3/16"):
@@ -482,6 +510,32 @@ def test_durations_match_fraction_oracle(notes, unit):
             expand_body(body, unit)
         assert exc.value.kind is ErrorKind.NON_QUAVER_DURATION
         assert (exc.value.detail, exc.value.location) == error
+
+
+# A body as (short form, long form) atom pairs: the long form writes every
+# note length out in full (A -> A1/1, c3 -> c3/1), so the scanner reads it on
+# its general path, whatever shortcut it takes for the short form.
+_NOTE_LENGTHS = st.sampled_from(["", "0", "1", "2", "3", "4", "6", "8", "9", "10", "16", "24"])
+_LONG_FORM_ATOMS = st.one_of(
+    st.tuples(st.sampled_from(["", "^", "_", "="]), st.sampled_from(LETTERS), _NOTE_LENGTHS).map(
+        lambda note: (note[0] + note[1] + note[2],
+                      note[0] + note[1] + (note[2] or "1") + "/1")),
+    # few atoms that raise at once, so that most bodies reach the deferred errors
+    st.sampled_from(["A/", "B3/2", " ", "\n", "|", "|:", ":|", "::", "|1", ":|2", "[2", "{g}",
+                     '"Am"', "~", "z", "A'", "(3", "*"]).map(lambda atom: (atom, atom)),
+)
+
+
+@given(st.lists(_LONG_FORM_ATOMS, max_size=16), st.sampled_from(_UNITS))
+@settings(max_examples=300)
+def test_long_form_lengths_give_the_same_outcome(atoms, unit):
+    def outcome(body):
+        try:
+            return expand_body(body, unit)
+        except NormalizationError as err:
+            return err.kind, err.detail
+    short = outcome("".join(short for short, _ in atoms))
+    assert outcome("".join(long for _, long in atoms)) == short
 
 
 def test_normalization_is_deterministic(sally_path):
