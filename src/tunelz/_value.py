@@ -6,14 +6,18 @@ all of which every command paid at start-up.  A subclass lists its
 fields, in constructor order, in ``__slots__`` and sets each of them in
 its own ``__init__`` (through ``object.__setattr__`` when frozen).
 
-The two limits on reading numbers from input text and on quoting input
-in an error are kept here too, shared by the ABC and token-stream loaders.
+The limits on reading numbers from input text, on the length of a
+symbol sequence and on quoting input in an error are kept here too,
+shared by the ABC and token-stream loaders and the baseline.
 """
 
 # Longest number read from input text.  Longer ones are refused unread:
 # int() of a long digit string is slow, and a value past Python's int/str
 # digit limit could neither be read nor printed in an error.
 MAX_DIGITS = 100
+# Most symbols a sequence may hold: the longest tune is a few hundred
+# quavers, and this keeps a short input from expanding to gigabytes.
+MAX_STREAM_SYMBOLS = 1_000_000
 # Most characters of input text quoted in an error
 _MAX_QUOTED = 120
 

@@ -17,7 +17,7 @@ import json
 import math
 import random
 
-from ._value import FrozenValue
+from ._value import MAX_STREAM_SYMBOLS, FrozenValue
 from .lz import Algorithm, token_count
 
 DEFAULT_ALPHABET_SIZE = 13
@@ -106,12 +106,14 @@ def estimate_baseline(
 
     For each requested length, ``samples`` independent strings over the
     first ``alphabet_size`` lowercase letters are compressed and the
-    mean and sample standard deviation of their ratios recorded.
+    mean and sample standard deviation of their ratios recorded.  A
+    length above ``MAX_STREAM_SYMBOLS`` raises ValueError before any
+    string is drawn.
     """
     if not lengths:
         raise ValueError("at least one length is required")
-    if any(length < 1 for length in lengths):
-        raise ValueError("lengths must be >= 1")
+    if not all(1 <= length <= MAX_STREAM_SYMBOLS for length in lengths):
+        raise ValueError(f"lengths must be in 1..{MAX_STREAM_SYMBOLS}")
     if not 1 <= alphabet_size <= 26:
         raise ValueError("alphabet_size must be in 1..26")
     if samples < 1:

@@ -172,7 +172,11 @@ def _sequences_for_compression(args) -> tuple[list[str], int]:
     bad = next((i for i, ch in enumerate(text) if not (ch.isalpha() or ch.isspace())), None)
     if bad is not None:
         raise ValueError(f"raw symbol {text[bad]!r} at offset {bad} is not a letter")
-    return ["".join(text.split())], 0
+    symbols = "".join(text.split())
+    if len(symbols) > lz.MAX_STREAM_SYMBOLS:
+        raise ValueError(f"raw input {args.path} holds {len(symbols)} symbols, "
+                         f"more than the ceiling of {lz.MAX_STREAM_SYMBOLS}")
+    return [symbols], 0
 
 
 def cmd_compress(args) -> int:
@@ -201,10 +205,11 @@ def cmd_decompress(args) -> int:
             stream = lz.stream_from_json(text)
         else:
             stream = lz.stream_from_text(text, index_base=args.index_base)
+        symbols = lz.decompress(stream)
     except lz.CorruptStream as exc:
         # the path goes last, so each message still starts with what went wrong
         raise lz.CorruptStream(f"{exc} (token stream {args.path})") from exc
-    print(lz.decompress(stream))
+    print(symbols)
     return 0
 
 

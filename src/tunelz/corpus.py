@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
-from ._value import FrozenValue, Value
+from ._value import FrozenValue, Value, excerpt
 from .baseline import BaselineCurve, mean_and_spread, normalize_ratio
 from .lz import Algorithm, compress_lz77, compression_ratio, token_count
 from .notation import (
@@ -132,10 +132,11 @@ def ingest_json_dump(path: str | Path) -> list[TuneRecord]:
     Each entry must carry an identifier (``setting_id``, else
     ``tune_id``), a ``name``, a ``type`` and an ``abc`` body; ``meter``
     and ``mode`` are used when present (meter otherwise defaults by
-    type).  Unknown fields are ignored.  A file that is not a JSON array
-    of such objects raises IngestError; problems with an individual tune
-    land in that record's outcome, including an ``abc`` body that holds
-    more than one tune (MALFORMED_HEADER).
+    type).  ``name``, ``type`` and ``mode`` are taken as given, line
+    breaks included.  Unknown fields are ignored.  A file that is not a
+    JSON array of such objects raises IngestError; problems with an
+    individual tune land in that record's outcome, including an ``abc``
+    body that holds more than one tune (MALFORMED_HEADER).
     """
     path = Path(path)
     try:
@@ -159,21 +160,16 @@ def ingest_json_dump(path: str | Path) -> list[TuneRecord]:
         if tune_id is None or not all(k in entry for k in ("name", "type", "abc")):
             raise IngestError(f"dump {path} entry {n} lacks one of id/name/type/abc")
         category = category_from_type(str(entry["type"]))
-        meter = str(entry.get("meter") or _default_meter(category))
+        meter = str(entry.get("meter") or _default_meter(category)).rstrip()
         mode = str(entry.get("mode") or "C")
         body = str(entry["abc"])
-        block = (
-            f"X: 1\n"
-            f"T: {entry['name']}\n"
-            f"R: {entry['type']}\n"
-            f"M: {meter}\n"
-            f"L: 1/8\n"
-            f"K: {mode}\n"
-            f"{body}\n"
-        )
         outcome: QuaverSequence | NormalizationError
         try:
-            tunes = parse_abc(block)
+            if len(meter.splitlines()) > 1:  # it would end the M: line early
+                raise NormalizationError(
+                    ErrorKind.MALFORMED_HEADER, f"unusable meter {excerpt(meter)}")
+            # name, type and mode stay on the record: the block needs only the meter
+            tunes = parse_abc(f"X: 1\nM: {meter}\nK:\n{body}\n")
             if len(tunes) != 1:
                 raise NormalizationError(
                     ErrorKind.MALFORMED_HEADER,

@@ -24,12 +24,9 @@ import re
 from enum import Enum
 from fractions import Fraction
 
-from ._value import MAX_DIGITS, FrozenValue, excerpt
+from ._value import MAX_DIGITS, MAX_STREAM_SYMBOLS, FrozenValue, excerpt
 
 MIN_MATCH = 2
-# Most symbols a loaded token stream may decode to; the longest tune is a
-# few hundred quavers, and this keeps a tiny stream from decoding to gigabytes.
-MAX_STREAM_SYMBOLS = 1_000_000
 
 
 class Algorithm(Enum):

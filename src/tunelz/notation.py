@@ -18,12 +18,11 @@ Everything here is a pure function of its inputs.
 from __future__ import annotations
 
 import re
-import sys
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 
-from ._value import MAX_DIGITS, FrozenValue, Value, excerpt
+from ._value import MAX_DIGITS, MAX_STREAM_SYMBOLS, FrozenValue, Value, excerpt
 
 QUAVER = Fraction(1, 8)
 PITCH_LETTERS = frozenset("ABCDEFGabcdefg")
@@ -223,9 +222,7 @@ _NOTE_SUFFIX = frozenset("',0123456789/")
 _ONE_DIGIT = {str(k): k for k in range(1, 10)}
 
 
-def _quaver_notes(
-    body: str, unit_note_length: Fraction, max_quavers: int | None = None
-) -> list[tuple[str, int]]:
+def _quaver_notes(body: str, unit_note_length: Fraction) -> list[tuple[str, int]]:
     """``(letter, quavers)`` per note in one pass over the body, repeats written out.
 
     ``|: section :|`` plays the section twice; a ``:|`` without an
@@ -233,8 +230,7 @@ def _quaver_notes(
     numbered endings the first pass plays through ending 1, the second
     pass stops where ending 1 began and continues into ending 2.  The
     first construct that cannot be read raises at once; the first note
-    that does not fill whole quavers, or lasts more than ``max_quavers``,
-    raises only once the scan has ended.
+    that does not fill whole quavers raises only once the scan has ended.
     """
     # a note lasts unit * num/den whole notes, that is 8 * unit * num/den quavers
     unit_num, unit_den = 8 * unit_note_length.numerator, unit_note_length.denominator
@@ -298,14 +294,6 @@ def _quaver_notes(
                         ErrorKind.NON_QUAVER_DURATION, "zero duration", start
                     )
                 i = m.end()
-            # only a written length makes a note longer than 8 quavers
-            if (max_quavers is not None and off_grid is None
-                    and unit_num * num // (unit_den * den) > max_quavers):
-                off_grid = NormalizationError(
-                    ErrorKind.NON_QUAVER_DURATION,
-                    f"{c} lasts more than {max_quavers} quavers",
-                    start,
-                )
             quavers, rest = divmod(unit_num * num, unit_den * den)
             if rest and off_grid is None:
                 off_grid = NormalizationError(
@@ -421,12 +409,19 @@ def expand_body(body: str, unit_note_length: Fraction = QUAVER) -> str:
 
     Each note lasting k quavers (unit note length x written multiplier,
     measured in quavers) becomes k repeated letters; repeats are written
-    out; accidentals fold to the bare letter.  No length gate is applied
-    here -- see ``normalize`` for the standard-length filter -- but a
-    note longer than the longest string (``sys.maxsize``) is a
-    NON_QUAVER_DURATION error.
+    out; accidentals fold to the bare letter.  No standard-length gate
+    is applied here (see ``normalize``), but a body lasting more than
+    ``MAX_STREAM_SYMBOLS`` quavers raises WRONG_LENGTH, judged on the
+    quaver count before any symbol string is built, and so only once
+    the scan has found no unreadable construct and no off-grid note.
     """
-    pairs = _quaver_notes(body, unit_note_length, sys.maxsize)
+    pairs = _quaver_notes(body, unit_note_length)
+    total = sum([quavers for _, quavers in pairs])
+    if total > MAX_STREAM_SYMBOLS:
+        raise NormalizationError(
+            ErrorKind.WRONG_LENGTH,
+            f"body lasts {total} quavers, more than the ceiling of {MAX_STREAM_SYMBOLS}",
+        )
     return "".join([letter * quavers for letter, quavers in pairs])
 
 

@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tunelz import baseline
 from tunelz.baseline import (
     BaselineCurve,
     BaselinePoint,
@@ -81,6 +82,14 @@ def test_lz78_baseline_is_supported():
 def test_precondition_violations(kwargs):
     with pytest.raises(ValueError):
         estimate_baseline(**{"alphabet_size": 13, "samples": 5, **kwargs})
+
+
+def test_length_past_the_ceiling_draws_no_string(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(baseline, "_random_string", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match=r"^lengths must be in 1\.\.1000000$"):
+        estimate_baseline([10, 1_000_001], samples=2)
+    assert drawn == []
 
 
 # ---------------------------------------------------------------- lookup

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,28 @@ def test_compress_spaced_x_header_is_abc(capsys, tmp_path, sally_path):
     assert out == expected
 
 
+def test_compress_raw_input_past_the_ceiling_names_the_file(capsys, tmp_path):
+    path = tmp_path / "seq.txt"
+    path.write_text("a" * 1_000_001, encoding="utf-8")
+    code, out, err = run(capsys, "compress", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (f"tunelz: error: raw input {path} holds 1000001 symbols, "
+                   "more than the ceiling of 1000000\n")
+
+
+def test_compress_raw_input_at_the_ceiling_round_trips(capsys, tmp_path):
+    raw = tmp_path / "seq.txt"
+    raw.write_text("a" * 1_000_000 + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, "compress", "--format", "json", str(raw))
+    assert code == 0
+    stream = tmp_path / "stream.json"
+    stream.write_text(out, encoding="utf-8")
+    code, out, err = run(capsys, "decompress", str(stream))
+    assert (code, err) == (0, "")
+    assert out == "a" * 1_000_000 + "\n"
+
+
 @pytest.mark.parametrize("algo, raw, message", [
     ("lz77", "ab1ab1\n", "raw symbol '1' at offset 2 is not a letter"),
     ("lz78", "a a\n1a1", "raw symbol '1' at offset 4 is not a letter"),
@@ -186,7 +209,8 @@ def test_decompress_json_stops_at_the_declared_length(capsys, tmp_path):
     code, out, err = run(capsys, "decompress", str(path))
     assert code == 2
     assert out == ""
-    assert err == "tunelz: error: token 1: decodes to 1000001 symbols, stream claims 3\n"
+    assert err == ("tunelz: error: token 1: decodes to 1000001 symbols, stream claims 3"
+                   f" (token stream {path})\n")
 
 
 def test_decompress_decodes_a_text_stream_once(capsys, tmp_path, monkeypatch):
@@ -355,6 +379,15 @@ def test_baseline_out_file(capsys, tmp_path):
     assert code == 0
     payload = json.loads(curve_file.read_text(encoding="utf-8"))
     assert [p["length"] for p in payload["points"]] == [6, 12]
+
+
+def test_baseline_length_past_the_ceiling_is_refused_undrawn(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "baseline", "--lengths", "96,1000001")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == "tunelz: error: lengths must be in 1..1000000\n"
 
 
 def test_baseline_bad_lengths(capsys):

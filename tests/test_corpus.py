@@ -107,6 +107,43 @@ def test_dump_entry_with_an_oversized_number_fails_alone(tmp_path):
     assert plain.outcome.symbols == goldens.SALLY
 
 
+@pytest.mark.parametrize("field, value", [
+    ("name", "Sally\nGardens"),
+    ("name", "Sally\rGardens"),
+    ("name", "Sally\u2028Gardens"),
+    ("name", "S\nX: 2"),
+    ("type", "re\nel"),
+    ("mode", "D\nminor"),
+    ("meter", "4/4\n"),
+], ids=["name-newline", "name-carriage-return", "name-line-separator", "name-x-line",
+        "type-newline", "mode-newline", "meter-trailing-newline"])
+def test_dump_fields_with_line_breaks_are_taken_as_given(tmp_path, field, value):
+    entry = {"setting_id": "1", "name": "Sally", "type": "reel", "abc": goldens.SALLY}
+    entry[field] = value
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    (record,) = ingest_json_dump(path)
+    assert record.accepted, record.outcome
+    assert record.outcome.symbols == goldens.SALLY
+    assert record.name == entry["name"]
+    assert record.key == entry.get("mode", "C")
+
+
+@pytest.mark.parametrize("meter, shown", [
+    ("4/4\nK: G", "'4/4\\nK: G'"),
+    ("\n4/4", "'\\n4/4'"),
+    ("4/\r4\n", "'4/\\r4'"),
+], ids=["newline", "leading-newline", "carriage-return"])
+def test_dump_meter_with_a_line_break_inside_is_malformed(tmp_path, meter, shown):
+    entry = {"setting_id": "1", "name": "Sally", "type": "reel", "meter": meter,
+             "abc": goldens.SALLY}
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    (record,) = ingest_json_dump(path)
+    assert record.outcome.kind is ErrorKind.MALFORMED_HEADER
+    assert record.outcome.detail == f"unusable meter {shown}"
+
+
 def test_dump_type_mapping_is_case_insensitive(dump_path):
     records = ingest_json_dump(dump_path)
     assert {r.id: r.category.value for r in records}["1403"] == "jig"

@@ -1,7 +1,6 @@
 """ABC parsing and quaver-grid normalization."""
 
 import json
-import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -357,22 +356,48 @@ def test_body_outcomes_match_the_recorded_golden():
 
 
 def test_expand_body_has_no_length_gate():
-    assert expand_body("A2000000") == "A" * 2_000_000
+    # no standard-length gate: only the stream ceiling bounds the body
+    assert expand_body("A1000000") == "A" * 1_000_000
 
 
+def _past_the_ceiling(total):
+    return f"body lasts {total} quavers, more than the ceiling of 1000000"
+
+
+# the ceiling is judged on the total once the scan has ended, so an
+# unreadable construct or an off-grid note anywhere in the body comes first
 @pytest.mark.parametrize("body, kind, detail, location", [
-    ("A" + "9" * 30, ErrorKind.NON_QUAVER_DURATION,
-     f"A lasts more than {sys.maxsize} quavers", 0),
-    ("AB |: c" + "9" * 30 + " d :|", ErrorKind.NON_QUAVER_DURATION,
-     f"c lasts more than {sys.maxsize} quavers", 6),
+    ("A" + "9" * 30, ErrorKind.WRONG_LENGTH, _past_the_ceiling("9" * 30), 0),
+    ("AB |: c" + "9" * 30 + " d :|", ErrorKind.WRONG_LENGTH,
+     _past_the_ceiling(2 * 10**30 + 2), 0),
     ("A/ B" + "9" * 30, ErrorKind.NON_QUAVER_DURATION, "A lasts 1/2 quavers", 0),
     ("B" + "9" * 30 + " z", ErrorKind.UNSUPPORTED_CONSTRUCT,
      "rest has no symbol in the pitch alphabet", 32),
-], ids=["alone", "in-a-repeat", "after-an-off-grid-note", "before-a-rest"])
+    ("B" + "9" * 30 + " A/", ErrorKind.NON_QUAVER_DURATION, "A lasts 1/2 quavers", 32),
+], ids=["alone", "in-a-repeat", "after-an-off-grid-note", "before-a-rest",
+        "before-an-off-grid-note"])
 def test_note_longer_than_any_string_is_a_duration_error(body, kind, detail, location):
     with pytest.raises(NormalizationError) as exc:
         expand_body(body)
     assert (exc.value.kind, exc.value.detail, exc.value.location) == (kind, detail, location)
+
+
+@pytest.mark.parametrize("body, total", [
+    ("A" + "9" * 18, "9" * 18),
+    ("A" + "9" * 30, "9" * 30),
+    ("|: A999999 :|", 1_999_998),
+], ids=["18-digit-note", "30-digit-note", "repeat-past-the-ceiling"])
+def test_body_past_the_ceiling_builds_no_string(body, total):
+    tracemalloc.start()
+    try:
+        with pytest.raises(NormalizationError) as exc:
+            expand_body(body)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.kind, exc.value.detail, exc.value.location) == (
+        ErrorKind.WRONG_LENGTH, _past_the_ceiling(total), 0)
+    assert peak < 64 * 1024
 
 
 # Python converts no int of more than 4,300 digits to or from str, so a
