@@ -6,9 +6,9 @@ all of which every command paid at start-up.  A subclass lists its
 fields, in constructor order, in ``__slots__`` and sets each of them in
 its own ``__init__`` (through ``object.__setattr__`` when frozen).
 
-The limits on reading numbers from input text, on the length of a
-symbol sequence and on quoting input in an error are kept here too,
-shared by the ABC and token-stream loaders and the baseline.
+The input boundary is kept here too: the one reader of input files, and
+the limits on reading numbers from input text, on the length of a symbol
+sequence and on quoting input, shared by the loaders and the baseline.
 """
 
 # Longest number read from input text.  Longer ones are refused unread:
@@ -20,6 +20,19 @@ MAX_DIGITS = 100
 MAX_STREAM_SYMBOLS = 1_000_000
 # Most characters of input text quoted in an error
 _MAX_QUOTED = 120
+
+
+class IngestError(ValueError):
+    """An input file that cannot be read or has the wrong shape."""
+
+
+def read_text(path, what: str) -> str:
+    """A file's UTF-8 text, line breaks read as ``\\n``; IngestError names an unreadable one."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            return file.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def excerpt(text: str, show=repr) -> str:

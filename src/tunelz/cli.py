@@ -11,12 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import baseline as bl
 from . import corpus as cp
 from . import lz
-from .notation import NormalizationError
+from ._value import read_text
 
 PROG = "tunelz"
 
@@ -90,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (NormalizationError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
 
@@ -99,12 +98,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _read_input(path: str) -> str:
-    try:
-        if path == "-":
-            return sys.stdin.read()
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise cp.IngestError(f"cannot read input {path}: {exc}") from exc
+    return sys.stdin.read() if path == "-" else read_text(path, "input")
 
 
 def _load_records(args) -> list[cp.TuneRecord]:
@@ -131,10 +125,9 @@ def _load_curve(args) -> tuple[bl.BaselineCurve | None, int | None]:
         raise cp.IngestError("--baseline and --normalize-to go together")
     if path is None:
         return None, None
+    text = read_text(path, "baseline curve")
     try:
-        return bl.curve_from_json(Path(path).read_text(encoding="utf-8")), reference
-    except (OSError, UnicodeDecodeError) as exc:
-        raise cp.IngestError(f"cannot read baseline curve {path}: {exc}") from exc
+        return bl.curve_from_json(text), reference
     except ValueError as exc:
         raise cp.IngestError(f"baseline curve {path} is not usable: {exc}") from exc
 
@@ -164,8 +157,7 @@ def cmd_normalize(args) -> int:
 def _sequences_for_compression(args) -> tuple[list[str], int]:
     """Symbol sequences of an ABC file, or of raw letters when it has no tune."""
     text = _read_input(args.path)
-    origin = "-" if args.path == "-" else Path(args.path).stem
-    records = cp.records_from_abc(text, origin)
+    records = cp.records_from_abc(text, cp.stem(args.path))
     if records:
         rejected = _report_rejections(records)
         return [r.outcome.symbols for r in records if r.accepted], rejected
@@ -266,9 +258,8 @@ def cmd_corpus(args) -> int:
     if args.hist_out:
         if len(stats_list) != 1:
             raise cp.IngestError("--hist-out needs exactly one category")
-        Path(args.hist_out).write_text(
-            cp.histogram_to_csv(stats_list[0].histogram), encoding="utf-8"
-        )
+        with open(args.hist_out, "w", encoding="utf-8") as file:
+            file.write(cp.histogram_to_csv(stats_list[0].histogram))
     return 1 if _report_rejections(records) else 0
 
 
@@ -285,7 +276,8 @@ def cmd_baseline(args) -> int:
         algorithm=lz.Algorithm(args.algo),
     )
     if args.out:
-        Path(args.out).write_text(bl.curve_to_json(curve), encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as file:
+            file.write(bl.curve_to_json(curve))
     if args.format == "json":
         print(bl.curve_to_json(curve))
     elif args.format == "text":

@@ -17,11 +17,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from enum import Enum
 from fractions import Fraction
-from pathlib import Path
 
-from ._value import FrozenValue, Value, excerpt
+from ._value import FrozenValue, IngestError, Value, excerpt, read_text
 from .baseline import BaselineCurve, mean_and_spread, normalize_ratio
 from .lz import Algorithm, compress_lz77, compression_ratio, token_count
 from .notation import (
@@ -36,10 +36,6 @@ from .notation import (
 
 DEFAULT_BINS = 20
 _ID_KEYS = ("setting_id", "tune_id")  # dump identifier, first present wins
-
-
-class IngestError(ValueError):
-    """A corpus input file that cannot be read or has the wrong shape."""
 
 
 class EmptyCategoryError(ValueError):
@@ -126,7 +122,7 @@ def category_from_type(type_name: str) -> Category:
 # ------------------------------------------------------------------ ingest
 
 
-def ingest_json_dump(path: str | Path) -> list[TuneRecord]:
+def ingest_json_dump(path: str | os.PathLike) -> list[TuneRecord]:
     """Load a JSON dump and run the normalizer on every entry.
 
     Each entry must carry an identifier (``setting_id``, else
@@ -138,13 +134,11 @@ def ingest_json_dump(path: str | Path) -> list[TuneRecord]:
     individual tune land in that record's outcome, including an ``abc``
     body that holds more than one tune (MALFORMED_HEADER).
     """
-    path = Path(path)
-    try:
-        entries = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IngestError(f"cannot read dump {path}: {exc}") from exc
+    text = read_text(path, "dump")
     # ValueError also covers a number past Python's int/str digit limit,
     # and RecursionError nesting deeper than the interpreter's stack
+    try:
+        entries = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise IngestError(f"dump {path} is not valid JSON: {exc}") from exc
     if not isinstance(entries, list):
@@ -169,7 +163,14 @@ def ingest_json_dump(path: str | Path) -> list[TuneRecord]:
                 raise NormalizationError(
                     ErrorKind.MALFORMED_HEADER, f"unusable meter {excerpt(meter)}")
             # name, type and mode stay on the record: the block needs only the meter
-            tunes = parse_abc(f"X: 1\nM: {meter}\nK:\n{body}\n")
+            header = f"X: 1\nM: {meter}\nK:\n"
+            try:
+                tunes = parse_abc(f"{header}{body}\n")
+            except NormalizationError as err:
+                # offsets count from the block's start: move them into the body,
+                # and an error on a header line written here to 0
+                raise NormalizationError(
+                    err.kind, err.detail, max(err.location - len(header), 0)) from None
             if len(tunes) != 1:
                 raise NormalizationError(
                     ErrorKind.MALFORMED_HEADER,
@@ -196,6 +197,12 @@ def _default_meter(category: Category) -> str:
     return "6/8" if category is Category.JIG else "4/4"
 
 
+def stem(path: str | os.PathLike) -> str:
+    """``PurePath(path).stem``: the base name cut at a last dot that is not its first or last."""
+    head, dot, tail = os.path.basename(path).rpartition(".")
+    return head if head and tail else head + dot + tail
+
+
 def records_from_abc(source: str, origin: str = "-") -> list[TuneRecord]:
     """One record per tune block in ABC text; ids are ``<origin>:<X number>``.
 
@@ -208,17 +215,13 @@ def records_from_abc(source: str, origin: str = "-") -> list[TuneRecord]:
     ]
 
 
-def ingest_abc_files(paths: list[str | Path]) -> list[TuneRecord]:
+def ingest_abc_files(paths: list[str | os.PathLike]) -> list[TuneRecord]:
     """Parse one or more ABC files into records, one per tune block."""
     records = []
     for path in paths:
-        path = Path(path)
+        source = read_text(path, "ABC file")
         try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise IngestError(f"cannot read ABC file {path}: {exc}") from exc
-        try:
-            records.extend(records_from_abc(source, path.stem))
+            records.extend(records_from_abc(source, stem(path)))
         except NormalizationError as exc:
             raise IngestError(f"ABC file {path}: {exc}") from exc
     return records

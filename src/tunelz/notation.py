@@ -47,7 +47,7 @@ class ErrorKind(Enum):
     MALFORMED_HEADER = "malformed_header"
 
 
-class NormalizationError(Exception):
+class NormalizationError(ValueError):
     """A tune that cannot be represented on the strict quaver grid."""
 
     def __init__(self, kind: ErrorKind, detail: str, location: int = 0):

@@ -442,6 +442,26 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("name, stem", [
+    ("a.b.abc", "a.b"), ("x", "x"), (".abc", ".abc"), ("dir/x.abc", "x"), ("x.", "x."),
+    ("..abc", "."),
+])
+def test_record_ids_name_the_file_as_its_stem(capsys, tmp_path, sally_path, name, stem):
+    # the stem is the base name cut at its last dot, unless that dot comes first or last
+    path = tmp_path / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(sally_path.read_text(encoding="utf-8") + "\nX: 2\nT: Short\nK: G\nABcd\n",
+                    encoding="utf-8")
+    rejected = f"tunelz: rejected {stem}:2 (Short): wrong_length"
+    code, out, err = run(capsys, "normalize", str(path))
+    assert code == 1
+    assert out.startswith(f"{stem}:1\t")
+    assert err.startswith(rejected)
+    code, _, err = run(capsys, "compress", str(path))
+    assert code == 1
+    assert err.startswith(rejected)
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "analyze", "no_such_file.abc")
     assert code == 2
@@ -494,12 +514,14 @@ DEEP = b"[" * 100_000
         "algorithm": "lz77", "source_length": 1, "tokens": [{"symbol": "a" * 10**6}]}).encode(),
      'token 0 is not a valid token object: {{"symbol": "' + "a" * 108
      + "... (1000014 characters) (token stream {f})\n"),
+    (["compress", "{f}"], b"X: 1\nM: 4/0\nK: D\nABcd\n",
+     "malformed_header: unusable meter '4/0' (offset 5)\n"),
 ], ids=["normalize", "analyze", "corpus", "rank", "compress", "decompress", "dump-not-utf8",
         "dump-long-int", "dump-deep", "baseline-not-json", "baseline-not-utf8",
         "baseline-deep", "decompress-deep", "decompress-not-json",
         "decompress-text-past-ceiling", "decompress-json-past-ceiling",
         "decompress-text-long-number", "decompress-text-long-token",
-        "decompress-json-long-token"])
+        "decompress-json-long-token", "compress-malformed-header"])
 def test_unloadable_input_is_a_one_line_error(capsys, tmp_path, sally_path, argv, content,
                                               message):
     path = tmp_path / "input"
@@ -591,7 +613,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # -B: -I ignores PYTHONDONTWRITEBYTECODE, and the test leaves no bytecode behind
     src = str(Path(tunelz.__file__).parent.parent)
     code = (f"import sys; sys.path.insert(0, {src!r}); import tunelz.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-S", "-I", "-B", "-c", code],
                             capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"

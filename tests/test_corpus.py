@@ -144,6 +144,21 @@ def test_dump_meter_with_a_line_break_inside_is_malformed(tmp_path, meter, shown
     assert record.outcome.detail == f"unusable meter {shown}"
 
 
+@pytest.mark.parametrize("meter, body, offset", [
+    ("4/0", goldens.SALLY, 0),
+    ("4/4", "ABcd\nX: 2\nEFGA", 10),
+    ("4/4", "ABcd\nX: two\nK:\nEFGA", 5),
+], ids=["written-meter-line", "second-block-body", "second-block-x-line"])
+def test_dump_header_error_offset_is_a_body_offset(tmp_path, meter, body, offset):
+    entry = {"setting_id": "1", "name": "Sally", "type": "reel", "meter": meter, "abc": body}
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    (record,) = ingest_json_dump(path)
+    assert record.outcome.kind is ErrorKind.MALFORMED_HEADER
+    assert record.outcome.location == offset
+    assert str(record.outcome).endswith(f"(offset {offset})")
+
+
 def test_dump_type_mapping_is_case_insensitive(dump_path):
     records = ingest_json_dump(dump_path)
     assert {r.id: r.category.value for r in records}["1403"] == "jig"
@@ -184,6 +199,12 @@ def test_abc_file_ingestion(sally_path):
     assert record.accepted
     assert record.category is Category.REEL
     assert len(record.outcome.symbols) == 128
+
+
+def test_crlf_abc_file_reads_as_its_lf_copy(tmp_path, sally_path):
+    crlf = tmp_path / sally_path.name
+    crlf.write_bytes(sally_path.read_bytes().replace(b"\n", b"\r\n"))
+    assert ingest_abc_files([crlf]) == ingest_abc_files([sally_path])
 
 
 def test_abc_ingestion_no_paths():
