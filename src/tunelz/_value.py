@@ -3,12 +3,14 @@
 ``dataclasses`` imports ``inspect`` (and with it ``ast``, ``dis`` and
 ``tokenize``) and ``exec``s generated code for every class it builds,
 all of which every command paid at start-up.  A subclass lists its
-fields, in constructor order, in ``__slots__`` and sets each of them in
-its own ``__init__`` (through ``object.__setattr__`` when frozen).
+fields once, in constructor order, in ``__slots__``; ``Value`` compiles
+its ``__init__`` from that list, one plain line per field, and the
+``defaults`` class keyword gives the defaults of the last fields.
 
-The input boundary is kept here too: the one reader of input files, and
-the limits on reading numbers from input text, on the length of a symbol
-sequence and on quoting input, shared by the loaders and the baseline.
+The input boundary is kept here too: the one reader of input files, its
+twin for standard input, and the limits on reading numbers from input
+text, on the length of a symbol sequence and on quoting input, shared by
+the loaders and the baseline.
 """
 
 # Longest number read from input text.  Longer ones are refused unread:
@@ -35,6 +37,15 @@ def read_text(path, what: str) -> str:
         raise IngestError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def read_stdin(stdin, what: str) -> str:
+    """Binary ``stdin`` read as read_text reads a file; IngestError names it ``-``."""
+    try:
+        text = stdin.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestError(f"cannot read {what} -: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def excerpt(text: str, show=repr) -> str:
     """``show(text)``, cut after ``_MAX_QUOTED`` characters with the full length noted."""
     if len(text) <= _MAX_QUOTED:
@@ -46,6 +57,22 @@ class Value:
     """Field-wise ``==`` between objects of one class; unhashable, since mutable."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, defaults=()):
+        fields = cls.__match_args__ = cls.__slots__
+        if not fields:  # FrozenValue itself
+            return
+        if issubclass(cls, FrozenValue):
+            sets = [f"object.__setattr__(self, {name!r}, {name})" for name in fields]
+        else:
+            sets = [f"self.{name} = {name}" for name in fields]
+        # exec'd once per class, as dataclasses does: the same bytecode as a
+        # hand-written __init__, where a generic one taking *args is slower
+        namespace = {}
+        exec(f"def __init__(self, {', '.join(fields)}): {'; '.join(sets)}", namespace)
+        init = cls.__init__ = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__defaults__ = defaults
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -31,23 +31,11 @@ class CurveRangeError(ValueError):
 
 
 class BaselinePoint(FrozenValue):
-    __slots__ = __match_args__ = ("length", "mean_ratio", "std_dev")
-
-    def __init__(self, length: int, mean_ratio: float, std_dev: float):
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "mean_ratio", mean_ratio)
-        object.__setattr__(self, "std_dev", std_dev)
+    __slots__ = ("length", "mean_ratio", "std_dev")
 
 
 class BaselineCurve(FrozenValue):
-    __slots__ = __match_args__ = ("alphabet_size", "samples_per_length", "points", "rng_seed")
-
-    def __init__(self, alphabet_size: int, samples_per_length: int,
-                 points: tuple[BaselinePoint, ...], rng_seed: int):
-        object.__setattr__(self, "alphabet_size", alphabet_size)
-        object.__setattr__(self, "samples_per_length", samples_per_length)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "rng_seed", rng_seed)
+    __slots__ = ("alphabet_size", "samples_per_length", "points", "rng_seed")
 
     @property
     def lengths(self) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ import sys
 from . import baseline as bl
 from . import corpus as cp
 from . import lz
-from ._value import read_text
+from ._value import read_stdin, read_text
 
 PROG = "tunelz"
 
@@ -98,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _read_input(path: str) -> str:
-    return sys.stdin.read() if path == "-" else read_text(path, "input")
+    return read_stdin(sys.stdin.buffer, "input") if path == "-" else read_text(path, "input")
 
 
 def _load_records(args) -> list[cp.TuneRecord]:
@@ -157,7 +157,7 @@ def cmd_normalize(args) -> int:
 def _sequences_for_compression(args) -> tuple[list[str], int]:
     """Symbol sequences of an ABC file, or of raw letters when it has no tune."""
     text = _read_input(args.path)
-    records = cp.records_from_abc(text, cp.stem(args.path))
+    records = cp.records_from_abc_file(text, args.path)
     if records:
         rejected = _report_rejections(records)
         return [r.outcome.symbols for r in records if r.accepted], rejected

@@ -43,66 +43,26 @@ class EmptyCategoryError(ValueError):
 
 
 class TuneRecord(Value):
-    __slots__ = __match_args__ = ("id", "name", "category", "key", "abc", "outcome")
-
-    def __init__(self, id: str, name: str, category: Category, key: str, abc: str,
-                 outcome: QuaverSequence | NormalizationError):
-        self.id = id
-        self.name = name
-        self.category = category
-        self.key = key
-        self.abc = abc
-        self.outcome = outcome
+    __slots__ = ("id", "name", "category", "key", "abc", "outcome")
 
     @property
     def accepted(self) -> bool:
         return isinstance(self.outcome, QuaverSequence)
 
 
-class ComplexityReport(FrozenValue):
-    __slots__ = __match_args__ = (
+class ComplexityReport(FrozenValue, defaults=(None,)):
+    __slots__ = (
         "id", "name", "category", "length", "lz77_tokens", "lz78_tokens",
         "ratio_lz77", "ratio_lz78", "normalized_ratio")
 
-    def __init__(self, id: str, name: str, category: Category, length: int,
-                 lz77_tokens: int, lz78_tokens: int, ratio_lz77: Fraction,
-                 ratio_lz78: Fraction, normalized_ratio: float | None = None):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "category", category)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "lz77_tokens", lz77_tokens)
-        object.__setattr__(self, "lz78_tokens", lz78_tokens)
-        object.__setattr__(self, "ratio_lz77", ratio_lz77)
-        object.__setattr__(self, "ratio_lz78", ratio_lz78)
-        object.__setattr__(self, "normalized_ratio", normalized_ratio)
-
 
 class HistogramSpec(FrozenValue):
-    __slots__ = __match_args__ = ("bin_count", "lower", "upper", "counts")
-
-    def __init__(self, bin_count: int, lower: float, upper: float, counts: tuple[int, ...]):
-        object.__setattr__(self, "bin_count", bin_count)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "counts", counts)
+    __slots__ = ("bin_count", "lower", "upper", "counts")
 
 
-class CorpusStats(FrozenValue):
-    __slots__ = __match_args__ = (
+class CorpusStats(FrozenValue, defaults=(False,)):
+    __slots__ = (
         "category", "count", "mean_ratio", "std_dev", "min", "max", "histogram", "degenerate")
-
-    def __init__(self, category: Category, count: int, mean_ratio: float, std_dev: float,
-                 min: tuple[str, Fraction], max: tuple[str, Fraction],
-                 histogram: HistogramSpec, degenerate: bool = False):
-        object.__setattr__(self, "category", category)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "mean_ratio", mean_ratio)
-        object.__setattr__(self, "std_dev", std_dev)
-        object.__setattr__(self, "min", min)
-        object.__setattr__(self, "max", max)
-        object.__setattr__(self, "histogram", histogram)
-        object.__setattr__(self, "degenerate", degenerate)
 
 
 class Order(Enum):
@@ -219,12 +179,16 @@ def ingest_abc_files(paths: list[str | os.PathLike]) -> list[TuneRecord]:
     """Parse one or more ABC files into records, one per tune block."""
     records = []
     for path in paths:
-        source = read_text(path, "ABC file")
-        try:
-            records.extend(records_from_abc(source, stem(path)))
-        except NormalizationError as exc:
-            raise IngestError(f"ABC file {path}: {exc}") from exc
+        records.extend(records_from_abc_file(read_text(path, "ABC file"), path))
     return records
+
+
+def records_from_abc_file(source: str, path: str | os.PathLike) -> list[TuneRecord]:
+    """``records_from_abc`` of the text read from ``path``; IngestError names the file."""
+    try:
+        return records_from_abc(source, stem(path))
+    except NormalizationError as exc:
+        raise IngestError(f"ABC file {path}: {exc}") from exc
 
 
 def _record_from_tune(tune: AbcTune, record_id: str) -> TuneRecord:
@@ -380,24 +344,11 @@ def _rank_key(order: Order):
 def reports_to_csv(reports: list[ComplexityReport]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["id", "name", "category", "length", "lz77_tokens", "lz78_tokens",
-         "ratio_lz77", "ratio_lz78", "normalized_ratio"]
-    )
+    writer.writerow(ComplexityReport.__slots__)
     for r in reports:
-        writer.writerow(
-            [
-                r.id,
-                r.name,
-                r.category.value,
-                r.length,
-                r.lz77_tokens,
-                r.lz78_tokens,
-                f"{float(r.ratio_lz77):.6f}",
-                f"{float(r.ratio_lz78):.6f}",
-                "" if r.normalized_ratio is None else f"{r.normalized_ratio:.6f}",
-            ]
-        )
+        # csv writes None, a report without a normalized ratio, as an empty field
+        writer.writerow([f"{value:.6f}" if isinstance(value, float) else value
+                         for value in report_to_dict(r).values()])
     return out.getvalue()
 
 

@@ -41,10 +41,7 @@ class CorruptStream(ValueError):
 class Literal(FrozenValue):
     """A single symbol emitted verbatim."""
 
-    __slots__ = __match_args__ = ("symbol",)
-
-    def __init__(self, symbol: str):
-        object.__setattr__(self, "symbol", symbol)
+    __slots__ = ("symbol",)
 
 
 class BackRef(FrozenValue):
@@ -56,11 +53,7 @@ class BackRef(FrozenValue):
     itself.
     """
 
-    __slots__ = __match_args__ = ("start", "length")
-
-    def __init__(self, start: int, length: int):
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "length", length)
+    __slots__ = ("start", "length")
 
 
 Lz77Token = Literal | BackRef
@@ -70,7 +63,7 @@ _LETTER_LITERALS = {ch: Literal(ch)
                     for ch in "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"}
 
 
-class Lz78Token(FrozenValue):
+class Lz78Token(FrozenValue, defaults=(None,)):
     """Dictionary phrase ``prefix_index`` extended by one symbol.
 
     ``prefix_index`` 0 is the empty phrase; index k >= 1 is the phrase
@@ -78,21 +71,11 @@ class Lz78Token(FrozenValue):
     on a final token whose phrase already exists in the dictionary.
     """
 
-    __slots__ = __match_args__ = ("prefix_index", "extension")
-
-    def __init__(self, prefix_index: int, extension: str | None = None):
-        object.__setattr__(self, "prefix_index", prefix_index)
-        object.__setattr__(self, "extension", extension)
+    __slots__ = ("prefix_index", "extension")
 
 
 class TokenStream(FrozenValue):
-    __slots__ = __match_args__ = ("algorithm", "tokens", "source_length")
-
-    def __init__(self, algorithm: Algorithm, tokens: tuple[Lz77Token | Lz78Token, ...],
-                 source_length: int):
-        object.__setattr__(self, "algorithm", algorithm)
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "source_length", source_length)
+    __slots__ = ("algorithm", "tokens", "source_length")
 
 
 def _lz77_parse(seq: str) -> list[tuple[int, int] | None]:

@@ -61,29 +61,15 @@ class NormalizationError(ValueError):
         return type(self), (self.kind, self.detail, self.location)
 
 
-class AbcTune(Value):
-    __slots__ = __match_args__ = (
+class AbcTune(Value, defaults=(None,)):
+    __slots__ = (
         "reference_number", "title", "meter", "unit_note_length", "key", "body", "rhythm")
-
-    def __init__(self, reference_number: int, title: str, meter: tuple[int, int],
-                 unit_note_length: Fraction, key: str, body: str, rhythm: str | None = None):
-        self.reference_number = reference_number
-        self.title = title
-        self.meter = meter
-        self.unit_note_length = unit_note_length
-        self.key = key
-        self.body = body
-        self.rhythm = rhythm
 
 
 class QuaverSequence(FrozenValue):
     """A normalized melody: one pitch symbol per quaver, in order."""
 
-    __slots__ = __match_args__ = ("symbols", "category")
-
-    def __init__(self, symbols: str, category: Category):
-        object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "category", category)
+    __slots__ = ("symbols", "category")
 
 
 _FIELD_RE = re.compile(r"^([A-Za-z])\s*:\s*(.*?)\s*$")

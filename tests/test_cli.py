@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -155,8 +156,7 @@ def test_compress_decompress_round_trip(capsys, tmp_path, sally_path):
 
 
 def test_decompress_lz78_from_stdin(capsys, monkeypatch):
-    import io
-    monkeypatch.setattr("sys.stdin", io.StringIO("a 1a 1"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"a 1a 1"), encoding="utf-8"))
     code, out, _ = run(capsys, "decompress", "-")
     assert code == 0
     assert out.strip() == "aaaa"
@@ -515,7 +515,7 @@ DEEP = b"[" * 100_000
      'token 0 is not a valid token object: {{"symbol": "' + "a" * 108
      + "... (1000014 characters) (token stream {f})\n"),
     (["compress", "{f}"], b"X: 1\nM: 4/0\nK: D\nABcd\n",
-     "malformed_header: unusable meter '4/0' (offset 5)\n"),
+     "ABC file {f}: malformed_header: unusable meter '4/0' (offset 5)\n"),
 ], ids=["normalize", "analyze", "corpus", "rank", "compress", "decompress", "dump-not-utf8",
         "dump-long-int", "dump-deep", "baseline-not-json", "baseline-not-utf8",
         "baseline-deep", "decompress-deep", "decompress-not-json",
@@ -532,6 +532,32 @@ def test_unloadable_input_is_a_one_line_error(capsys, tmp_path, sally_path, argv
     assert out == ""
     assert err.startswith("tunelz: error: " + message.format(**names))
     assert err.count("\n") == 1
+
+
+def _run_on_stdin(data, *argv):
+    # a new interpreter under the C locale, in which Python would decode
+    # sys.stdin leniently, passing undecodable bytes on as lone surrogates
+    env = {**os.environ, "LC_ALL": "C",
+           "PYTHONPATH": str(Path(tunelz.__file__).parent.parent)}
+    return subprocess.run([sys.executable, "-m", "tunelz.cli", *argv, "-"], input=data,
+                          env=env, capture_output=True, check=False)
+
+
+@pytest.mark.parametrize("command", ["compress", "decompress"])
+def test_stdin_is_strict_utf8_whatever_the_locale(command):
+    result = _run_on_stdin(NOT_UTF8, command)
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr == (b"tunelz: error: cannot read input -: 'utf-8' codec can't decode "
+                             b"byte 0xe9 in position 9: invalid continuation byte\n")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_stdin_reads_line_breaks_as_a_file_does(capsys, sally_path, newline):
+    text = sally_path.read_text(encoding="utf-8") + "\nX: 2\nT: Caf\u00e9\nK: G\nABcd\n"
+    _, expected, _ = run(capsys, "compress", str(sally_path))
+    result = _run_on_stdin(text.replace("\n", newline).encode(), "compress")
+    assert (result.returncode, result.stdout.decode()) == (1, expected)
+    assert result.stderr.decode().startswith("tunelz: rejected -:2 (Caf\u00e9): wrong_length")
 
 
 # Property: whatever bytes a file holds, every subcommand ends in a result,
@@ -615,5 +641,5 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     code = (f"import sys; sys.path.insert(0, {src!r}); import tunelz.cli; "
             "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-S", "-I", "-B", "-c", code],
-                            capture_output=True, text=True, check=True)
+                            capture_output=True, encoding="utf-8", check=True)
     assert result.stdout == "[]\n"
