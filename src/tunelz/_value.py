@@ -4,8 +4,9 @@
 ``tokenize``) and ``exec``s generated code for every class it builds,
 all of which every command paid at start-up.  A subclass lists its
 fields once, in constructor order, in ``__slots__``; ``Value`` compiles
-its ``__init__`` from that list, one plain line per field, and the
-``defaults`` class keyword gives the defaults of the last fields.
+its ``__init__`` from that list, one plain line per field, the
+``defaults`` class keyword gives the defaults of the last fields, and
+``plain`` reads the fields back out as JSON-ready data for the exports.
 
 The input boundary is kept here too: the one reader of input files, its
 twin for standard input, and the limits on reading numbers from input
@@ -13,15 +14,20 @@ text, on the length of a symbol sequence and on quoting input, shared by
 the loaders and the baseline.
 """
 
-# Longest number read from input text.  Longer ones are refused unread:
-# int() of a long digit string is slow, and a value past Python's int/str
-# digit limit could neither be read nor printed in an error.
+from enum import Enum
+from fractions import Fraction
+
+# Longest number read from input text, where a digit is ASCII 0-9 (int()
+# and str.isdigit take other scripts' digits too).  Longer ones are
+# refused unread: int() of a long digit string is slow, and a value past
+# Python's int/str digit limit could neither be read nor printed in an error.
 MAX_DIGITS = 100
 # Most symbols a sequence may hold: the longest tune is a few hundred
 # quavers, and this keeps a short input from expanding to gigabytes.
 MAX_STREAM_SYMBOLS = 1_000_000
 # Most characters of input text quoted in an error
 _MAX_QUOTED = 120
+_SCALARS = frozenset({str, int, float, bool, type(None)})  # plain returns these as they are
 
 
 class IngestError(ValueError):
@@ -91,6 +97,30 @@ class Value:
     def __reduce__(self):
         # rebuilt through __init__: unpickling must not assign fields one by one
         return type(self), self._values()
+
+
+def plain(value):
+    """``value`` as JSON-ready data: a Value becomes a dict of its fields in
+    ``__slots__`` order, a tuple or list a list, a Fraction a float and an
+    enum member its value, each read through ``plain`` in turn; any other
+    value is returned unchanged."""
+    # exact types first: isinstance(value, Fraction) runs through ABCMeta
+    kind = type(value)
+    if kind in _SCALARS:
+        return value
+    if kind is Fraction:
+        return value.numerator / value.denominator  # float(value), without two int() calls
+    if kind is tuple or kind is list:
+        return [plain(item) for item in value]
+    if isinstance(value, Value):
+        fields = {}
+        for name in value.__slots__:
+            field = getattr(value, name)
+            fields[name] = field if type(field) in _SCALARS else plain(field)
+        return fields
+    if isinstance(value, Enum):
+        return value._value_  # .value, without its descriptor
+    return value
 
 
 class FrozenValue(Value):

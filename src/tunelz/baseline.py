@@ -17,7 +17,7 @@ import json
 import math
 import random
 
-from ._value import MAX_STREAM_SYMBOLS, FrozenValue
+from ._value import MAX_STREAM_SYMBOLS, FrozenValue, plain
 from .lz import Algorithm, token_count
 
 DEFAULT_ALPHABET_SIZE = 13
@@ -159,16 +159,7 @@ def normalize_ratio(
 
 
 def curve_to_json(curve: BaselineCurve) -> str:
-    payload = {
-        "alphabet_size": curve.alphabet_size,
-        "samples_per_length": curve.samples_per_length,
-        "rng_seed": curve.rng_seed,
-        "points": [
-            {"length": p.length, "mean_ratio": p.mean_ratio, "std_dev": p.std_dev}
-            for p in curve.points
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return json.dumps(plain(curve), sort_keys=True, indent=2)
 
 
 def curve_from_json(text: str) -> BaselineCurve:

@@ -15,7 +15,7 @@ import sys
 from . import baseline as bl
 from . import corpus as cp
 from . import lz
-from ._value import read_stdin, read_text
+from ._value import plain, read_stdin, read_text
 
 PROG = "tunelz"
 
@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compress", help="tokenize a tune or raw symbol sequence")
     p.set_defaults(run=cmd_compress)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--algo", choices=("lz77", "lz78"), default="lz77")
+    p.add_argument("--algo", choices=[a.value for a in lz.Algorithm], default="lz77")
     p.add_argument("--index-base", type=int, choices=(0, 1), default=0,
                    help="display base for back-reference positions")
     p.add_argument("path", help="ABC file, raw symbol file, or - for stdin")
@@ -73,14 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated string lengths, e.g. 96,128")
     p.add_argument("--alphabet", type=int, default=bl.DEFAULT_ALPHABET_SIZE)
     p.add_argument("--samples", type=int, default=bl.DEFAULT_SAMPLES)
-    p.add_argument("--algo", choices=("lz77", "lz78"), default="lz77")
+    p.add_argument("--algo", choices=[a.value for a in lz.Algorithm], default="lz77")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the full curve as JSON to a file")
 
     p = sub.add_parser("rank", parents=[tunes],
                        help="order tunes from most to least repetitive")
     p.set_defaults(run=cmd_rank)
-    p.add_argument("--order", choices=("easiest", "hardest"), default="easiest")
+    p.add_argument("--order", choices=[o.value for o in cp.Order], default="easiest")
 
     return parser
 
@@ -222,8 +222,7 @@ def cmd_analyze(args) -> int:
 
 def _print_reports(reports: list[cp.ComplexityReport], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps([cp.report_to_dict(r) for r in reports],
-                         indent=2, sort_keys=True))
+        print(json.dumps(plain(reports), indent=2, sort_keys=True))
     else:
         print(cp.reports_to_csv(reports), end="")
 
@@ -232,8 +231,7 @@ def _selected_categories(args, reports) -> list[cp.Category]:
     if args.category != "all":
         return [cp.Category(args.category)]
     present = {r.category for r in reports}
-    return [c for c in (cp.Category.REEL, cp.Category.JIG, cp.Category.OTHER)
-            if c in present]
+    return [c for c in cp.Category if c in present]
 
 
 def cmd_corpus(args) -> int:
@@ -291,8 +289,7 @@ def cmd_baseline(args) -> int:
 def cmd_rank(args) -> int:
     records = _load_records(args)
     reports = cp.analyze(records)
-    order = cp.Order.EASIEST_FIRST if args.order == "easiest" else cp.Order.HARDEST_FIRST
-    ranked = cp.rank(reports, order)
+    ranked = cp.rank(reports, cp.Order(args.order))
     if args.format == "text":
         for place, r in enumerate(ranked, start=1):
             print(f"{place}\t{r.id}\t{r.name}\t{float(r.ratio_lz77):.4f}")

@@ -7,9 +7,9 @@ becomes exactly one TuneRecord; tunes the normalizer rejects are kept
 with their error rather than dropped, so accepted + rejected always
 equals the number of entries ingested.
 
-Statistics of record use the LZ77 ratio.  Aggregation folds reports in
-id order, so results do not depend on how the per-tune work was
-scheduled.
+Statistics of record use the LZ77 ratio.  Aggregate statistics do not
+depend on the order of the reports: sums are exact and ties between
+extremes break by name then id.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import os
 from enum import Enum
 from fractions import Fraction
 
-from ._value import FrozenValue, IngestError, Value, excerpt, read_text
+from ._value import FrozenValue, IngestError, Value, excerpt, plain, read_text
 from .baseline import BaselineCurve, mean_and_spread, normalize_ratio
 from .lz import Algorithm, compress_lz77, compression_ratio, token_count
 from .notation import (
@@ -302,10 +302,7 @@ def aggregate(
     the reports ``rank`` would put first in each order, so ties break
     by name then id.
     """
-    selected = sorted(
-        (r for r in reports if r.category is category),
-        key=lambda r: r.id,
-    )
+    selected = [r for r in reports if r.category is category]
     if not selected:
         raise EmptyCategoryError(f"no reports in category {category.value!r}")
     ratios = [float(r.ratio_lz77) for r in selected]
@@ -345,63 +342,36 @@ def reports_to_csv(reports: list[ComplexityReport]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(ComplexityReport.__slots__)
-    for r in reports:
-        # csv writes None, a report without a normalized ratio, as an empty field
-        writer.writerow([f"{value:.6f}" if isinstance(value, float) else value
-                         for value in report_to_dict(r).values()])
+    # csv writes None, a report without a normalized ratio, as an empty field
+    writer.writerows([f"{value:.6f}" if type(value) is float else value
+                      for value in row.values()] for row in plain(reports))
     return out.getvalue()
 
 
-def report_to_dict(report: ComplexityReport) -> dict:
-    return {
-        "id": report.id,
-        "name": report.name,
-        "category": report.category.value,
-        "length": report.length,
-        "lz77_tokens": report.lz77_tokens,
-        "lz78_tokens": report.lz78_tokens,
-        "ratio_lz77": float(report.ratio_lz77),
-        "ratio_lz78": float(report.ratio_lz78),
-        "normalized_ratio": report.normalized_ratio,
-    }
-
-
 def stats_to_dict(stats: CorpusStats) -> dict:
-    return {
-        "category": stats.category.value,
-        "count": stats.count,
-        "mean_ratio": stats.mean_ratio,
-        "std_dev": stats.std_dev,
-        "min": {"id": stats.min[0], "ratio": float(stats.min[1])},
-        "max": {"id": stats.max[0], "ratio": float(stats.max[1])},
-        "degenerate": stats.degenerate,
-        "histogram": {
-            "bin_count": stats.histogram.bin_count,
-            "lower": stats.histogram.lower,
-            "upper": stats.histogram.upper,
-            "counts": list(stats.histogram.counts),
-        },
-    }
+    payload = plain(stats)
+    for end in ("min", "max"):
+        report_id, ratio = payload[end]
+        payload[end] = {"id": report_id, "ratio": ratio}
+    return payload
+
+
+def _bins(hist: HistogramSpec) -> list[tuple[float, float, int]]:
+    """``(lower edge, upper edge, count)`` per bin."""
+    width = (hist.upper - hist.lower) / hist.bin_count
+    return [(hist.lower + i * width, hist.lower + (i + 1) * width, count)
+            for i, count in enumerate(hist.counts)]
 
 
 def histogram_to_csv(hist: HistogramSpec) -> str:
-    width = (hist.upper - hist.lower) / hist.bin_count
     lines = ["bin_lower,bin_upper,count"]
-    for i, count in enumerate(hist.counts):
-        lines.append(
-            f"{hist.lower + i * width:.6f},{hist.lower + (i + 1) * width:.6f},{count}"
-        )
+    lines += [f"{lo:.6f},{hi:.6f},{count}" for lo, hi, count in _bins(hist)]
     return "\n".join(lines) + "\n"
 
 
 def histogram_to_text(hist: HistogramSpec, width: int = 40) -> str:
     """Terminal bar rendering, one line per bin."""
     peak = max(hist.counts) or 1
-    bin_width = (hist.upper - hist.lower) / hist.bin_count
-    lines = []
-    for i, count in enumerate(hist.counts):
-        lo = hist.lower + i * bin_width
-        hi = hist.lower + (i + 1) * bin_width
-        bar = "#" * round(count / peak * width)
-        lines.append(f"{lo:8.4f}-{hi:8.4f} |{bar} {count}")
+    lines = [f"{lo:8.4f}-{hi:8.4f} |{'#' * round(count / peak * width)} {count}"
+             for lo, hi, count in _bins(hist)]
     return "\n".join(lines) + "\n"

@@ -24,7 +24,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 
-from ._value import MAX_DIGITS, MAX_STREAM_SYMBOLS, FrozenValue, excerpt
+from ._value import MAX_DIGITS, MAX_STREAM_SYMBOLS, FrozenValue, excerpt, plain
 
 MIN_MATCH = 2
 
@@ -309,9 +309,12 @@ def compression_ratio(stream: TokenStream) -> Fraction:
 # Literals print as bare letters.  LZ77 back-references print as [i,j];
 # LZ78 tokens print as index+letter ("1d"), a zero index is dropped, and
 # a terminal token prints as the bare index.  Tokens are space-separated.
+# Numbers are written in ASCII digits, and no symbol is a digit of another
+# script, which a reader would take for a number.
 
-_LZ77_REF_RE = re.compile(r"\[(\d+)\s*,\s*(\d+)\]")
-_LZ78_TOKEN_RE = re.compile(r"(\d*)(\D?)")
+_LZ77_REF_RE = re.compile(r"\[([0-9]+)\s*,\s*([0-9]+)\]")
+_LZ78_TOKEN_RE = re.compile(r"([0-9]*)([^0-9]?)")
+_DIGIT_RE = re.compile(r"[0-9]")
 
 
 def stream_to_text(stream: TokenStream, index_base: int = 0) -> str:
@@ -349,13 +352,17 @@ def stream_from_text(
     defaults to LZ77 (both coders decode it identically).  The text form
     declares no length, so it is summed from the tokens, which are
     checked as ``decompress`` checks them; a stream that decodes to more
-    than ``MAX_STREAM_SYMBOLS`` symbols, or a number of more than
-    ``MAX_DIGITS`` digits, raises CorruptStream.
+    than ``MAX_STREAM_SYMBOLS`` symbols, a number of more than
+    ``MAX_DIGITS`` digits, or a digit other than 0-9 raises CorruptStream.
     """
     if index_base not in (0, 1):
         raise ValueError("index_base must be 0 or 1")
+    if not text.isascii():
+        digit = next((c for c in text if c.isdigit() and not c.isascii()), None)
+        if digit is not None:
+            raise CorruptStream(f"{digit!r} is a digit other than 0-9")
     if algorithm is None:
-        lz78 = "[" not in text and any(c.isdigit() for c in text)
+        lz78 = "[" not in text and _DIGIT_RE.search(text) is not None
         algorithm = Algorithm.LZ78 if lz78 else Algorithm.LZ77
     tokens: list[Lz77Token | Lz78Token] = []
     for i, word in enumerate(text.split()):
@@ -365,7 +372,7 @@ def stream_from_text(
                 start, length = m.groups()
                 _check_digits(i, word, start, length)
                 tokens.append(BackRef(int(start) - index_base, int(length)))
-            elif len(word) == 1 and not word.isdigit():
+            elif len(word) == 1 and not _DIGIT_RE.match(word):
                 tokens.append(Literal(word))
             else:
                 raise CorruptStream(f"unrecognized LZ77 token {excerpt(word)}")
@@ -391,19 +398,10 @@ def _check_digits(i: int, word: str, *numbers: str) -> None:
 
 
 def stream_to_json(stream: TokenStream) -> str:
-    tokens: list[dict] = []
-    for tok in stream.tokens:
-        if isinstance(tok, Literal):
-            tokens.append({"symbol": tok.symbol})
-        elif isinstance(tok, BackRef):
-            tokens.append({"start": tok.start, "length": tok.length})
-        else:
-            tokens.append({"prefix": tok.prefix_index, "extension": tok.extension})
-    payload = {
-        "algorithm": stream.algorithm.value,
-        "source_length": stream.source_length,
-        "tokens": tokens,
-    }
+    payload = plain(stream)
+    for token in payload["tokens"]:
+        if "prefix_index" in token:  # an LZ78 token; the file format calls it prefix
+            token["prefix"] = token.pop("prefix_index")
     return json.dumps(payload, sort_keys=True)
 
 
@@ -418,9 +416,12 @@ def stream_from_json(text: str) -> TokenStream:
         payload = json.loads(text)
         algorithm = Algorithm(payload["algorithm"])
         raw = payload["tokens"]
-        source_length = int(payload["source_length"])
+        source_length = payload["source_length"]
     except (KeyError, ValueError, TypeError, RecursionError) as exc:
         raise CorruptStream(f"malformed stream JSON: {_shown(exc)}") from exc
+    if not _is_int(source_length):
+        raise CorruptStream("malformed stream JSON: source_length is not an integer: "
+                            f"{_shown(json.dumps(source_length))}")
     if source_length > MAX_STREAM_SYMBOLS:
         raise CorruptStream(f"stream claims {source_length} symbols, "
                             f"more than the ceiling of {MAX_STREAM_SYMBOLS}")

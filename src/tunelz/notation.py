@@ -73,7 +73,7 @@ class QuaverSequence(FrozenValue):
 
 
 _FIELD_RE = re.compile(r"^([A-Za-z])\s*:\s*(.*?)\s*$")
-_NUMBER = rf"(\d{{1,{MAX_DIGITS}}})"
+_NUMBER = rf"([0-9]{{1,{MAX_DIGITS}}})"
 _METER_RE = re.compile(rf"^{_NUMBER}\s*/\s*{_NUMBER}$")
 
 
@@ -146,14 +146,19 @@ def _parse_block(lines: list[str], offsets: list[int], start: int, end: int) -> 
             )
         letter, value = m.group(1), m.group(2)
         if letter == "X":
-            try:
-                reference = int(value)
-            except ValueError:
+            if not (value.isascii() and value.isdigit()):  # int() takes "+1", "1_0", "١"
                 raise NormalizationError(
                     ErrorKind.MALFORMED_HEADER,
                     f"reference number is not an integer: {excerpt(stripped)}",
                     offsets[i],
-                ) from None
+                )
+            if len(value) > MAX_DIGITS:
+                raise NormalizationError(
+                    ErrorKind.MALFORMED_HEADER,
+                    f"reference number of more than {MAX_DIGITS} digits: {excerpt(stripped)}",
+                    offsets[i],
+                )
+            reference = int(value)
         elif letter == "T":
             title = title or value
         elif letter == "M":

@@ -3,6 +3,8 @@
 import json
 import statistics
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from tunelz.baseline import (
     normalize_ratio,
 )
 from tunelz.lz import Algorithm
+from tunelz.notation import Category
 
 # curve pinned to the published random-string means at the two tune lengths
 REFERENCE_CURVE = BaselineCurve(
@@ -118,6 +121,22 @@ def test_no_extrapolation():
 
 def test_published_normalization_example():
     assert normalize_ratio(2.61, 96, 128, REFERENCE_CURVE) == pytest.approx(2.73, abs=0.01)
+
+
+def test_readme_library_example_gives_its_commented_values(monkeypatch):
+    root = Path(__file__).parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    code = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    *statements, last = code.strip().splitlines()
+    monkeypatch.chdir(root)  # the example opens a path relative to the checkout
+    names = {}
+    exec("\n".join(statements), names)
+    normalized = eval(last.split("#")[0], names)
+    assert (len(names["seq"].symbols), names["seq"].category) == (128, Category.REEL)
+    assert "# 128 one-letter symbols, category REEL" in code
+    assert len(names["stream"].tokens) == 47 and "# 47 tokens" in code
+    assert names["ratio"] == Fraction(128, 47) and "# Fraction(128, 47)" in code
+    assert f"# \u2248 {normalized:.2f}: a jig's ratio at reel length" in code
 
 
 def test_normalizing_down_scales_the_other_way():

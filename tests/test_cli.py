@@ -516,12 +516,19 @@ DEEP = b"[" * 100_000
      + "... (1000014 characters) (token stream {f})\n"),
     (["compress", "{f}"], b"X: 1\nM: 4/0\nK: D\nABcd\n",
      "ABC file {f}: malformed_header: unusable meter '4/0' (offset 5)\n"),
+    *[(["decompress", "{f}"],
+       b'{"algorithm": "lz77", "source_length": %s, "tokens": [{"symbol": "a"}]}' % length,
+       "malformed stream JSON: source_length is not an integer: %s (token stream {f})\n"
+       % length.decode())
+      for length in (b'"1"', b"1.9", b"true")],
 ], ids=["normalize", "analyze", "corpus", "rank", "compress", "decompress", "dump-not-utf8",
         "dump-long-int", "dump-deep", "baseline-not-json", "baseline-not-utf8",
         "baseline-deep", "decompress-deep", "decompress-not-json",
         "decompress-text-past-ceiling", "decompress-json-past-ceiling",
         "decompress-text-long-number", "decompress-text-long-token",
-        "decompress-json-long-token", "compress-malformed-header"])
+        "decompress-json-long-token", "compress-malformed-header",
+        "decompress-json-length-string", "decompress-json-length-float",
+        "decompress-json-length-bool"])
 def test_unloadable_input_is_a_one_line_error(capsys, tmp_path, sally_path, argv, content,
                                               message):
     path = tmp_path / "input"

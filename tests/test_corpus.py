@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -463,6 +464,28 @@ def test_pipeline_output_is_deterministic(extreme_reels_path, sally_path):
         return reports_to_csv(reports) + json.dumps(stats_to_dict(stats), sort_keys=True)
 
     assert run() == run()
+
+
+def test_stats_and_csv_rows_do_not_depend_on_report_order(data_dir):
+    records = ingest_abc_files(sorted(data_dir.glob("*.abc")))
+    reports = analyze(records + ingest_json_dump(data_dir / "thesession_sample.json"), CURVE, 128)
+    # the two Sally Gardens reels tie on ratio, and so do the two jigs, which
+    # are also both extremes of their category
+    tied = {}
+    for r in reports:
+        tied.setdefault((r.category, r.ratio_lz77), []).append(r.id)
+    assert sorted(len(ids) for ids in tied.values()) == [1, 1, 2, 2]
+    header, *lines = reports_to_csv(reports).splitlines(keepends=True)
+    row = {r.id: line for r, line in zip(reports, lines)}
+
+    def stats(order):
+        return json.dumps([stats_to_dict(aggregate(order, c)) for c in (Category.REEL, Category.JIG)],
+                          sort_keys=True)
+
+    expected = stats(reports)
+    for order in permutations(reports):  # given, reversed and every other order
+        assert stats(order) == expected
+        assert reports_to_csv(order) == header + "".join(row[r.id] for r in order)
 
 
 def test_records_with_direct_sequences_analyze_cleanly():

@@ -239,6 +239,15 @@ def test_text_form_refuses_long_numbers_unread(text, algorithm, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("text", ["a [\u0660,\u0662]", "a \u00b2", "a \u0662", "a [0,\u00b2]"],
+                         ids=["arabic-indic-ref", "superscript", "arabic-indic", "superscript-ref"])
+def test_text_form_refuses_digits_other_than_ascii(text):
+    digit = next(c for c in text if c.isdigit() and not c.isascii())
+    with pytest.raises(CorruptStream) as exc:
+        stream_from_text(text)
+    assert str(exc.value) == f"{digit!r} is a digit other than 0-9"
+
+
 def test_text_form_reads_numbers_of_100_digits():
     stream = stream_from_text("a b [" + "0" * 99 + "1,2]")
     assert stream.tokens[2] == BackRef(1, 2)

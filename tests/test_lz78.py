@@ -127,6 +127,14 @@ def test_text_form_terminal_token():
     assert stream_from_text(text) == stream  # digits force LZ78 detection
 
 
+@pytest.mark.parametrize("text", ["a \u00b2", "a 1\u00b2", "\u0661a"],
+                         ids=["superscript", "superscript-extension", "arabic-indic-prefix"])
+def test_text_form_refuses_digits_other_than_ascii(text):
+    for algorithm in (None, Algorithm.LZ78):
+        with pytest.raises(CorruptStream, match="is a digit other than 0-9$"):
+            stream_from_text(text, algorithm)
+
+
 def test_json_round_trip():
     stream = compress_lz78(goldens.SALLY)
     assert stream_from_json(stream_to_json(stream)) == stream

@@ -92,6 +92,30 @@ def test_parse_bad_reference_number():
     assert "X:first" in exc.value.detail
 
 
+# Numbers in headers are ASCII digits 0-9, as int() alone would not require
+@pytest.mark.parametrize("header, detail", [
+    ("X: 1_0", "reference number is not an integer: 'X: 1_0'"),
+    ("X: +5", "reference number is not an integer: 'X: +5'"),
+    ("X: \u0661\u0662", "reference number is not an integer: 'X: \u0661\u0662'"),
+    ("X: " + "9" * 101, "reference number of more than 100 digits: 'X: " + "9" * 101 + "'"),
+    ("X: " + "9" * 5000,
+     "reference number of more than 100 digits: 'X: " + "9" * 117 + "'... (5003 characters)"),
+    ("X: 1\nM: \u0664/\u0664", "unusable meter '\u0664/\u0664'"),
+    ("X: 1\nL: \u0661/\u0668", "unusable unit note length '\u0661/\u0668'"),
+], ids=["X-underscore", "X-plus", "X-arabic-indic", "X-101-digits", "X-5000-digits",
+        "M-arabic-indic", "L-arabic-indic"])
+def test_header_numbers_are_ascii_digits(header, detail):
+    with pytest.raises(NormalizationError) as exc:
+        parse_abc(f"{header}\nK:D\nAB|\n")
+    assert exc.value.kind is ErrorKind.MALFORMED_HEADER
+    assert exc.value.detail == detail
+
+
+def test_reference_number_of_100_digits_is_read():
+    (tune,) = parse_abc("X: " + "9" * 100 + "\nK:D\nAB|\n")
+    assert tune.reference_number == 10**100 - 1
+
+
 def test_parse_body_line_before_key_is_malformed():
     with pytest.raises(NormalizationError) as exc:
         parse_abc("X:1\nABCD ABCD|\nK:D\n")
@@ -454,8 +478,8 @@ def test_oversized_header_number_is_malformed(field, value, detail, digits):
      "expected a header field before K:, got '" + "?" * 120 + "'... (1000000 characters)"),
     ("X:" + "a" * 10**6 + "\nK:G\n",
      "reference number is not an integer: 'X:" + "a" * 118 + "'... (1000002 characters)"),
-    ("X:" + "1" * 200 + "\nT:t\n",
-     "tune block is missing its K: line: 'X:" + "1" * 118 + "'... (202 characters)"),
+    ("X:" + " " * 200 + "1\nT:t\n",
+     "tune block is missing its K: line: 'X:" + " " * 118 + "'... (203 characters)"),
 ], ids=["not-a-field", "reference", "missing-K"])
 def test_long_header_line_is_excerpted_in_the_detail(source, detail):
     with pytest.raises(NormalizationError) as exc:
