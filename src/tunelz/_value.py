@@ -9,18 +9,18 @@ its ``__init__`` from that list, one plain line per field, the
 ``plain`` reads the fields back out as JSON-ready data for the exports.
 
 The input boundary is kept here too: the one reader of input files, its
-twin for standard input, and the limits on reading numbers from input
-text, on the length of a symbol sequence and on quoting input, shared by
-the loaders and the baseline.
+twin for standard input, the one reader of numbers in text and flags,
+the one test of a JSON integer, and the limits on the length of a symbol
+sequence and on quoting input, shared by the loaders and the baseline.
 """
 
 from enum import Enum
 from fractions import Fraction
 
-# Longest number read from input text, where a digit is ASCII 0-9 (int()
-# and str.isdigit take other scripts' digits too).  Longer ones are
-# refused unread: int() of a long digit string is slow, and a value past
-# Python's int/str digit limit could neither be read nor printed in an error.
+# Longest number tunelz reads, where a digit is ASCII 0-9 (int() and
+# str.isdigit take other scripts' digits too).  Longer ones are refused
+# unread: int() of a long digit string is slow, and a value past Python's
+# int/str digit limit could neither be read nor printed in an error.
 MAX_DIGITS = 100
 # Most symbols a sequence may hold: the longest tune is a few hundred
 # quavers, and this keeps a short input from expanding to gigabytes.
@@ -50,6 +50,21 @@ def read_stdin(stdin, what: str) -> str:
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read {what} -: {exc}") from exc
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def integer(text: str) -> int:
+    """``text`` read as ASCII digits, at most ``MAX_DIGITS`` of them (int() takes
+    "+1", " 1", "1_0" and "١" too); ValueError's message completes "number …"."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError("is not an integer")
+    if len(text) > MAX_DIGITS:
+        raise ValueError(f"of more than {MAX_DIGITS} digits")
+    return int(text)
+
+
+def is_int(value) -> bool:
+    """Whether a JSON value is an integer; ``true`` and ``false`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def excerpt(text: str, show=repr) -> str:

@@ -17,7 +17,7 @@ import json
 import math
 import random
 
-from ._value import MAX_STREAM_SYMBOLS, FrozenValue, plain
+from ._value import MAX_STREAM_SYMBOLS, FrozenValue, excerpt, is_int, plain
 from .lz import Algorithm, token_count
 
 DEFAULT_ALPHABET_SIZE = 13
@@ -165,9 +165,10 @@ def curve_to_json(curve: BaselineCurve) -> str:
 def curve_from_json(text: str) -> BaselineCurve:
     """Load a curve saved by ``curve_to_json``.
 
-    Raises ValueError when a field is missing or not numeric, when
-    there are no points, when lengths are not strictly increasing, or
-    when a mean ratio is not a finite positive number.
+    Raises ValueError when a field is missing or not a JSON number (an
+    integer for a length, count or seed; never a bool), when there are
+    no points, when lengths are not strictly increasing, or when a mean
+    ratio is not a finite positive number.
     """
     try:
         payload = json.loads(text)
@@ -175,18 +176,19 @@ def curve_from_json(text: str) -> BaselineCurve:
         raise ValueError(f"baseline curve is not valid JSON: {exc}") from None
     try:
         points = tuple(
-            BaselinePoint(int(p["length"]), float(p["mean_ratio"]), float(p["std_dev"]))
+            BaselinePoint(_field(p, "length", int), _field(p, "mean_ratio", float),
+                          _field(p, "std_dev", float))
             for p in payload["points"]
         )
         curve = BaselineCurve(
-            alphabet_size=int(payload["alphabet_size"]),
-            samples_per_length=int(payload["samples_per_length"]),
+            alphabet_size=_field(payload, "alphabet_size", int),
+            samples_per_length=_field(payload, "samples_per_length", int),
             points=points,
-            rng_seed=int(payload["rng_seed"]),
+            rng_seed=_field(payload, "rng_seed", int),
         )
     except KeyError as exc:
         raise ValueError(f"baseline curve lacks field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, OverflowError) as exc:  # or a ratio past a float's range
         raise ValueError(f"baseline curve has a non-numeric field: {exc}") from None
     if not points:
         raise ValueError("baseline curve has no points")
@@ -202,6 +204,16 @@ def curve_from_json(text: str) -> BaselineCurve:
                 f"is not finite and > 0: {point.mean_ratio}"
             )
     return curve
+
+
+def _field(fields: dict, name: str, kind: type):
+    """``fields[name]`` as ``kind``: an int from a JSON integer, a float from
+    any JSON number; TypeError names any other value, a bool included."""
+    value = fields[name]
+    if not (is_int(value) or kind is float and type(value) is float):
+        raise TypeError(f"{name} is not {'an integer' if kind is int else 'a number'}: "
+                        f"{excerpt(json.dumps(value), str)}")
+    return kind(value)
 
 
 def curve_to_csv(curve: BaselineCurve) -> str:

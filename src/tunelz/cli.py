@@ -15,7 +15,7 @@ import sys
 from . import baseline as bl
 from . import corpus as cp
 from . import lz
-from ._value import plain, read_stdin, read_text
+from ._value import excerpt, integer, plain, read_stdin, read_text
 
 PROG = "tunelz"
 
@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     tunes.add_argument("paths", nargs="*")
     curve = argparse.ArgumentParser(add_help=False)
     curve.add_argument("--baseline", dest="baseline_path", help="baseline curve JSON")
-    curve.add_argument("--normalize-to", type=int, dest="normalize_to",
+    curve.add_argument("--normalize-to", type=integer, dest="normalize_to",
                        help="reference length for normalized ratios")
 
     p = sub.add_parser("normalize", help="flatten ABC tunes onto the quaver grid")
@@ -46,13 +46,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_compress)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--algo", choices=[a.value for a in lz.Algorithm], default="lz77")
-    p.add_argument("--index-base", type=int, choices=(0, 1), default=0,
+    p.add_argument("--index-base", type=integer, choices=(0, 1), default=0,
                    help="display base for back-reference positions")
     p.add_argument("path", help="ABC file, raw symbol file, or - for stdin")
 
     p = sub.add_parser("decompress", help="rebuild the symbol sequence of a token stream")
     p.set_defaults(run=cmd_decompress)
-    p.add_argument("--index-base", type=int, choices=(0, 1), default=0)
+    p.add_argument("--index-base", type=integer, choices=(0, 1), default=0)
     p.add_argument("path", help="token stream file (text or JSON), or - for stdin")
 
     p = sub.add_parser("analyze", parents=[tunes, curve],
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="aggregate statistics over a tune collection")
     p.set_defaults(run=cmd_corpus)
     p.add_argument("--category", choices=("reel", "jig", "all"), default="all")
-    p.add_argument("--bins", type=int, default=cp.DEFAULT_BINS)
+    p.add_argument("--bins", type=integer, default=cp.DEFAULT_BINS)
     p.add_argument("--hist-out", dest="hist_out", help="write histogram CSV to a file")
 
     p = sub.add_parser("baseline", help="sample random-string compression ratios")
@@ -71,10 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
     p.add_argument("--lengths", required=True,
                    help="comma-separated string lengths, e.g. 96,128")
-    p.add_argument("--alphabet", type=int, default=bl.DEFAULT_ALPHABET_SIZE)
-    p.add_argument("--samples", type=int, default=bl.DEFAULT_SAMPLES)
+    p.add_argument("--alphabet", type=integer, default=bl.DEFAULT_ALPHABET_SIZE)
+    p.add_argument("--samples", type=integer, default=bl.DEFAULT_SAMPLES)
     p.add_argument("--algo", choices=[a.value for a in lz.Algorithm], default="lz77")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--out", help="write the full curve as JSON to a file")
 
     p = sub.add_parser("rank", parents=[tunes],
@@ -263,9 +263,10 @@ def cmd_corpus(args) -> int:
 
 def cmd_baseline(args) -> int:
     try:
-        lengths = [int(part) for part in args.lengths.split(",") if part.strip()]
+        lengths = [integer(part) for part in map(str.strip, args.lengths.split(",")) if part]
     except ValueError:
-        raise ValueError(f"--lengths wants comma-separated integers, got {args.lengths!r}")
+        raise ValueError("--lengths wants comma-separated integers, "
+                         f"got {excerpt(args.lengths)}") from None
     curve = bl.estimate_baseline(
         lengths,
         alphabet_size=args.alphabet,

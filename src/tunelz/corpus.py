@@ -35,6 +35,9 @@ from .notation import (
 )
 
 DEFAULT_BINS = 20
+# Most histogram bins: each costs about 100 bytes of output, so a short
+# --bins must not ask for megabytes
+MAX_BINS = 10_000
 _ID_KEYS = ("setting_id", "tune_id")  # dump identifier, first present wins
 
 
@@ -272,10 +275,11 @@ def build_histogram(values: list[float], bin_count: int = DEFAULT_BINS) -> Histo
     """Equal-width bins over [min, max]; the maximum lands in the last bin.
 
     Constant data gets a unit-width range starting at the single value,
-    so every count sits in the first bin.
+    so every count sits in the first bin.  ``bin_count`` outside
+    1..``MAX_BINS`` raises ValueError.
     """
-    if bin_count < 1:
-        raise ValueError("bin_count must be >= 1")
+    if not 1 <= bin_count <= MAX_BINS:
+        raise ValueError(f"bin_count must be in 1..{MAX_BINS}")
     if not values:
         raise ValueError("histogram needs at least one value")
     lower = min(values)

@@ -24,7 +24,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 
-from ._value import MAX_DIGITS, MAX_STREAM_SYMBOLS, FrozenValue, excerpt, plain
+from ._value import MAX_STREAM_SYMBOLS, FrozenValue, excerpt, integer, is_int, plain
 
 MIN_MATCH = 2
 
@@ -370,8 +370,8 @@ def stream_from_text(
             m = _LZ77_REF_RE.fullmatch(word)
             if m:
                 start, length = m.groups()
-                _check_digits(i, word, start, length)
-                tokens.append(BackRef(int(start) - index_base, int(length)))
+                tokens.append(BackRef(_number(i, word, start) - index_base,
+                                      _number(i, word, length)))
             elif len(word) == 1 and not _DIGIT_RE.match(word):
                 tokens.append(Literal(word))
             else:
@@ -380,18 +380,18 @@ def stream_from_text(
             m = _LZ78_TOKEN_RE.fullmatch(word)
             if not m or (not m.group(1) and not m.group(2)):
                 raise CorruptStream(f"unrecognized LZ78 token {excerpt(word)}")
-            _check_digits(i, word, m.group(1))
-            prefix = int(m.group(1)) if m.group(1) else 0
+            prefix = _number(i, word, m.group(1)) if m.group(1) else 0
             tokens.append(Lz78Token(prefix, m.group(2) or None))
     parsed = tuple(tokens)
     length = _stream_length(algorithm, parsed, MAX_STREAM_SYMBOLS, "more than the ceiling of")
     return TokenStream(algorithm, parsed, length)
 
 
-def _check_digits(i: int, word: str, *numbers: str) -> None:
-    if any(len(number) > MAX_DIGITS for number in numbers):
-        raise CorruptStream(
-            f"token {i}: number of more than {MAX_DIGITS} digits in {excerpt(word)}")
+def _number(i: int, word: str, digits: str) -> int:
+    try:
+        return integer(digits)
+    except ValueError as exc:
+        raise CorruptStream(f"token {i}: number {exc} in {excerpt(word)}") from None
 
 
 # ----------------------------------------------------------------- JSON form
@@ -419,7 +419,7 @@ def stream_from_json(text: str) -> TokenStream:
         source_length = payload["source_length"]
     except (KeyError, ValueError, TypeError, RecursionError) as exc:
         raise CorruptStream(f"malformed stream JSON: {_shown(exc)}") from exc
-    if not _is_int(source_length):
+    if not is_int(source_length):
         raise CorruptStream("malformed stream JSON: source_length is not an integer: "
                             f"{_shown(json.dumps(source_length))}")
     if source_length > MAX_STREAM_SYMBOLS:
@@ -436,9 +436,9 @@ def _token_from_json(i: int, entry) -> Lz77Token | Lz78Token:
     keys = set(entry) if isinstance(entry, dict) else None
     if keys == {"symbol"} and _is_symbol(entry["symbol"]):
         return Literal(entry["symbol"])
-    if keys == {"start", "length"} and _is_int(entry["start"]) and _is_int(entry["length"]):
+    if keys == {"start", "length"} and is_int(entry["start"]) and is_int(entry["length"]):
         return BackRef(entry["start"], entry["length"])
-    if keys == {"prefix", "extension"} and _is_int(entry["prefix"]) and (
+    if keys == {"prefix", "extension"} and is_int(entry["prefix"]) and (
         entry["extension"] is None or _is_symbol(entry["extension"])
     ):
         return Lz78Token(entry["prefix"], entry["extension"])
@@ -447,7 +447,3 @@ def _token_from_json(i: int, entry) -> Lz77Token | Lz78Token:
 
 def _is_symbol(value) -> bool:
     return isinstance(value, str) and len(value) == 1
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)

@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 
-from ._value import MAX_DIGITS, MAX_STREAM_SYMBOLS, FrozenValue, Value, excerpt
+from ._value import MAX_DIGITS, MAX_STREAM_SYMBOLS, FrozenValue, Value, excerpt, integer
 
 QUAVER = Fraction(1, 8)
 PITCH_LETTERS = frozenset("ABCDEFGabcdefg")
@@ -146,19 +146,14 @@ def _parse_block(lines: list[str], offsets: list[int], start: int, end: int) -> 
             )
         letter, value = m.group(1), m.group(2)
         if letter == "X":
-            if not (value.isascii() and value.isdigit()):  # int() takes "+1", "1_0", "١"
+            try:
+                reference = integer(value)
+            except ValueError as exc:
                 raise NormalizationError(
                     ErrorKind.MALFORMED_HEADER,
-                    f"reference number is not an integer: {excerpt(stripped)}",
+                    f"reference number {exc}: {excerpt(stripped)}",
                     offsets[i],
-                )
-            if len(value) > MAX_DIGITS:
-                raise NormalizationError(
-                    ErrorKind.MALFORMED_HEADER,
-                    f"reference number of more than {MAX_DIGITS} digits: {excerpt(stripped)}",
-                    offsets[i],
-                )
-            reference = int(value)
+                ) from None
         elif letter == "T":
             title = title or value
         elif letter == "M":
@@ -207,8 +202,10 @@ _RESTS = frozenset("zZx")
 # written note length: digits, then slashes, then digits after the last
 # slash; ASCII digits only, since int() refuses digits such as "²"
 _LENGTH_RE = re.compile(r"([0-9]*)(/*)([0-9]*)")
+# digits of a length, an ending or a tuplet; str.isdigit also takes "²" and "٢"
+_DIGITS = frozenset("0123456789")
 # an octave mark or a written length; most notes have neither
-_NOTE_SUFFIX = frozenset("',0123456789/")
+_NOTE_SUFFIX = _DIGITS | frozenset("',/")
 # the commonest written lengths, one digit with no suffix after it
 _ONE_DIGIT = {str(k): k for k in range(1, 10)}
 
@@ -302,7 +299,7 @@ def _quaver_notes(body: str, unit_note_length: Fraction) -> list[tuple[str, int]
             if i < n and body[i] == ":":  # repeat start
                 section_start, ending_1_at = len(out), None
                 i += 1
-            elif i < n and body[i].isdigit():
+            elif i < n and body[i] in _DIGITS:
                 if _opens_ending_1(body[i], i) and ending_1_at is None:
                     ending_1_at = len(out)
                 i += 1
@@ -318,7 +315,7 @@ def _quaver_notes(body: str, unit_note_length: Fraction) -> list[tuple[str, int]
                 if body[i - 1] == "|" and i < n:
                     if body[i] == ":":
                         i += 1
-                    elif body[i].isdigit():
+                    elif body[i] in _DIGITS:
                         if _opens_ending_1(body[i], i):
                             ending_1_at = len(out)
                         i += 1
@@ -341,7 +338,7 @@ def _quaver_notes(body: str, unit_note_length: Fraction) -> list[tuple[str, int]
                 )
             i = close + 1
         elif c == "(":
-            if i + 1 < n and body[i + 1].isdigit():
+            if i + 1 < n and body[i + 1] in _DIGITS:
                 raise NormalizationError(
                     ErrorKind.NON_QUAVER_DURATION,
                     f"tuplet group ({body[i + 1]} cannot sit on the quaver grid",
@@ -349,7 +346,7 @@ def _quaver_notes(body: str, unit_note_length: Fraction) -> list[tuple[str, int]
                 )
             i += 1  # slur
         elif c == "[":
-            if i + 1 < n and body[i + 1].isdigit():
+            if i + 1 < n and body[i + 1] in _DIGITS:
                 if _opens_ending_1(body[i + 1], i) and ending_1_at is None:
                     ending_1_at = len(out)
                 i += 2

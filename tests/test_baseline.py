@@ -194,6 +194,20 @@ def test_json_round_trip():
     ({"points": [{"length": 96, "mean_ratio": -1.2, "std_dev": 0.0}]}, "finite and > 0"),
     ({"points": [{"length": 96, "mean_ratio": float("inf"), "std_dev": 0.0}]},
      "finite and > 0"),
+    # a count, length or seed is a JSON integer, a ratio or spread a JSON number;
+    # int() and float() would have read each of these
+    ({"points": [{"length": 96.7, "mean_ratio": 1.23, "std_dev": 0.0}]},
+     "non-numeric field: length is not an integer: 96.7"),
+    ({"alphabet_size": "13"}, 'non-numeric field: alphabet_size is not an integer: "13"'),
+    ({"samples_per_length": 1000.9},
+     "non-numeric field: samples_per_length is not an integer: 1000.9"),
+    ({"rng_seed": True}, "non-numeric field: rng_seed is not an integer: true"),
+    ({"points": [{"length": 96, "mean_ratio": "1.23", "std_dev": 0.0}]},
+     'non-numeric field: mean_ratio is not a number: "1.23"'),
+    ({"points": [{"length": 96, "mean_ratio": 1.23, "std_dev": False}]},
+     "non-numeric field: std_dev is not a number: false"),
+    ({"points": [{"length": 96, "mean_ratio": 10**400, "std_dev": 0.0}]},
+     "non-numeric field: int too large to convert to float"),
 ])
 def test_json_load_rejects_bad_curve(changes, message):
     payload = json.loads(curve_to_json(REFERENCE_CURVE)) | changes
@@ -201,6 +215,14 @@ def test_json_load_rejects_bad_curve(changes, message):
     with pytest.raises(ValueError, match=message) as exc:
         curve_from_json(text)
     assert type(exc.value) is ValueError
+
+
+def test_json_load_takes_integral_ratios_as_floats():
+    payload = json.loads(curve_to_json(REFERENCE_CURVE))
+    payload["points"] = [{"length": 96, "mean_ratio": 2, "std_dev": 0}]
+    (point,) = curve_from_json(json.dumps(payload)).points
+    assert (point.mean_ratio, point.std_dev) == (2.0, 0.0)
+    assert type(point.mean_ratio) is type(point.std_dev) is float
 
 
 def test_csv_export():

@@ -1,5 +1,6 @@
 """End-to-end runs of the tunelz command line."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import tunelz
 from tunelz import lz
-from tunelz.cli import main
+from tunelz._value import integer
+from tunelz.cli import build_parser, main
 
 import goldens
 
@@ -394,6 +396,120 @@ def test_baseline_bad_lengths(capsys):
     code, _, err = run(capsys, "baseline", "--lengths", "ten")
     assert code == 2
     assert "lengths" in err
+
+
+# ----------------------------------------------------------- number flags
+
+# each flag that takes a number, with the argv its command needs, and the
+# values it is limited to, if any
+INT_FLAGS = [
+    (["compress", "x"], "--index-base", (0, 1)),
+    (["decompress", "x"], "--index-base", (0, 1)),
+    (["analyze"], "--normalize-to", None),
+    (["corpus"], "--normalize-to", None),
+    (["corpus"], "--bins", None),
+    (["baseline", "--lengths", "4"], "--alphabet", None),
+    (["baseline", "--lengths", "4"], "--samples", None),
+    (["baseline", "--lengths", "4"], "--seed", None),
+]
+
+
+def _command_actions():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [(name, action) for name, command in sub.choices.items()
+            for action in command._actions]
+
+
+def test_no_flag_reads_its_number_with_int():
+    actions = _command_actions()
+    assert [(name, a.dest) for name, a in actions if a.type is int] == []
+    numbered = sorted((name, a.option_strings[0]) for name, a in actions if a.type is integer)
+    assert numbered == sorted((argv[0], flag) for argv, flag, _ in INT_FLAGS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(
+    st.text(),
+    st.text("0123456789", max_size=110),
+    st.from_regex(r"[-+ ]?[0-9_\u0660-\u0669\u00b2]{0,4}\s?", fullmatch=True),
+))
+def test_number_flags_take_1_to_100_ascii_digits(text):
+    # --flag=TEXT, so that a TEXT starting with "-" is not read as an option
+    digits = text.isascii() and text.isdigit() and len(text) <= 100
+    parser = build_parser()
+    for argv, flag, choices in INT_FLAGS:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                args = parser.parse_args([argv[0], f"{flag}={text}", *argv[1:]])
+            except SystemExit as exc:
+                args = exc
+        if digits and (choices is None or int(text) in choices):
+            assert getattr(args, flag[2:].replace("-", "_")) == int(text), flag
+        else:
+            assert isinstance(args, SystemExit) and args.code == 2, (flag, text)
+            assert f"argument {flag}: " in err.getvalue().splitlines()[-1]
+
+
+def _curve_with(changes):
+    payload = json.loads((DATA_DIR / "baseline_curve.json").read_text(encoding="utf-8"))
+    for name, value in changes.items():
+        (payload["points"][0] if name in ("length", "mean_ratio") else payload)[name] = value
+    return json.dumps(payload)
+
+
+# command lines that read a number int() or float() would have taken, and the
+# last stderr line of each; {curve} is a curve file holding the given fields
+@pytest.mark.parametrize("argv, curve, last", [
+    (["baseline", "--lengths", "\u0661\u0660,+2_0", "--samples", "3"], None,
+     "tunelz: error: --lengths wants comma-separated integers, got '\u0661\u0660,+2_0'"),
+    (["baseline", "--lengths", "10", "--samples", "\u0663", "--alphabet", "+1_3"], None,
+     "tunelz baseline: error: argument --samples: invalid integer value: '\u0663'"),
+    (["baseline", "--lengths", "10", "--samples", "3", "--alphabet", "+1_3"], None,
+     "tunelz baseline: error: argument --alphabet: invalid integer value: '+1_3'"),
+    (["baseline", "--lengths", "10", "--samples", "3", "--seed", "-4"], None,
+     "tunelz baseline: error: argument --seed: invalid integer value: '-4'"),
+    (["corpus", "--bins", "2000000", "{data}/extreme_reels.abc"], None,
+     "tunelz: error: bin_count must be in 1..10000"),
+    (["corpus", "--bins", "0", "{data}/extreme_reels.abc"], None,
+     "tunelz: error: bin_count must be in 1..10000"),
+    *[(["analyze", "--baseline", "{curve}", "--normalize-to", "128",
+        "{data}/sally_gardens.abc"], {name: value},
+       "tunelz: error: baseline curve {curve} is not usable: baseline curve has a "
+       f"non-numeric field: {name} is not {kind}: {shown}")
+      for name, value, kind, shown in [
+          ("length", 96.7, "an integer", "96.7"),
+          ("alphabet_size", "13", "an integer", '"13"'),
+          ("samples_per_length", 1000.9, "an integer", "1000.9"),
+          ("rng_seed", True, "an integer", "true"),
+          ("mean_ratio", "1.23", "a number", '"1.23"')]],
+], ids=["lengths", "samples", "alphabet", "negative-seed", "bins-past-ceiling", "bins-0",
+        "curve-length-float", "curve-alphabet-string", "curve-samples-float",
+        "curve-seed-bool", "curve-ratio-string"])
+def test_unreadable_number_exits_2_with_one_error_line(tmp_path, argv, curve, last):
+    names = {"data": DATA_DIR, "curve": tmp_path / "curve.json"}
+    if curve is not None:
+        names["curve"].write_text(_curve_with(curve), encoding="utf-8")
+    env = {**os.environ, "PYTHONUTF8": "1",
+           "PYTHONPATH": str(Path(tunelz.__file__).parent.parent)}
+    result = subprocess.run([sys.executable, "-m", "tunelz.cli",
+                             *[arg.format(**names) for arg in argv]],
+                            env=env, capture_output=True, encoding="utf-8", check=False)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert lines[-1] == last.format(**names)
+    if last.startswith("tunelz: error: "):  # not argparse's, which prints the usage first
+        assert len(lines) == 1
+
+
+def test_bins_at_the_ceiling_are_written(capsys, extreme_reels_path):
+    code, out, _ = run(capsys, "corpus", "--format", "json", "--bins", "10000",
+                       str(extreme_reels_path))
+    assert code == 0
+    (stats,) = json.loads(out)
+    assert len(stats["histogram"]["counts"]) == 10_000
 
 
 # -------------------------------------------------------------------- rank

@@ -320,6 +320,21 @@ def test_non_ascii_digit_is_not_a_duration():
     assert err.location == 2
 
 
+# after a bar line, a repeat end, "[" or "(", only an ASCII digit opens an
+# ending or a tuplet; str.isdigit would also take these
+@pytest.mark.parametrize("body, detail, location", [
+    ("AB|\u00b2cd", "unsupported character '\u00b2'", 3),
+    ("AB:|\u00b2cd", "unsupported character '\u00b2'", 4),
+    ("AB(\u00b2cd", "unsupported character '\u00b2'", 3),
+    ("AB||\u0662cd", "unsupported character '\u0662'", 4),
+    # "[" before anything but an ending digit, "|" or an inline field opens a chord
+    ("AB[\u0662cd", "chord", 2),
+])
+def test_non_ascii_digit_opens_no_ending_or_tuplet(body, detail, location):
+    err = expect_error(body, ErrorKind.UNSUPPORTED_CONSTRUCT)
+    assert (err.detail, err.location) == (detail, location)
+
+
 def test_scan_error_wins_over_earlier_duration_error():
     err = expect_error("A/ B z", ErrorKind.UNSUPPORTED_CONSTRUCT)
     assert err.location == 5
