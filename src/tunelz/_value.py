@@ -74,6 +74,11 @@ def excerpt(text: str, show=repr) -> str:
     return f"{show(text[:_MAX_QUOTED])}... ({len(text)} characters)"
 
 
+def shown(value) -> str:
+    """``str(value)`` excerpted, for an error that quotes a value such as a token or a field."""
+    return excerpt(str(value), str)
+
+
 class Value:
     """Field-wise ``==`` between objects of one class; unhashable, since mutable."""
 

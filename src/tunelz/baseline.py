@@ -17,11 +17,18 @@ import json
 import math
 import random
 
-from ._value import MAX_STREAM_SYMBOLS, FrozenValue, excerpt, is_int, plain
+from ._value import FrozenValue, excerpt, is_int, plain, shown
 from .lz import Algorithm, token_count
 
 DEFAULT_ALPHABET_SIZE = 13
 DEFAULT_SAMPLES = 1000
+# LZ77 time grows about quadratically on random strings: one of 2,000
+# letters over 2 symbols, the slowest alphabet, parses in about 7 ms
+MAX_LENGTH = 2_000
+# the work one request may ask for, samples × Σ(length + _DRAW_COST) over
+# its distinct lengths; the paper's grid at 1,000 samples asks for 820,000
+SYMBOL_BUDGET = 1_000_000
+_DRAW_COST = 16  # seeding and drawing a string costs about as much as parsing 16 symbols
 # string.ascii_lowercase; importing string would compile Template's regex at start-up
 _LOWERCASE = "abcdefghijklmnopqrstuvwxyz"
 
@@ -95,17 +102,22 @@ def estimate_baseline(
     For each requested length, ``samples`` independent strings over the
     first ``alphabet_size`` lowercase letters are compressed and the
     mean and sample standard deviation of their ratios recorded.  A
-    length above ``MAX_STREAM_SYMBOLS`` raises ValueError before any
-    string is drawn.
+    length above ``MAX_LENGTH``, or a request whose ``samples`` times
+    the sum of ``length + 16`` over its distinct lengths passes
+    ``SYMBOL_BUDGET``, raises ValueError before any string is drawn.
     """
     if not lengths:
         raise ValueError("at least one length is required")
-    if not all(1 <= length <= MAX_STREAM_SYMBOLS for length in lengths):
-        raise ValueError(f"lengths must be in 1..{MAX_STREAM_SYMBOLS}")
+    if not all(1 <= length <= MAX_LENGTH for length in lengths):
+        raise ValueError(f"lengths must be in 1..{MAX_LENGTH}")
     if not 1 <= alphabet_size <= 26:
         raise ValueError("alphabet_size must be in 1..26")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    work = samples * sum(length + _DRAW_COST for length in set(lengths))
+    if work > SYMBOL_BUDGET:
+        raise ValueError(f"samples * sum of (length + {_DRAW_COST}) is {work}, "
+                         f"more than the budget of {SYMBOL_BUDGET}")
 
     letters = _LOWERCASE[:alphabet_size]
     points = []
@@ -167,8 +179,10 @@ def curve_from_json(text: str) -> BaselineCurve:
 
     Raises ValueError when a field is missing or not a JSON number (an
     integer for a length, count or seed; never a bool), when there are
-    no points, when lengths are not strictly increasing, or when a mean
-    ratio is not a finite positive number.
+    no points, when lengths are not strictly increasing, when a field is
+    out of the range ``estimate_baseline`` draws from (a length or sample
+    count below 1, an alphabet size outside 1..26), or when a mean ratio
+    is not a finite positive number.
     """
     try:
         payload = json.loads(text)
@@ -197,6 +211,14 @@ def curve_from_json(text: str) -> BaselineCurve:
             raise ValueError(
                 f"baseline curve lengths not strictly increasing: {left.length}, {right.length}"
             )
+    if points[0].length < 1:  # the least, as lengths increase
+        raise ValueError(f"baseline curve length must be >= 1: {shown(points[0].length)}")
+    if not 1 <= curve.alphabet_size <= 26:
+        raise ValueError(f"baseline curve alphabet_size must be in 1..26: "
+                         f"{shown(curve.alphabet_size)}")
+    if curve.samples_per_length < 1:
+        raise ValueError(f"baseline curve samples_per_length must be >= 1: "
+                         f"{shown(curve.samples_per_length)}")
     for point in points:
         if not (math.isfinite(point.mean_ratio) and point.mean_ratio > 0):
             raise ValueError(

@@ -20,8 +20,31 @@ from ._value import excerpt, integer, plain, read_stdin, read_text
 PROG = "tunelz"
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors quote each argument through ``excerpt``.
+
+    argparse quotes a refused value whole (an invalid integer or choice,
+    an ambiguous option, unrecognized arguments), so each argument this
+    parser read, and the value after an ``=`` in it, is excerpted
+    wherever the message holds it.  Subparsers are of this class too.
+    """
+
+    _argv: tuple[str, ...] = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._argv = tuple(sys.argv[1:] if args is None else args)
+        return super().parse_known_args(list(self._argv), namespace)
+
+    def error(self, message):
+        # longest first, so that a shorter argument cannot cut into a longer one's quote
+        texts = {text for arg in self._argv for text in (arg, arg.partition("=")[2]) if text}
+        for text in sorted(texts, key=len, reverse=True):
+            message = message.replace(repr(text), excerpt(text)).replace(text, excerpt(text, str))
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=PROG,
         description="Estimate the complexity of monophonic dance tunes "
                     "with Lempel-Ziv token coders.",

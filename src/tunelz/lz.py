@@ -20,11 +20,12 @@ All functions here are pure and safe to call from multiple threads.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from enum import Enum
 from fractions import Fraction
 
-from ._value import MAX_STREAM_SYMBOLS, FrozenValue, excerpt, integer, is_int, plain
+from ._value import MAX_STREAM_SYMBOLS, FrozenValue, excerpt, integer, is_int, plain, shown
 
 MIN_MATCH = 2
 
@@ -85,21 +86,26 @@ def _lz77_parse(seq: str) -> list[tuple[int, int] | None]:
     taken, with the smallest start among the longest.  A match starting
     at ``s`` may run past ``pos`` (overlapping copy), so a probe of
     length ``k`` asks whether ``seq[pos:pos+k]`` occurs inside
-    ``seq[:pos+k-1]``.  Whether a match exists is monotone in ``k``, so
-    after the bigram probe the search gallops through lengths 3, 4, 6,
-    10, ... until a probe fails, then bisects that last gap.  The
-    smallest start of a longer match is never below that of a shorter
-    one, so each probe searches from the last start found.
+    ``seq[:pos+k-1]``.  The bigram probe is a lookup in ``first``, the
+    smallest start of each bigram, built without a bytecode step per
+    symbol: zipping the bigrams in reverse lets the smallest start write
+    last, and each lookup hashes a string whose hash the build cached.
+    A position that is its bigram's first start is a literal, and so is
+    the last symbol.  Whether a match exists is monotone in ``k``, so
+    after the bigram the search gallops through lengths 3, 4, 6, 10, ...
+    until a probe fails, then bisects that last gap.  The smallest start
+    of a longer match is never below that of a shorter one, so each
+    probe searches from the last start found.
     """
     find = seq.find
     n = len(seq)
+    bigrams = list(map(operator.add, seq, seq[1:]))  # one 2-symbol string per symbol
+    first = dict(zip(reversed(bigrams), range(len(bigrams) - 1, -1, -1)))
     parse: list[tuple[int, int] | None] = []
     pos = 0
-    while pos < n:
-        start = -1
-        if n - pos >= MIN_MATCH:
-            start = find(seq[pos:pos + MIN_MATCH], 0, pos + MIN_MATCH - 1)
-        if start == -1:
+    while pos < n - 1:
+        start = first[bigrams[pos]]
+        if start == pos:
             parse.append(None)
             pos += 1
             continue
@@ -120,6 +126,8 @@ def _lz77_parse(seq: str) -> list[tuple[int, int] | None]:
                 start, lo = found, mid
         parse.append((start, lo))
         pos += lo
+    if pos < n:
+        parse.append(None)
     return parse
 
 
@@ -198,14 +206,9 @@ def token_count(seq: str, algorithm: Algorithm) -> int:
     return len(_lz78_parse(seq))
 
 
-def _shown(value) -> str:
-    """``str(value)`` excerpted, for an error that quotes a token or one of its fields."""
-    return excerpt(str(value), str)
-
-
 def _check_limit(i: int, end: int, limit: int, bound: str) -> None:
     if end > limit:
-        raise CorruptStream(f"token {i}: decodes to {_shown(end)} symbols, {bound} {limit}")
+        raise CorruptStream(f"token {i}: decodes to {shown(end)} symbols, {bound} {limit}")
 
 
 def _stream_length(algorithm: Algorithm, tokens: tuple, limit: int, bound: str) -> int:
@@ -223,13 +226,13 @@ def _stream_length(algorithm: Algorithm, tokens: tuple, limit: int, bound: str) 
             if isinstance(tok, Literal):
                 end = length + 1
             elif not isinstance(tok, BackRef):
-                raise CorruptStream(f"token {i} is not an LZ77 token: {_shown(repr(tok))}")
+                raise CorruptStream(f"token {i} is not an LZ77 token: {shown(repr(tok))}")
             elif tok.length < MIN_MATCH:
                 raise CorruptStream(
-                    f"token {i}: back-reference length {_shown(tok.length)} < {MIN_MATCH}")
+                    f"token {i}: back-reference length {shown(tok.length)} < {MIN_MATCH}")
             elif not 0 <= tok.start < length:
                 raise CorruptStream(
-                    f"token {i}: start {_shown(tok.start)} outside emitted prefix of {length}"
+                    f"token {i}: start {shown(tok.start)} outside emitted prefix of {length}"
                 )
             else:
                 end = length + tok.length
@@ -239,10 +242,10 @@ def _stream_length(algorithm: Algorithm, tokens: tuple, limit: int, bound: str) 
     phrase_lengths = [0]  # by phrase index; 0 is the empty phrase
     for i, tok in enumerate(tokens):
         if not isinstance(tok, Lz78Token):
-            raise CorruptStream(f"token {i} is not an LZ78 token: {_shown(repr(tok))}")
+            raise CorruptStream(f"token {i} is not an LZ78 token: {shown(repr(tok))}")
         if not 0 <= tok.prefix_index < len(phrase_lengths):
             raise CorruptStream(
-                f"token {i}: phrase index {_shown(tok.prefix_index)} not yet defined"
+                f"token {i}: phrase index {shown(tok.prefix_index)} not yet defined"
             )
         phrase = phrase_lengths[tok.prefix_index]
         if tok.extension is None:
@@ -418,10 +421,10 @@ def stream_from_json(text: str) -> TokenStream:
         raw = payload["tokens"]
         source_length = payload["source_length"]
     except (KeyError, ValueError, TypeError, RecursionError) as exc:
-        raise CorruptStream(f"malformed stream JSON: {_shown(exc)}") from exc
+        raise CorruptStream(f"malformed stream JSON: {shown(exc)}") from exc
     if not is_int(source_length):
         raise CorruptStream("malformed stream JSON: source_length is not an integer: "
-                            f"{_shown(json.dumps(source_length))}")
+                            f"{shown(json.dumps(source_length))}")
     if source_length > MAX_STREAM_SYMBOLS:
         raise CorruptStream(f"stream claims {source_length} symbols, "
                             f"more than the ceiling of {MAX_STREAM_SYMBOLS}")
@@ -442,7 +445,7 @@ def _token_from_json(i: int, entry) -> Lz77Token | Lz78Token:
         entry["extension"] is None or _is_symbol(entry["extension"])
     ):
         return Lz78Token(entry["prefix"], entry["extension"])
-    raise CorruptStream(f"token {i} is not a valid token object: {_shown(json.dumps(entry))}")
+    raise CorruptStream(f"token {i} is not a valid token object: {shown(json.dumps(entry))}")
 
 
 def _is_symbol(value) -> bool:

@@ -3,6 +3,7 @@
 import json
 import statistics
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -90,9 +91,42 @@ def test_precondition_violations(kwargs):
 def test_length_past_the_ceiling_draws_no_string(monkeypatch):
     drawn = []
     monkeypatch.setattr(baseline, "_random_string", lambda *args: drawn.append(args))
-    with pytest.raises(ValueError, match=r"^lengths must be in 1\.\.1000000$"):
-        estimate_baseline([10, 1_000_001], samples=2)
+    with pytest.raises(ValueError, match=r"^lengths must be in 1\.\.2000$"):
+        estimate_baseline([10, baseline.MAX_LENGTH + 1], samples=2)
     assert drawn == []
+
+
+PAPER_GRID = [50, 96, 100, 128, 150, 200]
+
+
+def test_budget_admits_the_paper_grid_and_refuses_past_it_undrawn(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(baseline, "_random_string",
+                        lambda letters, length, seed, index: drawn.append(length) or "a" * length)
+    cost = sum(PAPER_GRID) + len(PAPER_GRID) * baseline._DRAW_COST  # 820 per sample
+    most = baseline.SYMBOL_BUDGET // cost
+    for samples in (300, 1000, most):  # the benchmark's, the paper's and the largest
+        estimate_baseline(PAPER_GRID + PAPER_GRID, samples=samples)  # a repeat costs nothing
+        assert len(drawn) == samples * len(PAPER_GRID)
+        drawn.clear()
+    message = (rf"^samples \* sum of \(length \+ 16\) is {(most + 1) * cost}, "
+               r"more than the budget of 1000000$")
+    with pytest.raises(ValueError, match=message):
+        estimate_baseline(PAPER_GRID, samples=most + 1)
+    assert drawn == []
+
+
+def test_largest_admitted_request_finishes_within_30_s():
+    # a sample's parse time per symbol grows with its length and is greatest
+    # over 2 symbols, so the slowest admitted request spends the whole budget
+    # on the longest length over 2 symbols (about 3.5 s on a 2-core x86-64 host)
+    samples = baseline.SYMBOL_BUDGET // (baseline.MAX_LENGTH + baseline._DRAW_COST)
+    with pytest.raises(ValueError, match="more than the budget"):
+        estimate_baseline([baseline.MAX_LENGTH], alphabet_size=2, samples=samples + 1)
+    start = time.perf_counter()
+    curve = estimate_baseline([baseline.MAX_LENGTH], alphabet_size=2, samples=samples)
+    assert time.perf_counter() - start < 30
+    assert curve.samples_per_length == samples == 496
 
 
 # ---------------------------------------------------------------- lookup
@@ -208,6 +242,16 @@ def test_json_round_trip():
      "non-numeric field: std_dev is not a number: false"),
     ({"points": [{"length": 96, "mean_ratio": 10**400, "std_dev": 0.0}]},
      "non-numeric field: int too large to convert to float"),
+    # in range of what estimate_baseline draws
+    ({"points": [{"length": -5, "mean_ratio": 1.23, "std_dev": 0.0}]},
+     "^baseline curve length must be >= 1: -5$"),
+    ({"points": [{"length": 0, "mean_ratio": 1.0, "std_dev": 0.0},
+                 {"length": 96, "mean_ratio": 1.23, "std_dev": 0.0}]},
+     "^baseline curve length must be >= 1: 0$"),
+    ({"alphabet_size": 0}, "^baseline curve alphabet_size must be in 1..26: 0$"),
+    ({"alphabet_size": 27}, "^baseline curve alphabet_size must be in 1..26: 27$"),
+    ({"samples_per_length": -3}, "^baseline curve samples_per_length must be >= 1: -3$"),
+    ({"samples_per_length": 0}, "^baseline curve samples_per_length must be >= 1: 0$"),
 ])
 def test_json_load_rejects_bad_curve(changes, message):
     payload = json.loads(curve_to_json(REFERENCE_CURVE)) | changes

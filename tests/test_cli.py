@@ -385,11 +385,11 @@ def test_baseline_out_file(capsys, tmp_path):
 
 def test_baseline_length_past_the_ceiling_is_refused_undrawn(capsys):
     start = time.perf_counter()
-    code, out, err = run(capsys, "baseline", "--lengths", "96,1000001")
+    code, out, err = run(capsys, "baseline", "--lengths", "96,2001")
     assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
-    assert err == "tunelz: error: lengths must be in 1..1000000\n"
+    assert err == "tunelz: error: lengths must be in 1..2000\n"
 
 
 def test_baseline_bad_lengths(capsys):
@@ -502,6 +502,47 @@ def test_unreadable_number_exits_2_with_one_error_line(tmp_path, argv, curve, la
     assert lines[-1] == last.format(**names)
     if last.startswith("tunelz: error: "):  # not argparse's, which prints the usage first
         assert len(lines) == 1
+
+
+LONG = "x" * 100_000
+
+
+# argparse's three messages that quote a refused argument, the first also for a
+# value given after "="; whether the choices are quoted depends on the Python version
+@pytest.mark.parametrize("argv, message", [
+    (["baseline", "--lengths", "10", "--samples", LONG],
+     "tunelz baseline: error: argument --samples: invalid integer value: {quoted}"),
+    (["baseline", "--lengths", "10", f"--samples={LONG}"],
+     "tunelz baseline: error: argument --samples: invalid integer value: {quoted}"),
+    (["baseline", "--lengths", "10", "--format", LONG],
+     "tunelz baseline: error: argument --format: invalid choice: {quoted} (choose from "),
+    (["baseline", "--lengths", "10", LONG],
+     "tunelz: error: unrecognized arguments: {shown}"),
+], ids=["invalid-integer", "invalid-integer-after-equals", "invalid-choice", "unrecognized"])
+def test_refused_argument_is_quoted_through_excerpt(argv, message):
+    env = {**os.environ, "PYTHONPATH": str(Path(tunelz.__file__).parent.parent)}
+    result = subprocess.run([sys.executable, "-m", "tunelz.cli", *argv], env=env,
+                            capture_output=True, encoding="utf-8", check=False)
+    assert (result.returncode, result.stdout) == (2, "")
+    last = result.stderr.splitlines()[-1]
+    cut = "x" * 120
+    assert last.startswith(message.format(quoted=f"'{cut}'... (100000 characters)",
+                                          shown=f"{cut}... (100000 characters)"))
+    assert max(map(len, re.findall("x+", last))) == 120
+    assert len(result.stderr) < 1000
+
+
+def test_curve_out_of_range_is_refused(capsys, tmp_path, sally_path):
+    curve = tmp_path / "curve.json"
+    for changes, detail in [({"length": -5}, "length must be >= 1: -5"),
+                            ({"alphabet_size": 0}, "alphabet_size must be in 1..26: 0"),
+                            ({"samples_per_length": -3}, "samples_per_length must be >= 1: -3")]:
+        curve.write_text(_curve_with(changes), encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--baseline", str(curve), "--normalize-to", "128",
+                             str(sally_path))
+        assert (code, out) == (2, "")
+        assert err == (f"tunelz: error: baseline curve {curve} is not usable: "
+                       f"baseline curve {detail}\n")
 
 
 def test_bins_at_the_ceiling_are_written(capsys, extreme_reels_path):

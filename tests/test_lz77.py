@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tunelz.baseline import _random_string
 from tunelz.lz import (
     Algorithm,
     BackRef,
@@ -169,10 +170,25 @@ def test_decompress_stops_at_a_literal_past_the_declared_length():
         decompress(stream)
 
 
-@pytest.mark.parametrize("seq", ["\u00e9\u00e9\u00e9", "0120120", "a1a1\u00e9a1"],
-                         ids=["accented", "digits", "mixed"])
+# the last six are the edges of the bigram index: no bigram at all, one, the
+# last symbol left over, a parse ending on a bigram's first start, and
+# bigrams of letters past ASCII, which raw compress accepts
+@pytest.mark.parametrize("seq", ["\u00e9\u00e9\u00e9", "0120120", "a1a1\u00e9a1",
+                                 "", "a", "ab", "aab", "abaabb",
+                                 "\u00e9\u00df\u00e9\u00df\u0416\u0416\u0416\u00e9\u0416"],
+                         ids=["accented", "digits", "mixed", "length-0", "length-1", "length-2",
+                              "length-3", "ends-on-first-bigram", "non-ascii-bigrams"])
 def test_non_letter_symbols_parse_as_the_oracle_does(seq):
     assert oracles.plain_tokens(compress_lz77(seq)) == oracles.naive_compress_lz77(seq)
+
+
+def test_paper_grid_strings_parse_as_the_oracle_does():
+    lengths = (50, 96, 100, 128, 150, 200)
+    strings = [_random_string("abcdefghijklm", length, 7, index)
+               for length in lengths for index in range(300)]
+    assert len(strings) == 1800
+    for seq in strings:
+        assert oracles.plain_tokens(compress_lz77(seq)) == oracles.naive_compress_lz77(seq)
 
 
 def test_shared_literals_are_plain_frozen_values():
