@@ -9,9 +9,10 @@ its ``__init__`` from that list, one plain line per field, the
 ``plain`` reads the fields back out as JSON-ready data for the exports.
 
 The input boundary is kept here too: the one reader of input files, its
-twin for standard input, the one reader of numbers in text and flags,
-the one test of a JSON integer, and the limits on the length of a symbol
-sequence and on quoting input, shared by the loaders and the baseline.
+twin for standard input, the one writer of output files, the one reader
+of numbers in text and flags, the one test of a JSON integer, and the
+limits on the length of a symbol sequence and on quoting input, shared
+by the loaders and the baseline.
 """
 
 from enum import Enum
@@ -41,6 +42,15 @@ def read_text(path, what: str) -> str:
             return file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_text(path, what: str, text: str) -> None:
+    """Write ``text`` to a file as UTF-8; an OSError names a file that cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as file:
+            file.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {what} {path}: {exc}") from exc
 
 
 def read_stdin(stdin, what: str) -> str:

@@ -15,7 +15,7 @@ import sys
 from . import baseline as bl
 from . import corpus as cp
 from . import lz
-from ._value import excerpt, integer, plain, read_stdin, read_text
+from ._value import excerpt, integer, plain, read_stdin, read_text, write_text
 
 PROG = "tunelz"
 
@@ -263,6 +263,10 @@ def cmd_corpus(args) -> int:
     reports = cp.analyze(records, curve, reference)
     stats_list = [cp.aggregate(reports, c, args.bins)
                   for c in _selected_categories(args, reports)]
+    if args.hist_out:  # before any output, so that a failure leaves stdout empty
+        if len(stats_list) != 1:
+            raise cp.IngestError("--hist-out needs exactly one category")
+        write_text(args.hist_out, "histogram", cp.histogram_to_csv(stats_list[0].histogram))
     if args.format == "json":
         print(json.dumps([cp.stats_to_dict(s) for s in stats_list],
                          indent=2, sort_keys=True))
@@ -276,11 +280,6 @@ def cmd_corpus(args) -> int:
             print(f"  min {float(stats.min[1]):.4f}  {stats.min[0]}")
             print(f"  max {float(stats.max[1]):.4f}  {stats.max[0]}")
             print(cp.histogram_to_text(stats.histogram), end="")
-    if args.hist_out:
-        if len(stats_list) != 1:
-            raise cp.IngestError("--hist-out needs exactly one category")
-        with open(args.hist_out, "w", encoding="utf-8") as file:
-            file.write(cp.histogram_to_csv(stats_list[0].histogram))
     return 1 if _report_rejections(records) else 0
 
 
@@ -298,8 +297,7 @@ def cmd_baseline(args) -> int:
         algorithm=lz.Algorithm(args.algo),
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as file:
-            file.write(bl.curve_to_json(curve))
+        write_text(args.out, "baseline curve", bl.curve_to_json(curve))
     if args.format == "json":
         print(bl.curve_to_json(curve))
     elif args.format == "text":

@@ -21,7 +21,7 @@ import os
 from enum import Enum
 from fractions import Fraction
 
-from ._value import FrozenValue, IngestError, Value, excerpt, plain, read_text
+from ._value import FrozenValue, IngestError, Value, excerpt, is_int, plain, read_text
 from .baseline import BaselineCurve, mean_and_spread, normalize_ratio
 from .lz import Algorithm, compress_lz77, compression_ratio, token_count
 from .notation import (
@@ -89,9 +89,10 @@ def ingest_json_dump(path: str | os.PathLike) -> list[TuneRecord]:
     """Load a JSON dump and run the normalizer on every entry.
 
     Each entry must carry an identifier (``setting_id``, else
-    ``tune_id``), a ``name``, a ``type`` and an ``abc`` body; ``meter``
-    and ``mode`` are used when present (meter otherwise defaults by
-    type).  ``name``, ``type`` and ``mode`` are taken as given, line
+    ``tune_id``; a string or an integer), a ``name``, a ``type`` and an
+    ``abc`` body, all strings; ``meter`` and ``mode`` are used when they
+    are non-empty strings (meter otherwise defaults by type) and may be
+    null.  ``name``, ``type`` and ``mode`` are taken as given, line
     breaks included.  Unknown fields are ignored.  A file that is not a
     JSON array of such objects raises IngestError; problems with an
     individual tune land in that record's outcome, including an ``abc``
@@ -111,46 +112,27 @@ def ingest_json_dump(path: str | os.PathLike) -> list[TuneRecord]:
     for n, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise IngestError(f"dump {path} entry {n} is not an object")
-        tune_id = next(
-            (str(entry[k]) for k in _ID_KEYS if entry.get(k) not in (None, "")), None
-        )
-        if tune_id is None or not all(k in entry for k in ("name", "type", "abc")):
+        id_key = next((k for k in _ID_KEYS if entry.get(k) not in (None, "")), None)
+        if id_key is None or not all(k in entry for k in ("name", "type", "abc")):
             raise IngestError(f"dump {path} entry {n} lacks one of id/name/type/abc")
-        category = category_from_type(str(entry["type"]))
-        meter = str(entry.get("meter") or _default_meter(category)).rstrip()
-        mode = str(entry.get("mode") or "C")
-        body = str(entry["abc"])
-        outcome: QuaverSequence | NormalizationError
-        try:
-            if len(meter.splitlines()) > 1:  # it would end the M: line early
-                raise NormalizationError(
-                    ErrorKind.MALFORMED_HEADER, f"unusable meter {excerpt(meter)}")
-            # name, type and mode stay on the record: the block needs only the meter
-            header = f"X: 1\nM: {meter}\nK:\n"
-            try:
-                tunes = parse_abc(f"{header}{body}\n")
-            except NormalizationError as err:
-                # offsets count from the block's start: move them into the body,
-                # and an error on a header line written here to 0
-                raise NormalizationError(
-                    err.kind, err.detail, max(err.location - len(header), 0)) from None
-            if len(tunes) != 1:
-                raise NormalizationError(
-                    ErrorKind.MALFORMED_HEADER,
-                    f"abc body holds {len(tunes)} tunes (an X: line starts a new one); "
-                    "a dump entry must hold exactly one",
-                )
-            outcome = normalize(tunes[0])
-        except NormalizationError as err:
-            outcome = err
+        if not (isinstance(entry[id_key], str) or is_int(entry[id_key])):
+            raise IngestError(
+                f"dump {path} entry {n} field {id_key!r} is neither a string nor an integer")
+        for key in ("name", "type", "abc", "meter", "mode"):
+            value = entry.get(key)  # a null meter or mode takes its default, as "" does
+            if not (isinstance(value, str) or value is None and key in ("meter", "mode")):
+                raise IngestError(f"dump {path} entry {n} field {key!r} is not a string")
+        category = category_from_type(entry["type"])
+        meter = (entry.get("meter") or _default_meter(category)).rstrip()
+        body = entry["abc"]
         records.append(
             TuneRecord(
-                id=tune_id,
-                name=str(entry["name"]),
+                id=str(entry[id_key]),
+                name=entry["name"],
                 category=category,
-                key=mode,
+                key=entry.get("mode") or "C",
                 abc=body,
-                outcome=outcome,
+                outcome=_entry_outcome(meter, body),
             )
         )
     return records
@@ -158,6 +140,23 @@ def ingest_json_dump(path: str | os.PathLike) -> list[TuneRecord]:
 
 def _default_meter(category: Category) -> str:
     return "6/8" if category is Category.JIG else "4/4"
+
+
+def _entry_outcome(meter: str, body: str) -> QuaverSequence | NormalizationError:
+    if len(meter.splitlines()) > 1:  # it would end the M: line early
+        return NormalizationError(ErrorKind.MALFORMED_HEADER, f"unusable meter {excerpt(meter)}")
+    # name, type and mode stay on the record: the block needs only the meter
+    header = f"X: 1\nM: {meter}\nK:\n"
+    try:
+        tunes = parse_abc(f"{header}{body}\n")
+    except NormalizationError as err:
+        # offsets count from the block's start: move them into the body,
+        # and an error on a header line written here to 0
+        return NormalizationError(err.kind, err.detail, max(err.location - len(header), 0))
+    if len(tunes) != 1:
+        return NormalizationError(ErrorKind.MALFORMED_HEADER, f"abc body holds {len(tunes)} tunes "
+                                  "(an X: line starts a new one); a dump entry must hold exactly one")
+    return _outcome(tunes[0])
 
 
 def stem(path: str | os.PathLike) -> str:
@@ -194,12 +193,17 @@ def records_from_abc_file(source: str, path: str | os.PathLike) -> list[TuneReco
         raise IngestError(f"ABC file {path}: {exc}") from exc
 
 
-def _record_from_tune(tune: AbcTune, record_id: str) -> TuneRecord:
-    outcome: QuaverSequence | NormalizationError
+def _outcome(tune: AbcTune) -> QuaverSequence | NormalizationError:
+    """``normalize(tune)``, or the NormalizationError it raised without its traceback,
+    whose frames would keep the input, a whole dump even, alive with the record."""
     try:
-        outcome = normalize(tune)
+        return normalize(tune)
     except NormalizationError as err:
-        outcome = err
+        return err.with_traceback(None)
+
+
+def _record_from_tune(tune: AbcTune, record_id: str) -> TuneRecord:
+    outcome = _outcome(tune)
     if tune.rhythm:
         category = category_from_type(tune.rhythm)
     elif isinstance(outcome, QuaverSequence):

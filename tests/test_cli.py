@@ -341,6 +341,29 @@ def test_corpus_hist_out(capsys, tmp_path, extreme_reels_path):
     assert len(lines) == 21
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["corpus", "--hist-out", "{tmp}/hist.csv", "--dump", "{dump}"],
+     "--hist-out needs exactly one category"),
+    (["corpus", "--format", "json", "--hist-out", "{tmp}/hist.csv", "--dump", "{dump}"],
+     "--hist-out needs exactly one category"),
+    (["corpus", "--category", "reel", "--hist-out", "{tmp}/no/hist.csv", "--dump", "{dump}"],
+     "cannot write histogram {tmp}/no/hist.csv: [Errno 2] No such file or directory: "
+     "'{tmp}/no/hist.csv'"),
+    (["corpus", "--category", "reel", "--hist-out", "{tmp}", "--dump", "{dump}"],
+     "cannot write histogram {tmp}: [Errno 21] Is a directory: '{tmp}'"),
+    (["baseline", "--lengths", "4", "--samples", "2", "--out", "{tmp}/no/curve.json"],
+     "cannot write baseline curve {tmp}/no/curve.json: [Errno 2] No such file or directory: "
+     "'{tmp}/no/curve.json'"),
+], ids=["hist-out-two-categories", "hist-out-two-categories-json", "hist-out-no-directory",
+        "hist-out-is-a-directory", "out-no-directory"])
+def test_output_file_failure_prints_nothing_but_one_error_line(
+        capsys, tmp_path, dump_path, argv, message):
+    fill = {"tmp": str(tmp_path), "dump": str(dump_path)}
+    code, out, err = run(capsys, *[arg.format(**fill) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err == f"tunelz: error: {message.format(**fill)}\n"
+
+
 def test_corpus_from_dump_exit_code(capsys, dump_path):
     code, out, err = run(capsys, "corpus", "--dump", str(dump_path))
     assert code == 1

@@ -1,6 +1,10 @@
 """Corpus ingestion, analysis, aggregation and ranking."""
 
+import copy
+import gc
 import json
+import pickle
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -183,6 +187,119 @@ def test_dump_entry_missing_required_key(tmp_path):
     path.write_text('[{"name": "No Body", "type": "reel"}]', encoding="utf-8")
     with pytest.raises(IngestError):
         ingest_json_dump(path)
+
+
+_SALLY_ENTRY = {"setting_id": "1", "name": "Sally", "type": "reel", "abc": goldens.SALLY}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"setting_id": True}, "field 'setting_id' is neither a string nor an integer"),
+    ({"setting_id": 1.5}, "field 'setting_id' is neither a string nor an integer"),
+    ({"setting_id": ["1"]}, "field 'setting_id' is neither a string nor an integer"),
+    ({"setting_id": None, "tune_id": {"k": 1}}, "field 'tune_id' is neither a string nor an integer"),
+    ({"name": ["a"]}, "field 'name' is not a string"),
+    ({"name": None}, "field 'name' is not a string"),
+    ({"type": 1}, "field 'type' is not a string"),
+    ({"type": None}, "field 'type' is not a string"),
+    ({"abc": None}, "field 'abc' is not a string"),
+    ({"abc": {"k": 1}}, "field 'abc' is not a string"),
+    ({"meter": 4}, "field 'meter' is not a string"),
+    ({"meter": ["6/8"]}, "field 'meter' is not a string"),
+    ({"mode": False}, "field 'mode' is not a string"),
+    ({"mode": {"k": 1}}, "field 'mode' is not a string"),
+], ids=["id-bool", "id-float", "id-list", "tune-id-object", "name-list", "name-null",
+        "type-number", "type-null", "abc-null", "abc-object", "meter-number", "meter-list",
+        "mode-bool", "mode-object"])
+def test_dump_entry_field_that_is_not_a_string_is_refused(tmp_path, fields, message):
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps([_SALLY_ENTRY, {**_SALLY_ENTRY, **fields}]), encoding="utf-8")
+    with pytest.raises(IngestError) as exc:
+        ingest_json_dump(path)
+    assert str(exc.value) == f"dump {path} entry 1 {message}"
+
+
+@pytest.mark.parametrize("fields, record_id, key", [
+    ({"setting_id": 27}, "27", "C"),
+    ({"setting_id": 0}, "0", "C"),
+    ({"setting_id": None, "tune_id": 5}, "5", "C"),
+    ({"setting_id": "", "tune_id": "5"}, "5", "C"),
+    ({"meter": None, "mode": None}, "1", "C"),
+    ({"meter": "", "mode": ""}, "1", "C"),
+    ({"meter": "4/4", "mode": "Dmix"}, "1", "Dmix"),
+], ids=["int-id", "zero-id", "int-tune-id", "empty-setting-id", "null-defaults",
+        "empty-defaults", "given"])
+def test_dump_entry_takes_integer_ids_and_null_or_empty_defaults(tmp_path, fields, record_id, key):
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps([{**_SALLY_ENTRY, **fields}]), encoding="utf-8")
+    (record,) = ingest_json_dump(path)
+    assert (record.id, record.key) == (record_id, key)
+    assert record.outcome == QuaverSequence(goldens.SALLY, Category.REEL)
+
+
+def test_rejected_dump_entry_keeps_no_hold_on_the_dump(tmp_path):
+    filler = "x" * 4_000_000
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps([{**_SALLY_ENTRY, "abc": "ABcd", "notes": filler}]),
+                    encoding="utf-8")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        (record,) = ingest_json_dump(path)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert record.outcome.kind is ErrorKind.WRONG_LENGTH
+    # the rejection must not pin the dump's text or its decoded entries
+    assert retained < len(filler) // 20
+
+
+_REJECTED_DUMP = [
+    {**_SALLY_ENTRY, "meter": "4/4\nK: G"},
+    {**_SALLY_ENTRY, "meter": "4/0"},
+    {**_SALLY_ENTRY, "abc": "ABcd\nX: 2\nEFGA"},
+    {**_SALLY_ENTRY, "abc": "ABcd\nX: 2\nK: G\nEFGA"},
+    {**_SALLY_ENTRY, "abc": "ABcd"},
+    {**_SALLY_ENTRY, "abc": "ABzd"},
+]
+_REJECTED_ABC = "X: 1\nM: 4/4\nK: G\nABcd\n\nX: 2\nK: G\nABzd\n\nX: 3\nK: G\nA/B/cd\n"
+_SHORT = ("wrong_length: meter 4/4 with 4 quavers is not a standard-length reel "
+          "(4/4, 128) or jig (6/8, 96) (offset 0)")
+_REST = "unsupported_construct: rest has no symbol in the pitch alphabet (offset 2)"
+_REJECTIONS = {
+    "dump": [
+        "malformed_header: unusable meter '4/4\\nK: G' (offset 0)",
+        "malformed_header: unusable meter '4/0' (offset 0)",
+        "malformed_header: expected a header field before K:, got 'EFGA' (offset 10)",
+        "malformed_header: abc body holds 2 tunes (an X: line starts a new one); "
+        "a dump entry must hold exactly one (offset 0)",
+        _SHORT,
+        _REST,
+    ],
+    "abc": [_SHORT, _REST, "non_quaver_duration: A lasts 1/2 quavers (offset 0)"],
+}
+
+
+def _error_fields(err):
+    return type(err), err.kind, err.detail, err.location, err.args, str(err)
+
+
+@pytest.mark.parametrize("route", sorted(_REJECTIONS))
+def test_rejected_outcome_keeps_no_traceback_or_context(tmp_path, route):
+    if route == "dump":
+        path = tmp_path / "dump.json"
+        path.write_text(json.dumps(_REJECTED_DUMP), encoding="utf-8")
+        records = ingest_json_dump(path)
+    else:
+        path = tmp_path / "tunes.abc"
+        path.write_text(_REJECTED_ABC, encoding="utf-8")
+        records = ingest_abc_files([path])
+    assert [str(r.outcome) for r in records] == _REJECTIONS[route]
+    for record in records:
+        assert record.outcome.__traceback__ is None
+        assert record.outcome.__context__ is None
+        for duplicate in (copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))):
+            assert _error_fields(duplicate(record.outcome)) == _error_fields(record.outcome)
 
 
 def test_dump_not_json(tmp_path):
