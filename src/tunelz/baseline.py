@@ -41,8 +41,10 @@ class BaselinePoint(FrozenValue):
     __slots__ = ("length", "mean_ratio", "std_dev")
 
 
-class BaselineCurve(FrozenValue):
-    __slots__ = ("alphabet_size", "samples_per_length", "points", "rng_seed")
+class BaselineCurve(FrozenValue, defaults=(Algorithm.LZ77,)):
+    """Mean ratios of random strings by length, as ``algorithm`` parses them."""
+
+    __slots__ = ("alphabet_size", "samples_per_length", "points", "rng_seed", "algorithm")
 
     @property
     def lengths(self) -> tuple[int, ...]:
@@ -127,7 +129,7 @@ def estimate_baseline(
             text = _random_string(letters, length, seed, index)
             ratios.append(length / token_count(text, algorithm))
         points.append(BaselinePoint(length, *mean_and_spread(ratios)))
-    return BaselineCurve(alphabet_size, samples, tuple(points), seed)
+    return BaselineCurve(alphabet_size, samples, tuple(points), seed, algorithm)
 
 
 def baseline_at(curve: BaselineCurve, length: int) -> float:
@@ -177,28 +179,41 @@ def curve_to_json(curve: BaselineCurve) -> str:
 def curve_from_json(text: str) -> BaselineCurve:
     """Load a curve saved by ``curve_to_json``.
 
-    Raises ValueError when a field is missing or not a JSON number (an
-    integer for a length, count or seed; never a bool), when there are
-    no points, when lengths are not strictly increasing, when a field is
-    out of the range ``estimate_baseline`` draws from (a length or sample
-    count below 1, an alphabet size outside 1..26), or when a mean ratio
-    is not a finite positive number.
+    Raises ValueError when the curve, its ``points`` or a point is not a
+    JSON object, array and object, when a field is missing or not a JSON
+    number (an integer for a length, count or seed; never a bool), when
+    there are no points, when lengths are not strictly increasing, when a
+    field is out of the range ``estimate_baseline`` draws from (a length
+    or sample count below 1, an alphabet size outside 1..26), or when a
+    mean ratio is not a finite positive number, or when ``algorithm``, the
+    coder the ratios were sampled with, is present and neither ``"lz77"``
+    nor ``"lz78"``.
     """
     try:
         payload = json.loads(text)
     except RecursionError as exc:  # nesting deeper than the interpreter's stack
         raise ValueError(f"baseline curve is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError("baseline curve is not a JSON object")
+    algorithm = payload.get("algorithm", "lz77")  # a curve saved without it holds LZ77 ratios
+    if algorithm not in ("lz77", "lz78"):
+        raise ValueError(f"baseline curve algorithm is not lz77 or lz78: "
+                         f"{excerpt(json.dumps(algorithm), str)}")
     try:
-        points = tuple(
-            BaselinePoint(_field(p, "length", int), _field(p, "mean_ratio", float),
-                          _field(p, "std_dev", float))
-            for p in payload["points"]
-        )
+        if not isinstance(payload["points"], list):
+            raise ValueError("baseline curve points is not an array")
+        points = []
+        for index, p in enumerate(payload["points"]):
+            if not isinstance(p, dict):
+                raise ValueError(f"baseline curve point {index} is not an object")
+            points.append(BaselinePoint(_field(p, "length", int), _field(p, "mean_ratio", float),
+                                        _field(p, "std_dev", float)))
         curve = BaselineCurve(
             alphabet_size=_field(payload, "alphabet_size", int),
             samples_per_length=_field(payload, "samples_per_length", int),
-            points=points,
+            points=tuple(points),
             rng_seed=_field(payload, "rng_seed", int),
+            algorithm=Algorithm(algorithm),
         )
     except KeyError as exc:
         raise ValueError(f"baseline curve lacks field {exc}") from None

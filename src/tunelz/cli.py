@@ -150,9 +150,13 @@ def _load_curve(args) -> tuple[bl.BaselineCurve | None, int | None]:
         return None, None
     text = read_text(path, "baseline curve")
     try:
-        return bl.curve_from_json(text), reference
+        curve = bl.curve_from_json(text)
     except ValueError as exc:
         raise cp.IngestError(f"baseline curve {path} is not usable: {exc}") from exc
+    if curve.algorithm is not lz.Algorithm.LZ77:  # cp.analyze refuses it too, but unnamed
+        raise cp.IngestError(f"baseline curve {path} holds {curve.algorithm.value} ratios; "
+                             "length normalization needs lz77 ratios")
+    return curve, reference
 
 
 def cmd_normalize(args) -> int:

@@ -231,11 +231,15 @@ def analyze(
     """Compress every accepted record with both coders.
 
     When ``curve`` and ``reference_length`` are given, each report also
-    carries its ratio rescaled to the reference length.  Rejected
-    records yield no report (their errors stay on the records).
+    carries its LZ77 ratio rescaled to the reference length, so the curve
+    must hold LZ77 ratios.  Rejected records yield no report (their
+    errors stay on the records).
     """
     if (curve is None) != (reference_length is None):
         raise ValueError("length normalization needs both a curve and a reference length")
+    if curve is not None and curve.algorithm is not Algorithm.LZ77:
+        raise ValueError(f"length normalization needs an lz77 baseline curve, "
+                         f"not {curve.algorithm.value}")
     reports = []
     for record in records:
         if not record.accepted:

@@ -213,12 +213,19 @@ _ONE_DIGIT = {str(k): k for k in range(1, 10)}
 def _quaver_notes(body: str, unit_note_length: Fraction) -> list[tuple[str, int]]:
     """``(letter, quavers)`` per note in one pass over the body, repeats written out.
 
-    ``|: section :|`` plays the section twice; a ``:|`` without an
-    opening ``|:`` repeats from the start of the current section.  With
-    numbered endings the first pass plays through ending 1, the second
-    pass stops where ending 1 began and continues into ending 2.  The
-    first construct that cannot be read raises at once; the first note
-    that does not fill whole quavers raises only once the scan has ended.
+    A bar line is ``|``, ``||``, ``|]`` or ``[|``.  ``|:`` (also ``||:``
+    and ``|]:``) starts a section.  ``:|`` plays the section again, from
+    its start or, with no ``|:``, from the last ``:|`` or the body's
+    start, and a new section starts after it; so do ``::`` and ``:|:``.
+    With numbered endings the first pass plays through ending 1, and
+    the second pass stops where ending 1 began and goes on into ending 2:
+    ``|1``, ``:|1`` and ``[1`` open ending 1 unless one is open in the
+    section, and ``|2``, ``:|2`` and ``[2`` change nothing.  Any other
+    ending digit is an error, at the digit, or at the ``[`` of ``[3``.  A
+    ``:|`` takes no ``]`` or ``|`` after it, ``::`` nothing at all, and a
+    colon in no ``:|`` or ``::`` is a stray colon.  The first construct
+    that cannot be read raises at once; the first note that does not
+    fill whole quavers raises only once the scan has ended.
     """
     # a note lasts unit * num/den whole notes, that is 8 * unit * num/den quavers
     unit_num, unit_den = 8 * unit_note_length.numerator, unit_note_length.denominator
@@ -292,37 +299,30 @@ def _quaver_notes(body: str, unit_note_length: Fraction) -> list[tuple[str, int]
             append((c, quavers))
         elif c in _SILENT:
             i += 1
-        elif c == "|":
+        elif c == "|" or c == ":":
             i += 1
-            if i < n and body[i] in "]|":
+            if c == ":":
+                if i == n or body[i] not in ":|":
+                    raise NormalizationError(
+                        ErrorKind.UNSUPPORTED_CONSTRUCT, "stray colon", start
+                    )
+                # ":|" ends a repeat, and so does "::", whose repeat start then
+                # changes nothing: the next section starts here either way
+                out += out[section_start:len(out) if ending_1_at is None else ending_1_at]
+                section_start, ending_1_at = len(out), None
+                i += 1
+                if body[i - 1] == ":":
+                    continue
+            elif i < n and body[i] in "]|":
                 i += 1
             if i < n and body[i] == ":":  # repeat start
                 section_start, ending_1_at = len(out), None
                 i += 1
             elif i < n and body[i] in _DIGITS:
-                if _opens_ending_1(body[i], i) and ending_1_at is None:
-                    ending_1_at = len(out)
+                ending_1_at = _ending(body[i], i, ending_1_at, len(out))
                 i += 1
         elif c.isspace():
             i += 1
-        elif c == ":":
-            # ":|" ends a repeat, and so does "::", whose repeat start then
-            # changes nothing: the next section starts here either way
-            if i + 1 < n and body[i + 1] in ":|":
-                out += out[section_start:len(out) if ending_1_at is None else ending_1_at]
-                section_start, ending_1_at = len(out), None
-                i += 2
-                if body[i - 1] == "|" and i < n:
-                    if body[i] == ":":
-                        i += 1
-                    elif body[i] in _DIGITS:
-                        if _opens_ending_1(body[i], i):
-                            ending_1_at = len(out)
-                        i += 1
-            else:
-                raise NormalizationError(
-                    ErrorKind.UNSUPPORTED_CONSTRUCT, "stray colon", i
-                )
         elif c == "{":
             close = body.find("}", i)
             if close == -1:
@@ -347,8 +347,7 @@ def _quaver_notes(body: str, unit_note_length: Fraction) -> list[tuple[str, int]
             i += 1  # slur
         elif c == "[":
             if i + 1 < n and body[i + 1] in _DIGITS:
-                if _opens_ending_1(body[i + 1], i) and ending_1_at is None:
-                    ending_1_at = len(out)
+                ending_1_at = _ending(body[i + 1], i, ending_1_at, len(out))
                 i += 2
             elif i + 1 < n and body[i + 1] == "|":
                 i += 2
@@ -381,12 +380,13 @@ def _quaver_notes(body: str, unit_note_length: Fraction) -> list[tuple[str, int]
     return out
 
 
-def _opens_ending_1(digit: str, location: int) -> bool:
-    """Whether an ending number opens ending 1 (ending 2 carries no content)."""
+def _ending(digit: str, location: int, ending_1_at: int | None, here: int) -> int | None:
+    """Where ending 1 begins once ending ``digit`` is read at ``here`` in the
+    output: the first ``1`` of a section opens it, ``2`` carries no content."""
     if digit == "1":
-        return True
+        return here if ending_1_at is None else ending_1_at
     if digit == "2":
-        return False
+        return ending_1_at
     raise NormalizationError(
         ErrorKind.UNSUPPORTED_CONSTRUCT, f"ending |{digit} beyond second", location
     )

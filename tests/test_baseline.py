@@ -212,6 +212,21 @@ def test_json_round_trip():
     assert curve_from_json(curve_to_json(curve)) == curve
 
 
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+def test_json_round_trip_keeps_the_coder(algorithm):
+    curve = estimate_baseline([10, 20], alphabet_size=4, samples=12, seed=9, algorithm=algorithm)
+    assert curve.algorithm is algorithm
+    text = curve_to_json(curve)
+    assert json.loads(text)["algorithm"] == algorithm.value
+    assert curve_from_json(text) == curve
+
+
+def test_json_curve_without_a_coder_holds_lz77_ratios():
+    text = (Path(__file__).parent / "data" / "baseline_curve.json").read_text(encoding="utf-8")
+    assert "algorithm" not in json.loads(text)
+    assert curve_from_json(text).algorithm is Algorithm.LZ77
+
+
 @pytest.mark.parametrize("changes, message", [
     ({"rng_seed": None}, "lacks field 'rng_seed'"),
     ({"points": [{"length": 96, "std_dev": 0.0}]}, "lacks field 'mean_ratio'"),
@@ -252,10 +267,25 @@ def test_json_round_trip():
     ({"alphabet_size": 27}, "^baseline curve alphabet_size must be in 1..26: 27$"),
     ({"samples_per_length": -3}, "^baseline curve samples_per_length must be >= 1: -3$"),
     ({"samples_per_length": 0}, "^baseline curve samples_per_length must be >= 1: 0$"),
+    # a value of the wrong JSON kind where an object or array is due; a list
+    # or string in place of changes is the whole curve
+    ([], "^baseline curve is not a JSON object$"),
+    ("curve", "^baseline curve is not a JSON object$"),
+    ({"points": 5}, "^baseline curve points is not an array$"),
+    ({"points": {"length": 96}}, "^baseline curve points is not an array$"),
+    ({"points": [5]}, "^baseline curve point 0 is not an object$"),
+    ({"points": [{"length": 96, "mean_ratio": 1.23, "std_dev": 0.0}, [128]]},
+     "^baseline curve point 1 is not an object$"),
+    # the coder the ratios were sampled with
+    ({"algorithm": "lz79"}, '^baseline curve algorithm is not lz77 or lz78: "lz79"$'),
+    ({"algorithm": "LZ77"}, '^baseline curve algorithm is not lz77 or lz78: "LZ77"$'),
+    ({"algorithm": 77}, "^baseline curve algorithm is not lz77 or lz78: 77$"),
 ])
 def test_json_load_rejects_bad_curve(changes, message):
-    payload = json.loads(curve_to_json(REFERENCE_CURVE)) | changes
-    text = json.dumps({k: v for k, v in payload.items() if v is not None})
+    if isinstance(changes, dict):
+        payload = json.loads(curve_to_json(REFERENCE_CURVE)) | changes
+        changes = {k: v for k, v in payload.items() if v is not None}
+    text = json.dumps(changes)
     with pytest.raises(ValueError, match=message) as exc:
         curve_from_json(text)
     assert type(exc.value) is ValueError

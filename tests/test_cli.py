@@ -295,6 +295,18 @@ def test_analyze_rejects_bad_curve(capsys, tmp_path, sally_path, curve):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "corpus"])
+def test_curve_of_lz78_ratios_is_refused_by_name(capsys, tmp_path, jig_path, command):
+    curve_file = tmp_path / "curve.json"
+    run(capsys, "baseline", "--lengths", "96,128", "--algo", "lz78", "--samples", "20",
+        "--out", str(curve_file))
+    code, out, err = run(capsys, command, "--baseline", str(curve_file),
+                         "--normalize-to", "128", str(jig_path))
+    assert (code, out) == (2, "")
+    assert err == (f"tunelz: error: baseline curve {curve_file} holds lz78 ratios; "
+                   "length normalization needs lz77 ratios\n")
+
+
 def test_analyze_from_dump(capsys, dump_path):
     code, out, err = run(capsys, "analyze", "--format", "json", "--dump",
                          str(dump_path))
@@ -826,7 +838,10 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # -B: -I ignores PYTHONDONTWRITEBYTECODE, and the test leaves no bytecode behind
     src = str(Path(tunelz.__file__).parent.parent)
     code = (f"import sys; sys.path.insert(0, {src!r}); import tunelz.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules))); "
+            # the runtime is stdlib-only: every module loaded is the standard library's
+            "print(sorted({name.partition('.')[0] for name in sys.modules}"
+            " - set(sys.stdlib_module_names) - {'tunelz', '__main__'}))")
     result = subprocess.run([sys.executable, "-S", "-I", "-B", "-c", code],
                             capture_output=True, encoding="utf-8", check=True)
-    assert result.stdout == "[]\n"
+    assert result.stdout == "[]\n[]\n"

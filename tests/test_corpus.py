@@ -32,7 +32,7 @@ from tunelz.corpus import (
 )
 from tunelz.notation import ErrorKind, NormalizationError, QuaverSequence
 from tunelz.corpus import TuneRecord
-from tunelz.lz import compress_lz78, compression_ratio
+from tunelz.lz import Algorithm, compress_lz78, compression_ratio
 
 import goldens
 
@@ -440,6 +440,14 @@ def test_analyze_requires_curve_and_reference_together(sally_path):
         analyze(records, CURVE, None)
     with pytest.raises(ValueError):
         analyze(records, None, 128)
+
+
+def test_analyze_refuses_a_curve_of_lz78_ratios(sally_path):
+    # the reports' ratios are LZ77 ratios, so only an LZ77 curve can rescale them
+    curve = BaselineCurve(13, 1000, CURVE.points, 0, Algorithm.LZ78)
+    with pytest.raises(ValueError, match="^length normalization needs an lz77 baseline "
+                                         "curve, not lz78$"):
+        analyze(ingest_abc_files([sally_path]), curve, 128)
 
 
 # --------------------------------------------------------------- aggregate

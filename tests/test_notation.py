@@ -234,6 +234,34 @@ def test_second_pass_stops_at_the_first_ending_1_mark(body):
     assert expand_body(body, UNIT) == "ABcdef" + "ABga"
 
 
+# what each bar line does to repeats, as the _quaver_notes docstring and the
+# README table give it: a string is the expansion, a triple the error
+_UNSUPPORTED = ErrorKind.UNSUPPORTED_CONSTRUCT
+
+
+@pytest.mark.parametrize("body, outcome", [
+    # only a bar line that begins with "|" takes a "]" or "|" after it
+    ("AB :|] cd", (_UNSUPPORTED, "unsupported character ']'", 5)),
+    ("|: AB :|: cd :|", "ABABcdcd"),
+    ("AB :|| cd", "ABABcd"),
+    ("AB [| cd", "ABcd"),
+    ("AB |]: cd :|", "ABcdcd"),
+    # an ending past the second is reported at its digit after ":|", at the "[" of "[3"
+    ("|: AB :|3 cd", (_UNSUPPORTED, "ending |3 beyond second", 8)),
+    ("|: AB [3 cd", (_UNSUPPORTED, "ending |3 beyond second", 6)),
+    # a colon belongs to ":|" or "::", and nothing more is read after "::"
+    ("AB : cd", (_UNSUPPORTED, "stray colon", 3)),
+    ("AB ::: cd", (_UNSUPPORTED, "stray colon", 5)),
+])
+def test_bar_lines_read_as_documented(body, outcome):
+    if isinstance(outcome, str):
+        assert expand_body(body, UNIT) == outcome
+        return
+    with pytest.raises(NormalizationError) as exc:
+        expand_body(body, UNIT)
+    assert (exc.value.kind, exc.value.detail, exc.value.location) == outcome
+
+
 # ------------------------------------------------------------- rejections
 
 

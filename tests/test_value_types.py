@@ -48,9 +48,10 @@ CASES = [
      "BaselinePoint(length=96, mean_ratio=1.25, std_dev=0.5)"),
     (BaselineCurve,
      [("alphabet_size", 13), ("samples_per_length", 10), ("points", (POINT,)),
-      ("rng_seed", 7)],
+      ("rng_seed", 7), ("algorithm", Algorithm.LZ78)],
      "BaselineCurve(alphabet_size=13, samples_per_length=10, points=(BaselinePoint("
-     "length=96, mean_ratio=1.25, std_dev=0.5),), rng_seed=7)"),
+     "length=96, mean_ratio=1.25, std_dev=0.5),), rng_seed=7, "
+     "algorithm=<Algorithm.LZ78: 'lz78'>)"),
     (QuaverSequence, [("symbols", "ab"), ("category", Category.REEL)],
      "QuaverSequence(symbols='ab', category=<Category.REEL: 'reel'>)"),
     (AbcTune,
@@ -82,7 +83,8 @@ CASES = [
      "bin_count=2, lower=1.0, upper=2.0, counts=(1, 0)), degenerate=True)"),
 ]
 MUTABLE = (AbcTune, TuneRecord)
-WITH_DEFAULT = (Lz78Token, ComplexityReport, CorpusStats, AbcTune)  # last field optional
+# last field optional
+WITH_DEFAULT = (Lz78Token, BaselineCurve, ComplexityReport, CorpusStats, AbcTune)
 ALL = pytest.mark.parametrize("cls, fields, text", CASES, ids=[c[0].__name__ for c in CASES])
 FROZEN = pytest.mark.parametrize(
     "cls, fields, text", [c for c in CASES if c[0] not in MUTABLE],
@@ -126,6 +128,7 @@ def test_wrong_field_sets_are_type_errors(cls, fields, text):
 
 def test_defaults():
     assert Lz78Token(3).extension is None
+    assert BaselineCurve(13, 10, (POINT,), 7).algorithm is Algorithm.LZ77
     report = ComplexityReport("7", "N", Category.REEL, 128, 40, 50, Fraction(16, 5),
                               Fraction(64, 25))
     assert report.normalized_ratio is None
