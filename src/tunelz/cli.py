@@ -159,6 +159,16 @@ def _load_curve(args) -> tuple[bl.BaselineCurve | None, int | None]:
     return curve, reference
 
 
+def _analyze(args, records: list[cp.TuneRecord]) -> list[cp.ComplexityReport]:
+    """``cp.analyze`` under the curve flags; a length the curve does not span
+    names the curve file."""
+    curve, reference = _load_curve(args)
+    try:
+        return cp.analyze(records, curve, reference)
+    except bl.CurveRangeError as exc:
+        raise cp.IngestError(f"baseline curve {args.baseline_path} is not usable: {exc}") from exc
+
+
 def cmd_normalize(args) -> int:
     records = cp.ingest_abc_files(args.paths)
     accepted = [r for r in records if r.accepted]
@@ -234,8 +244,7 @@ def cmd_decompress(args) -> int:
 
 def cmd_analyze(args) -> int:
     records = _load_records(args)
-    curve, reference = _load_curve(args)
-    reports = cp.analyze(records, curve, reference)
+    reports = _analyze(args, records)
     if args.format == "text":
         for r in reports:
             extra = "" if r.normalized_ratio is None else f"\tnorm {r.normalized_ratio:.4f}"
@@ -263,8 +272,7 @@ def _selected_categories(args, reports) -> list[cp.Category]:
 
 def cmd_corpus(args) -> int:
     records = _load_records(args)
-    curve, reference = _load_curve(args)
-    reports = cp.analyze(records, curve, reference)
+    reports = _analyze(args, records)
     stats_list = [cp.aggregate(reports, c, args.bins)
                   for c in _selected_categories(args, reports)]
     if args.hist_out:  # before any output, so that a failure leaves stdout empty

@@ -20,10 +20,10 @@ All functions here are pure and safe to call from multiple threads.
 from __future__ import annotations
 
 import json
-import operator
 import re
 from enum import Enum
 from fractions import Fraction
+from itertools import count
 
 from ._value import MAX_STREAM_SYMBOLS, FrozenValue, excerpt, integer, is_int, plain, shown
 
@@ -86,28 +86,33 @@ def _lz77_parse(seq: str) -> list[tuple[int, int] | None]:
     taken, with the smallest start among the longest.  A match starting
     at ``s`` may run past ``pos`` (overlapping copy), so a probe of
     length ``k`` asks whether ``seq[pos:pos+k]`` occurs inside
-    ``seq[:pos+k-1]``.  The bigram probe is a lookup in ``first``, the
-    smallest start of each bigram, built without a bytecode step per
-    symbol: zipping the bigrams in reverse lets the smallest start write
-    last, and each lookup hashes a string whose hash the build cached.
-    A position that is its bigram's first start is a literal, and so is
-    the last symbol.  Whether a match exists is monotone in ``k``, so
-    after the bigram the search gallops through lengths 3, 4, 6, 10, ...
-    until a probe fails, then bisects that last gap.  The smallest start
-    of a longer match is never below that of a shorter one, so each
-    probe searches from the last start found.
+    ``seq[:pos+k-1]``.  ``first[pos]`` is the smallest start of the
+    bigram at ``pos``, built by ``map`` alone: ``setdefault`` keeps the
+    first start each bigram is given.  The last symbol counts as a new
+    bigram, so ``first`` has one entry per symbol.  A position that is
+    its bigram's first start is a literal.  A repeated bigram followed
+    by a new one is a match of two symbols, since a longer match would
+    copy the new bigram from an earlier start.  Otherwise, whether a
+    match exists is monotone in ``k``, so the search gallops through
+    lengths 3, 4, 6, 10, ... until a probe fails, then bisects that last
+    gap.  The smallest start of a longer match is never below that of a
+    shorter one, so each probe searches from the last start found.
     """
     find = seq.find
     n = len(seq)
-    bigrams = list(map(operator.add, seq, seq[1:]))  # one 2-symbol string per symbol
-    first = dict(zip(reversed(bigrams), range(len(bigrams) - 1, -1, -1)))
+    first = list(map({}.setdefault, zip(seq, seq[1:]), count()))
+    first.append(n - 1)
     parse: list[tuple[int, int] | None] = []
     pos = 0
-    while pos < n - 1:
-        start = first[bigrams[pos]]
+    while pos < n:
+        start = first[pos]
         if start == pos:
             parse.append(None)
             pos += 1
+            continue
+        if first[pos + 1] == pos + 1:
+            parse.append((start, MIN_MATCH))
+            pos += MIN_MATCH
             continue
         lo, hi, k = MIN_MATCH, n - pos + 1, MIN_MATCH + 1  # lo matches, hi does not
         while k < hi:
@@ -126,8 +131,6 @@ def _lz77_parse(seq: str) -> list[tuple[int, int] | None]:
                 start, lo = found, mid
         parse.append((start, lo))
         pos += lo
-    if pos < n:
-        parse.append(None)
     return parse
 
 

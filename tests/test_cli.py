@@ -580,6 +580,24 @@ def test_curve_out_of_range_is_refused(capsys, tmp_path, sally_path):
                        f"baseline curve {detail}\n")
 
 
+# a reference length past the curve, and a tune (the 96-quaver jig) before it
+@pytest.mark.parametrize("points, reference, tunes, span", [
+    ((96, 128), "500", "sally_gardens.abc", "length 500 outside sampled span [96, 128]"),
+    ((128,), "128", "jig_and_truncated.abc", "length 96 outside sampled span [128, 128]"),
+], ids=["reference-length", "tune-length"])
+@pytest.mark.parametrize("command", ["analyze", "corpus"])
+def test_length_outside_the_curve_names_the_curve_file(capsys, tmp_path, command, points,
+                                                       reference, tunes, span):
+    payload = json.loads((DATA_DIR / "baseline_curve.json").read_text(encoding="utf-8"))
+    payload["points"] = [p for p in payload["points"] if p["length"] in points]
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run(capsys, command, "--baseline", str(curve), "--normalize-to", reference,
+                         str(DATA_DIR / tunes))
+    assert (code, out) == (2, "")
+    assert err == f"tunelz: error: baseline curve {curve} is not usable: {span}\n"
+
+
 def test_bins_at_the_ceiling_are_written(capsys, extreme_reels_path):
     code, out, _ = run(capsys, "corpus", "--format", "json", "--bins", "10000",
                        str(extreme_reels_path))

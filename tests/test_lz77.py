@@ -1,6 +1,7 @@
 """LZ77 coder: golden parses, round trips, and oracle equivalence."""
 
 import json
+import string
 import tracemalloc
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from tunelz.lz import (
     MAX_STREAM_SYMBOLS,
     Literal,
     TokenStream,
+    _lz77_parse,
     compress,
     compress_lz77,
     compression_ratio,
@@ -170,16 +172,36 @@ def test_decompress_stops_at_a_literal_past_the_declared_length():
         decompress(stream)
 
 
-# the last six are the edges of the bigram index: no bigram at all, one, the
-# last symbol left over, a parse ending on a bigram's first start, and
-# bigrams of letters past ASCII, which raw compress accepts
+# from "length-0" on, the edges of the index of each bigram's first start,
+# in which the last symbol counts as a new bigram: no bigram at all, one,
+# the last symbol left over, a parse ending on a bigram's first start,
+# bigrams of letters past ASCII (which raw compress accepts), a two-symbol
+# match that ends the string, a bigram whose first start does not extend
+# while a later start does, a new bigram right after a repeated one, and a
+# repeated bigram after a repeated one, followed by a new one
 @pytest.mark.parametrize("seq", ["\u00e9\u00e9\u00e9", "0120120", "a1a1\u00e9a1",
                                  "", "a", "ab", "aab", "abaabb",
-                                 "\u00e9\u00df\u00e9\u00df\u0416\u0416\u0416\u00e9\u0416"],
+                                 "\u00e9\u00df\u00e9\u00df\u0416\u0416\u0416\u00e9\u0416",
+                                 "abcab", "abxabyaby", "abcabdc", "abcabcx"],
                          ids=["accented", "digits", "mixed", "length-0", "length-1", "length-2",
-                              "length-3", "ends-on-first-bigram", "non-ascii-bigrams"])
+                              "length-3", "ends-on-first-bigram", "non-ascii-bigrams",
+                              "ends-on-two-symbol-match", "later-start-extends",
+                              "new-bigram-after-match", "new-bigram-two-on"])
 def test_non_letter_symbols_parse_as_the_oracle_does(seq):
     assert oracles.plain_tokens(compress_lz77(seq)) == oracles.naive_compress_lz77(seq)
+
+
+def test_parse_of_a_long_run_holds_about_one_pointer_per_symbol():
+    # the index of first starts is one list entry per symbol, about 8 MB here
+    seq = "a" * 10**6
+    tracemalloc.start()
+    try:
+        parse = _lz77_parse(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parse == [None, (0, 10**6 - 1)]
+    assert peak < 16 * 1024 * 1024
 
 
 def test_paper_grid_strings_parse_as_the_oracle_does():
@@ -311,6 +333,20 @@ def test_round_trip(seq):
 @given(sequences(max_size=256))
 @settings(max_examples=150, deadline=None)
 def test_matches_naive_oracle(seq):
+    assert oracles.plain_tokens(compress_lz77(seq)) == oracles.naive_compress_lz77(seq)
+
+
+def wide_sequences(max_size):
+    """Up to 26 ASCII letters and up to 4 past ASCII: new bigrams are common."""
+    return st.tuples(st.integers(1, 26), st.integers(0, 4)).flatmap(
+        lambda sizes: st.text(alphabet=string.ascii_lowercase[:sizes[0]]
+                              + "\u00e9\u00df\u0416\U0001d11e"[:sizes[1]], max_size=max_size)
+    )
+
+
+@given(wide_sequences(max_size=256))
+@settings(max_examples=150, deadline=None)
+def test_matches_naive_oracle_over_wide_alphabets(seq):
     assert oracles.plain_tokens(compress_lz77(seq)) == oracles.naive_compress_lz77(seq)
 
 
