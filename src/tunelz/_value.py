@@ -1,12 +1,13 @@
-"""Slotted value classes, in place of ``@dataclass``.
+"""Slotted, frozen value classes, in place of ``@dataclass(frozen=True)``.
 
 ``dataclasses`` imports ``inspect`` (and with it ``ast``, ``dis`` and
 ``tokenize``) and ``exec``s generated code for every class it builds,
 all of which every command paid at start-up.  A subclass lists its
 fields once, in constructor order, in ``__slots__``; ``Value`` compiles
-its ``__init__`` from that list, one plain line per field, the
+its ``__init__`` from that list, one plain call per field, the
 ``defaults`` class keyword gives the defaults of the last fields, and
 ``plain`` reads the fields back out as JSON-ready data for the exports.
+Every value is frozen and hashed by its fields.
 
 The input boundary is kept here too: the one reader of input files, its
 twin for standard input, the one writer of output files, the one reader
@@ -90,21 +91,18 @@ def shown(value) -> str:
 
 
 class Value:
-    """Field-wise ``==`` between objects of one class; unhashable, since mutable."""
+    """Fields fixed at construction: field-wise ``==`` between objects of
+    one class, a hash of the fields, and no assignment or deletion."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, defaults=()):
         fields = cls.__match_args__ = cls.__slots__
-        if not fields:  # FrozenValue itself
-            return
-        if issubclass(cls, FrozenValue):
-            sets = [f"object.__setattr__(self, {name!r}, {name})" for name in fields]
-        else:
-            sets = [f"self.{name} = {name}" for name in fields]
-        # exec'd once per class, as dataclasses does: the same bytecode as a
-        # hand-written __init__, where a generic one taking *args is slower
-        namespace = {}
+        # exec'd once per class, as dataclasses does, where a generic __init__
+        # taking *args is slower; each field is set through its slot's own
+        # setter, which the refusing __setattr__ does not see
+        namespace = {f"_set{i}": cls.__dict__[name].__set__ for i, name in enumerate(fields)}
+        sets = [f"_set{i}(self, {name})" for i, name in enumerate(fields)]
         exec(f"def __init__(self, {', '.join(fields)}): {'; '.join(sets)}", namespace)
         init = cls.__init__ = namespace["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -118,7 +116,14 @@ class Value:
             return NotImplemented
         return self._values() == other._values()
 
-    __hash__ = None
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
@@ -152,17 +157,3 @@ def plain(value):
         return value._value_  # .value, without its descriptor
     return value
 
-
-class FrozenValue(Value):
-    """A Value whose fields cannot change after construction; hashed by its fields."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")

@@ -17,7 +17,7 @@ import json
 import math
 import random
 
-from ._value import FrozenValue, excerpt, is_int, plain, shown
+from ._value import Value, excerpt, is_int, plain, shown
 from .lz import Algorithm, token_count
 
 DEFAULT_ALPHABET_SIZE = 13
@@ -42,11 +42,11 @@ class CurveRangeError(ValueError):
     """A query length outside the sampled span; no extrapolation."""
 
 
-class BaselinePoint(FrozenValue):
+class BaselinePoint(Value):
     __slots__ = ("length", "mean_ratio", "std_dev")
 
 
-class BaselineCurve(FrozenValue, defaults=(Algorithm.LZ77,)):
+class BaselineCurve(Value, defaults=(Algorithm.LZ77,)):
     """Mean ratios of random strings by length, as ``algorithm`` parses them."""
 
     __slots__ = ("alphabet_size", "samples_per_length", "points", "rng_seed", "algorithm")

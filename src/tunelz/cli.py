@@ -142,31 +142,18 @@ def _report_rejections(records: list[cp.TuneRecord]) -> int:
     return len(rejected)
 
 
-def _load_curve(args) -> tuple[bl.BaselineCurve | None, int | None]:
+def _analyze(args, records: list[cp.TuneRecord]) -> list[cp.ComplexityReport]:
+    """``cp.analyze`` under the curve flags; every fault of the curve names its file."""
     path, reference = args.baseline_path, args.normalize_to
     if (path is None) != (reference is None):
         raise cp.IngestError("--baseline and --normalize-to go together")
     if path is None:
-        return None, None
+        return cp.analyze(records)
     text = read_text(path, "baseline curve")
     try:
-        curve = bl.curve_from_json(text)
+        return cp.analyze(records, bl.curve_from_json(text), reference)
     except ValueError as exc:
         raise cp.IngestError(f"baseline curve {path} is not usable: {exc}") from exc
-    if curve.algorithm is not lz.Algorithm.LZ77:  # cp.analyze refuses it too, but unnamed
-        raise cp.IngestError(f"baseline curve {path} holds {curve.algorithm.value} ratios; "
-                             "length normalization needs lz77 ratios")
-    return curve, reference
-
-
-def _analyze(args, records: list[cp.TuneRecord]) -> list[cp.ComplexityReport]:
-    """``cp.analyze`` under the curve flags; a length the curve does not span
-    names the curve file."""
-    curve, reference = _load_curve(args)
-    try:
-        return cp.analyze(records, curve, reference)
-    except bl.CurveRangeError as exc:
-        raise cp.IngestError(f"baseline curve {args.baseline_path} is not usable: {exc}") from exc
 
 
 def cmd_normalize(args) -> int:
@@ -223,7 +210,8 @@ def cmd_compress(args) -> int:
                 block += (f"\nratio {stream.source_length}/{len(stream.tokens)}"
                           f" ≈ {float(ratio):.2f}")
             outputs.append(block)
-    print("\n\n".join(outputs))
+    if outputs:
+        print("\n\n".join(outputs))
     return 1 if rejected else 0
 
 

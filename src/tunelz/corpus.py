@@ -21,7 +21,7 @@ import os
 from enum import Enum
 from fractions import Fraction
 
-from ._value import FrozenValue, IngestError, Value, excerpt, is_int, plain, read_text
+from ._value import IngestError, Value, excerpt, is_int, plain, read_text
 from .baseline import BaselineCurve, mean_and_spread, normalize_ratio
 from .lz import Algorithm, compress_lz77, compression_ratio, token_count
 from .notation import (
@@ -53,17 +53,17 @@ class TuneRecord(Value):
         return isinstance(self.outcome, QuaverSequence)
 
 
-class ComplexityReport(FrozenValue, defaults=(None,)):
+class ComplexityReport(Value, defaults=(None,)):
     __slots__ = (
         "id", "name", "category", "length", "lz77_tokens", "lz78_tokens",
         "ratio_lz77", "ratio_lz78", "normalized_ratio")
 
 
-class HistogramSpec(FrozenValue):
+class HistogramSpec(Value):
     __slots__ = ("bin_count", "lower", "upper", "counts")
 
 
-class CorpusStats(FrozenValue, defaults=(False,)):
+class CorpusStats(Value, defaults=(False,)):
     __slots__ = (
         "category", "count", "mean_ratio", "std_dev", "min", "max", "histogram", "degenerate")
 
@@ -234,6 +234,11 @@ def analyze(
     carries its LZ77 ratio rescaled to the reference length, so the curve
     must hold LZ77 ratios.  Rejected records yield no report (their
     errors stay on the records).
+
+    Raises ValueError when only one of ``curve`` and ``reference_length``
+    is given, or when the curve holds LZ78 ratios; CurveRangeError, a
+    ValueError, when the reference length or an accepted tune's length
+    lies outside the curve's sampled span.
     """
     if (curve is None) != (reference_length is None):
         raise ValueError("length normalization needs both a curve and a reference length")

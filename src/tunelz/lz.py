@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import count
 
-from ._value import MAX_STREAM_SYMBOLS, FrozenValue, excerpt, integer, is_int, plain, shown
+from ._value import MAX_STREAM_SYMBOLS, Value, excerpt, integer, is_int, plain, shown
 
 MIN_MATCH = 2
 
@@ -39,13 +39,13 @@ class CorruptStream(ValueError):
     """A token stream violates its own invariants and cannot be decoded."""
 
 
-class Literal(FrozenValue):
+class Literal(Value):
     """A single symbol emitted verbatim."""
 
     __slots__ = ("symbol",)
 
 
-class BackRef(FrozenValue):
+class BackRef(Value):
     """Copy ``length`` symbols starting at absolute 0-based ``start``.
 
     ``start`` always precedes the position where the token begins
@@ -64,7 +64,7 @@ _LETTER_LITERALS = {ch: Literal(ch)
                     for ch in "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"}
 
 
-class Lz78Token(FrozenValue, defaults=(None,)):
+class Lz78Token(Value, defaults=(None,)):
     """Dictionary phrase ``prefix_index`` extended by one symbol.
 
     ``prefix_index`` 0 is the empty phrase; index k >= 1 is the phrase
@@ -75,7 +75,7 @@ class Lz78Token(FrozenValue, defaults=(None,)):
     __slots__ = ("prefix_index", "extension")
 
 
-class TokenStream(FrozenValue):
+class TokenStream(Value):
     __slots__ = ("algorithm", "tokens", "source_length")
 
 

@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 
-from ._value import MAX_DIGITS, MAX_STREAM_SYMBOLS, FrozenValue, Value, excerpt, integer
+from ._value import MAX_DIGITS, MAX_STREAM_SYMBOLS, Value, excerpt, integer
 
 QUAVER = Fraction(1, 8)
 PITCH_LETTERS = frozenset("ABCDEFGabcdefg")
@@ -66,7 +66,7 @@ class AbcTune(Value, defaults=(None,)):
         "reference_number", "title", "meter", "unit_note_length", "key", "body", "rhythm")
 
 
-class QuaverSequence(FrozenValue):
+class QuaverSequence(Value):
     """A normalized melody: one pitch symbol per quaver, in order."""
 
     __slots__ = ("symbols", "category")

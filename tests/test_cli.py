@@ -100,6 +100,13 @@ def test_compress_spaced_x_header_is_abc(capsys, tmp_path, sally_path):
     code, out, _ = run(capsys, "compress", str(spaced))
     assert code == 0
     assert out == expected
+    # an ABC file whose one tune is rejected prints nothing, in either format
+    rejected = tmp_path / "rejected.abc"
+    rejected.write_text("X:1\nK:\n", encoding="utf-8")
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "compress", "--format", fmt, str(rejected))
+        assert (code, out) == (1, "")
+        assert err.startswith("tunelz: rejected rejected:1 (): wrong_length")
 
 
 def test_compress_raw_input_past_the_ceiling_names_the_file(capsys, tmp_path):
@@ -303,8 +310,8 @@ def test_curve_of_lz78_ratios_is_refused_by_name(capsys, tmp_path, jig_path, com
     code, out, err = run(capsys, command, "--baseline", str(curve_file),
                          "--normalize-to", "128", str(jig_path))
     assert (code, out) == (2, "")
-    assert err == (f"tunelz: error: baseline curve {curve_file} holds lz78 ratios; "
-                   "length normalization needs lz77 ratios\n")
+    assert err == (f"tunelz: error: baseline curve {curve_file} is not usable: "
+                   "length normalization needs an lz77 baseline curve, not lz78\n")
 
 
 def test_analyze_from_dump(capsys, dump_path):

@@ -82,13 +82,9 @@ CASES = [
      "min=('7', Fraction(3, 2)), max=('7', Fraction(3, 2)), histogram=HistogramSpec("
      "bin_count=2, lower=1.0, upper=2.0, counts=(1, 0)), degenerate=True)"),
 ]
-MUTABLE = (AbcTune, TuneRecord)
 # last field optional
 WITH_DEFAULT = (Lz78Token, BaselineCurve, ComplexityReport, CorpusStats, AbcTune)
 ALL = pytest.mark.parametrize("cls, fields, text", CASES, ids=[c[0].__name__ for c in CASES])
-FROZEN = pytest.mark.parametrize(
-    "cls, fields, text", [c for c in CASES if c[0] not in MUTABLE],
-    ids=[c[0].__name__ for c in CASES if c[0] not in MUTABLE])
 
 
 def build(cls, fields):
@@ -156,7 +152,7 @@ def test_equality_is_field_wise_and_type_strict(cls, fields, text):
     assert not obj == changed
 
 
-@FROZEN
+@ALL
 def test_frozen_types_hash_by_fields(cls, fields, text):
     a, b = build(cls, fields), build(cls, fields)
     assert hash(a) == hash(b)
@@ -164,18 +160,7 @@ def test_frozen_types_hash_by_fields(cls, fields, text):
     assert {a: 1}[b] == 1
 
 
-@pytest.mark.parametrize("cls", MUTABLE, ids=[cls.__name__ for cls in MUTABLE])
-def test_mutable_records_are_unhashable_and_assignable(cls):
-    fields = next(f for c, f, _ in CASES if c is cls)
-    obj = build(cls, fields)
-    with pytest.raises(TypeError):
-        hash(obj)
-    for name, _ in fields:
-        setattr(obj, name, "new")
-        assert getattr(obj, name) == "new"
-
-
-@FROZEN
+@ALL
 def test_frozen_fields_refuse_assignment_and_deletion(cls, fields, text):
     obj = build(cls, fields)
     for name, value in fields:
