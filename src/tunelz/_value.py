@@ -37,9 +37,10 @@ class IngestError(ValueError):
 
 
 def read_text(path, what: str) -> str:
-    """A file's UTF-8 text, line breaks read as ``\\n``; IngestError names an unreadable one."""
+    """A file's UTF-8 text, less a leading byte-order mark, line breaks read
+    as ``\\n``; IngestError names an unreadable one."""
     try:
-        with open(path, encoding="utf-8") as file:
+        with open(path, encoding="utf-8-sig") as file:
             return file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read {what} {path}: {exc}") from exc
@@ -57,7 +58,7 @@ def write_text(path, what: str, text: str) -> None:
 def read_stdin(stdin, what: str) -> str:
     """Binary ``stdin`` read as read_text reads a file; IngestError names it ``-``."""
     try:
-        text = stdin.read().decode("utf-8")
+        text = stdin.read().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read {what} -: {exc}") from exc
     return text.replace("\r\n", "\n").replace("\r", "\n")

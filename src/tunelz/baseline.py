@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import statistics
 
 from ._value import Value, excerpt, is_int, plain, shown
 from .lz import Algorithm, token_count
@@ -51,45 +52,12 @@ class BaselineCurve(Value, defaults=(Algorithm.LZ77,)):
 
     __slots__ = ("alphabet_size", "samples_per_length", "points", "rng_seed", "algorithm")
 
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(p.length for p in self.points)
-
 
 def mean_and_spread(values: list[float]) -> tuple[float, float]:
-    """Mean and sample (n-1) standard deviation of one or more floats.
-
-    The mean is ``math.fsum(values) / n``, as ``statistics.fmean`` gives
-    it.  The spread is the square root of the exact sample variance,
-    rounded once, as ``statistics.stdev`` gives it from Python 3.11 on
-    (3.10 rounds twice, so its last digit can differ).  One value has a
-    spread of 0.0.
-    """
-    n = len(values)
-    mean = math.fsum(values) / n
-    if n == 1:
-        return mean, 0.0
-    # a float is an integer over a power of two, so the largest
-    # denominator is common to all and the sums below are exact
-    ratios = [value.as_integer_ratio() for value in values]
-    scale = max(den for _, den in ratios)
-    scaled = [num * (scale // den) for num, den in ratios]
-    total = sum(scaled)
-    squares = sum([x * x for x in scaled])
-    return mean, _sqrt_of_fraction(n * squares - total * total, n * (n - 1) * scale * scale)
-
-
-def _sqrt_of_fraction(num: int, den: int) -> float:
-    """``sqrt(num / den)`` correctly rounded: an integer root of at least
-    55 bits, rounded to odd, then one rounding to a float."""
-    shift = (num.bit_length() - den.bit_length() - 109) // 2  # 109 = 2 * 53 + 3
-    if shift >= 0:
-        den <<= 2 * shift
-    else:
-        num <<= -2 * shift
-    root = math.isqrt(num // den)
-    root |= root * root * den != num  # an inexact root gets an odd last bit
-    return math.ldexp(root, shift)
+    """Mean and sample (n-1) standard deviation of one or more floats;
+    one value has a spread of 0.0."""
+    spread = statistics.stdev(values) if len(values) > 1 else 0.0
+    return statistics.fmean(values), spread
 
 
 def _random_string(letters: str, length: int, seed: int, index: int) -> str:

@@ -38,6 +38,8 @@ DEFAULT_BINS = 20
 # Most histogram bins: each costs about 100 bytes of output, so a short
 # --bins must not ask for megabytes
 MAX_BINS = 10_000
+# Characters in the text histogram's longest bar
+BAR_WIDTH = 40
 _ID_KEYS = ("setting_id", "tune_id")  # dump identifier, first present wins
 
 
@@ -386,9 +388,10 @@ def histogram_to_csv(hist: HistogramSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def histogram_to_text(hist: HistogramSpec, width: int = 40) -> str:
-    """Terminal bar rendering, one line per bin."""
+def histogram_to_text(hist: HistogramSpec) -> str:
+    """Terminal bar rendering, one line per bin; the fullest bin's bar is
+    ``BAR_WIDTH`` characters long."""
     peak = max(hist.counts) or 1
-    lines = [f"{lo:8.4f}-{hi:8.4f} |{'#' * round(count / peak * width)} {count}"
+    lines = [f"{lo:8.4f}-{hi:8.4f} |{'#' * round(count / peak * BAR_WIDTH)} {count}"
              for lo, hi, count in _bins(hist)]
     return "\n".join(lines) + "\n"

@@ -1,8 +1,6 @@
 """Random-string baseline curve and length normalization."""
 
 import json
-import statistics
-import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -20,7 +18,6 @@ from tunelz.baseline import (
     curve_to_csv,
     curve_to_json,
     estimate_baseline,
-    mean_and_spread,
     normalize_ratio,
 )
 from tunelz.lz import Algorithm
@@ -49,7 +46,7 @@ def test_seed_changes_samples():
 
 def test_points_sorted_and_deduplicated():
     curve = estimate_baseline([40, 20, 40], alphabet_size=5, samples=10, seed=0)
-    assert curve.lengths == (20, 40)
+    assert [point.length for point in curve.points] == [20, 40]
 
 
 def test_length_one_is_a_single_literal():
@@ -148,6 +145,8 @@ def test_no_extrapolation():
         baseline_at(REFERENCE_CURVE, 300)
     with pytest.raises(CurveRangeError):
         baseline_at(REFERENCE_CURVE, 50)
+    with pytest.raises(CurveRangeError, match="^baseline curve has no points$"):
+        baseline_at(BaselineCurve(13, 10, (), 0), 96)
 
 
 # ---------------------------------------------------------- normalization
@@ -304,12 +303,3 @@ def test_csv_export():
     assert lines[0] == "length,mean_ratio"
     assert lines[1] == "96,1.230000"
     assert lines[2] == "128,1.290000"
-
-
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="statistics.stdev rounds twice before Python 3.11")
-@given(st.lists(st.floats(min_value=-1e12, max_value=1e12), min_size=1, max_size=300))
-@settings(max_examples=300)
-def test_mean_and_spread_match_statistics(values):
-    spread = statistics.stdev(values) if len(values) > 1 else 0.0
-    assert mean_and_spread(values) == (statistics.fmean(values), spread)

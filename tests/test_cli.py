@@ -691,6 +691,21 @@ def test_dump_and_paths_conflict(capsys, dump_path, sally_path):
     assert "not both" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    *[([command, "--normalize-to", "128", "{sally}"],
+       "--baseline and --normalize-to go together") for command in ("analyze", "corpus")],
+    *[([command, "--baseline", "{curve}", "{sally}"],
+       "--baseline and --normalize-to go together") for command in ("analyze", "corpus")],
+    *[([command], "no input: give ABC paths or --dump")
+      for command in ("analyze", "corpus", "rank")],
+], ids=["analyze-reference-alone", "corpus-reference-alone", "analyze-curve-alone",
+        "corpus-curve-alone", "analyze-no-input", "corpus-no-input", "rank-no-input"])
+def test_incomplete_input_flags_are_one_error_line(capsys, data_dir, sally_path, argv, message):
+    fill = {"sally": str(sally_path), "curve": str(data_dir / "baseline_curve.json")}
+    code, out, err = run(capsys, *[arg.format(**fill) for arg in argv])
+    assert (code, out, err) == (2, "", f"tunelz: error: {message}\n")
+
+
 NOT_UTF8 = b"X:1\nT:Caf\xe9\nK:G\nABcd\n"
 NOT_JSON = b"not json"
 LONG_INT = b'[{"setting_id": ' + b"9" * 5000 + b"}]"
@@ -782,6 +797,38 @@ def test_stdin_reads_line_breaks_as_a_file_does(capsys, sally_path, newline):
     result = _run_on_stdin(text.replace("\n", newline).encode(), "compress")
     assert (result.returncode, result.stdout.decode()) == (1, expected)
     assert result.stderr.decode().startswith("tunelz: rejected -:2 (Caf\u00e9): wrong_length")
+
+
+# a file saved by an editor that writes a UTF-8 byte-order mark reads as it
+# would without one; the two copies share a name, so record ids match too
+@pytest.mark.parametrize("argv, source", [
+    (["analyze", "{f}"], "sally_gardens.abc"),
+    (["normalize", "{f}"], "sally_gardens.abc"),
+    (["compress", "{f}"], "sally_gardens.abc"),
+    (["corpus", "--dump", "{f}"], "thesession_sample.json"),
+    (["analyze", "--baseline", "{f}", "--normalize-to", "128", "{sally}"],
+     "baseline_curve.json"),
+    (["decompress", "{f}"], "sally_gardens.lz77.txt"),
+    (["decompress", "{f}"], "sally_gardens.lz78.json"),
+    (["compress", "-"], "sally_gardens.abc"),
+    (["decompress", "-"], "sally_gardens.lz77.txt"),
+], ids=["analyze", "normalize", "compress", "dump", "baseline-curve", "text-stream",
+        "json-stream", "compress-stdin", "decompress-stdin"])
+def test_a_leading_byte_order_mark_is_skipped(capsys, monkeypatch, tmp_path, sally_path,
+                                               argv, source):
+    content = (DATA_DIR / source).read_bytes()
+    results = []
+    for folder, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        path = tmp_path / folder / source
+        path.parent.mkdir()
+        path.write_bytes(mark + content)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(mark + content),
+                                                          encoding="utf-8"))
+        code, out, _ = run(capsys, *[arg.format(f=path, sally=sally_path) for arg in argv])
+        results.append((code, out))
+    plain, marked = results
+    assert marked == plain
+    assert plain[0] in (0, 1) and plain[1]
 
 
 # Property: whatever bytes a file holds, every subcommand ends in a result,

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from tunelz.baseline import BaselineCurve, BaselinePoint
 from tunelz.corpus import (
+    BAR_WIDTH,
     Category,
     ComplexityReport,
     EmptyCategoryError,
@@ -577,9 +578,15 @@ def test_histogram_csv_shape():
 
 def test_histogram_text_bars():
     hist = build_histogram([2.0, 2.0, 3.0], bin_count=2)
-    text = histogram_to_text(hist, width=10)
-    assert "##########" in text
+    text = histogram_to_text(hist)
+    assert "#" * BAR_WIDTH + " 2" in text  # the fullest bin's bar is BAR_WIDTH long
+    assert "|" + "#" * (BAR_WIDTH // 2) + " 1" in text
     assert text.count("\n") == 2
+
+
+def test_histogram_needs_a_value():
+    with pytest.raises(ValueError, match="^histogram needs at least one value$"):
+        build_histogram([])
 
 
 def test_pipeline_output_is_deterministic(extreme_reels_path, sally_path):

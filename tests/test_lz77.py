@@ -15,6 +15,7 @@ from tunelz.lz import (
     CorruptStream,
     MAX_STREAM_SYMBOLS,
     Literal,
+    Lz78Token,
     TokenStream,
     _lz77_parse,
     compress,
@@ -123,6 +124,18 @@ def test_decompress_rejects_wrong_source_length():
     stream = TokenStream(Algorithm.LZ77, (Literal("a"),), 5)
     with pytest.raises(CorruptStream):
         decompress(stream)
+
+
+@pytest.mark.parametrize("stream, message", [
+    (TokenStream(Algorithm.LZ77, (Lz78Token(0, "a"),), 1),
+     "token 0 is not an LZ77 token: Lz78Token(prefix_index=0, extension='a')"),
+    (TokenStream(Algorithm.LZ78, (Literal("a"),), 1),
+     "token 0 is not an LZ78 token: Literal(symbol='a')"),
+], ids=["lz78-token-in-lz77", "literal-in-lz78"])
+def test_decompress_rejects_a_token_of_the_other_coder(stream, message):
+    with pytest.raises(CorruptStream) as exc:
+        decompress(stream)
+    assert str(exc.value) == message
 
 
 def test_decompress_stops_at_the_token_that_passes_the_declared_length():
@@ -253,6 +266,16 @@ def test_text_form_one_based_display():
     text = stream_to_text(stream, index_base=1)
     assert "[4,2]" in text  # published tables print this position 1-based
     assert stream_from_text(text, index_base=1) == stream
+
+
+@pytest.mark.parametrize("convert", [
+    lambda: stream_to_text(compress_lz77("ababab"), index_base=2),
+    lambda: stream_from_text("a b [2,2]", index_base=2),
+], ids=["to-text", "from-text"])
+def test_text_form_index_base_is_0_or_1(convert):
+    with pytest.raises(ValueError) as exc:
+        convert()
+    assert str(exc.value) == "index_base must be 0 or 1"
 
 
 def test_json_form_round_trip():
