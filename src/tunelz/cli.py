@@ -1,8 +1,10 @@
 """Command-line front end: tunelz <subcommand> [flags] [paths...].
 
-Machine-readable output goes to stdout, diagnostics to stderr.  Exit
-codes: 0 all good, 1 some tunes were rejected, 2 fatal input or usage
-error.  Every subcommand is a pure function of its arguments, input
+Machine-readable output goes to stdout, diagnostics to stderr.  Each
+command returns the records it read, and ``main`` alone picks the exit
+code: 0 all good, 1 some tunes were rejected (one stderr line each,
+after the command's stdout), 2 fatal input or usage error (no rejection
+lines).  Every subcommand is a pure function of its arguments, input
 files and seed, so repeated runs produce byte-identical output.
 """
 
@@ -111,10 +113,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        records = args.run(args)
     except (OSError, ValueError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
+    rejected = [r for r in records if not r.accepted]
+    for record in rejected:
+        print(f"{PROG}: rejected {record.id} ({record.name}): {record.outcome}",
+              file=sys.stderr)
+    return 1 if rejected else 0
 
 
 # ----------------------------------------------------------------- commands
@@ -134,14 +141,6 @@ def _load_records(args) -> list[cp.TuneRecord]:
     return cp.ingest_abc_files(args.paths)
 
 
-def _report_rejections(records: list[cp.TuneRecord]) -> int:
-    rejected = [r for r in records if not r.accepted]
-    for record in rejected:
-        print(f"{PROG}: rejected {record.id} ({record.name}): {record.outcome}",
-              file=sys.stderr)
-    return len(rejected)
-
-
 def _analyze(args, records: list[cp.TuneRecord]) -> list[cp.ComplexityReport]:
     """``cp.analyze`` under the curve flags; every fault of the curve names its file."""
     path, reference = args.baseline_path, args.normalize_to
@@ -156,35 +155,27 @@ def _analyze(args, records: list[cp.TuneRecord]) -> list[cp.ComplexityReport]:
         raise cp.IngestError(f"baseline curve {path} is not usable: {exc}") from exc
 
 
-def cmd_normalize(args) -> int:
+def cmd_normalize(args) -> list[cp.TuneRecord]:
     records = cp.ingest_abc_files(args.paths)
     accepted = [r for r in records if r.accepted]
     if args.format == "json":
-        payload = [
-            {
-                "id": r.id,
-                "name": r.name,
-                "category": r.outcome.category.value,
-                "length": len(r.outcome.symbols),
-                "symbols": r.outcome.symbols,
-            }
-            for r in accepted
-        ]
+        payload = [{"id": r.id, "name": r.name, "length": len(r.outcome.symbols),
+                    **plain(r.outcome)} for r in accepted]
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for r in accepted:
             print(f"{r.id}\t{r.outcome.category.value}\t"
                   f"{len(r.outcome.symbols)}\t{r.outcome.symbols}")
-    return 1 if _report_rejections(records) else 0
+    return records
 
 
-def _sequences_for_compression(args) -> tuple[list[str], int]:
-    """Symbol sequences of an ABC file, or of raw letters when it has no tune."""
+def _sequences_for_compression(args) -> tuple[list[str], list[cp.TuneRecord]]:
+    """Symbol sequences of an ABC file and its records, or of raw letters
+    and no records when it has no tune."""
     text = _read_input(args.path)
     records = cp.records_from_abc_file(text, args.path)
     if records:
-        rejected = _report_rejections(records)
-        return [r.outcome.symbols for r in records if r.accepted], rejected
+        return [r.outcome.symbols for r in records if r.accepted], records
     bad = next((i for i, ch in enumerate(text) if not (ch.isalpha() or ch.isspace())), None)
     if bad is not None:
         raise ValueError(f"raw symbol {text[bad]!r} at offset {bad} is not a letter")
@@ -192,11 +183,11 @@ def _sequences_for_compression(args) -> tuple[list[str], int]:
     if len(symbols) > lz.MAX_STREAM_SYMBOLS:
         raise ValueError(f"raw input {args.path} holds {len(symbols)} symbols, "
                          f"more than the ceiling of {lz.MAX_STREAM_SYMBOLS}")
-    return [symbols], 0
+    return [symbols], []
 
 
-def cmd_compress(args) -> int:
-    sequences, rejected = _sequences_for_compression(args)
+def cmd_compress(args) -> list[cp.TuneRecord]:
+    sequences, records = _sequences_for_compression(args)
     algorithm = lz.Algorithm(args.algo)
     outputs = []
     for symbols in sequences:
@@ -212,10 +203,10 @@ def cmd_compress(args) -> int:
             outputs.append(block)
     if outputs:
         print("\n\n".join(outputs))
-    return 1 if rejected else 0
+    return records
 
 
-def cmd_decompress(args) -> int:
+def cmd_decompress(args) -> list[cp.TuneRecord]:
     text = _read_input(args.path)
     try:
         if text.lstrip().startswith("{"):
@@ -227,10 +218,10 @@ def cmd_decompress(args) -> int:
         # the path goes last, so each message still starts with what went wrong
         raise lz.CorruptStream(f"{exc} (token stream {args.path})") from exc
     print(symbols)
-    return 0
+    return []
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> list[cp.TuneRecord]:
     records = _load_records(args)
     reports = _analyze(args, records)
     if args.format == "text":
@@ -241,7 +232,7 @@ def cmd_analyze(args) -> int:
                   f"ratio {float(r.ratio_lz77):.4f}{extra}")
     else:
         _print_reports(reports, args.format)
-    return 1 if _report_rejections(records) else 0
+    return records
 
 
 def _print_reports(reports: list[cp.ComplexityReport], fmt: str) -> None:
@@ -258,7 +249,7 @@ def _selected_categories(args, reports) -> list[cp.Category]:
     return [c for c in cp.Category if c in present]
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(args) -> list[cp.TuneRecord]:
     records = _load_records(args)
     reports = _analyze(args, records)
     stats_list = [cp.aggregate(reports, c, args.bins)
@@ -280,10 +271,10 @@ def cmd_corpus(args) -> int:
             print(f"  min {float(stats.min[1]):.4f}  {stats.min[0]}")
             print(f"  max {float(stats.max[1]):.4f}  {stats.max[0]}")
             print(cp.histogram_to_text(stats.histogram), end="")
-    return 1 if _report_rejections(records) else 0
+    return records
 
 
-def cmd_baseline(args) -> int:
+def cmd_baseline(args) -> list[cp.TuneRecord]:
     try:
         lengths = [integer(part) for part in map(str.strip, args.lengths.split(",")) if part]
     except ValueError:
@@ -305,10 +296,10 @@ def cmd_baseline(args) -> int:
             print(f"length {p.length}: mean {p.mean_ratio:.4f}  std {p.std_dev:.4f}")
     else:
         print(bl.curve_to_csv(curve), end="")
-    return 0
+    return []
 
 
-def cmd_rank(args) -> int:
+def cmd_rank(args) -> list[cp.TuneRecord]:
     records = _load_records(args)
     reports = cp.analyze(records)
     ranked = cp.rank(reports, cp.Order(args.order))
@@ -317,7 +308,7 @@ def cmd_rank(args) -> int:
             print(f"{place}\t{r.id}\t{r.name}\t{float(r.ratio_lz77):.4f}")
     else:
         _print_reports(ranked, args.format)
-    return 1 if _report_rejections(records) else 0
+    return records
 
 
 if __name__ == "__main__":

@@ -276,16 +276,6 @@ def analyze(
     return reports
 
 
-def rejection_summary(records: list[TuneRecord]) -> dict[str, int]:
-    """Count rejected records per error kind."""
-    counts: dict[str, int] = {}
-    for record in records:
-        if not record.accepted:
-            kind = record.outcome.kind.value
-            counts[kind] = counts.get(kind, 0) + 1
-    return counts
-
-
 def build_histogram(values: list[float], bin_count: int = DEFAULT_BINS) -> HistogramSpec:
     """Equal-width bins over [min, max]; the maximum lands in the last bin.
 

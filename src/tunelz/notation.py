@@ -10,7 +10,10 @@ The grid is strict.  Durations that are not a whole number of quavers,
 pitches outside the two-octave range, rests, and chords are rejected
 rather than approximated, because silent quantization would corrupt the
 complexity estimates computed downstream.  Rejections carry a kind, a
-human-readable detail, and a character offset into the tune body.
+human-readable detail, and a character offset.  A header error's offset
+counts in the ABC text; a body error's counts in the tune body as
+written, from the line after ``K:``, since a ``%`` comment is blanked
+rather than cut.
 
 Everything here is a pure function of its inputs.
 """
@@ -175,12 +178,14 @@ def _parse_block(lines: list[str], offsets: list[int], start: int, end: int) -> 
             offsets[start],
         )
 
+    # a comment is blanked, not cut, so that every offset counts in the body as written
     body_lines = []
-    for i in range(body_start, end):
-        line = lines[i]
-        if line.strip().startswith("%"):
-            continue
-        body_lines.append(line.split("%")[0] if "%" in line else line)
+    for line in lines[body_start:end]:
+        cut = line.find("%")
+        if cut >= 0:
+            comment = line[cut:].splitlines()[0]  # the line break stays
+            line = line[:cut] + " " * len(comment) + line[cut + len(comment):]
+        body_lines.append(line)
     return AbcTune(
         reference_number=reference,
         title=title,
@@ -253,43 +258,37 @@ def _quaver_notes(body: str, unit_note_length: Fraction) -> list[tuple[str, int]
         if c in PITCH_LETTERS:
             i += 1
             if i == n or body[i] not in _NOTE_SUFFIX:
+                num = den = 1
                 quavers, rest = bare
-                if rest and off_grid is None:
-                    off_grid = NormalizationError(
-                        ErrorKind.NON_QUAVER_DURATION,
-                        f"{c} lasts {Fraction(unit_num, unit_den)} quavers",
-                        start,
-                    )
-                append((c, quavers))
-                continue
-            num = _ONE_DIGIT.get(body[i])
-            if num is not None and (i + 1 == n or body[i + 1] not in _NOTE_SUFFIX):
-                den = 1
-                i += 1
-            elif body[i] in "',":
-                raise NormalizationError(
-                    ErrorKind.OUT_OF_RANGE_NOTE,
-                    f"{c}{body[i]} lies outside the two-octave alphabet",
-                    start,
-                )
             else:
-                m = _LENGTH_RE.match(body, i)
-                if m.end() - i > MAX_DIGITS:
+                num = _ONE_DIGIT.get(body[i])
+                if num is not None and (i + 1 == n or body[i + 1] not in _NOTE_SUFFIX):
+                    den = 1
+                    i += 1
+                elif body[i] in "',":
                     raise NormalizationError(
-                        ErrorKind.NON_QUAVER_DURATION,
-                        f"{c} has a written length of more than {MAX_DIGITS} characters",
+                        ErrorKind.OUT_OF_RANGE_NOTE,
+                        f"{c}{body[i]} lies outside the two-octave alphabet",
                         start,
                     )
-                digits, slashes, divisor = m.groups()
-                num = int(digits) if digits else 1
-                # A/ halves, A// quarters, A/3 divides by 3 and A//3 by 6
-                den = 2 ** (len(slashes) - 1) * int(divisor) if divisor else 2 ** len(slashes)
-                if num == 0 or den == 0:
-                    raise NormalizationError(
-                        ErrorKind.NON_QUAVER_DURATION, "zero duration", start
-                    )
-                i = m.end()
-            quavers, rest = divmod(unit_num * num, unit_den * den)
+                else:
+                    m = _LENGTH_RE.match(body, i)
+                    if m.end() - i > MAX_DIGITS:
+                        raise NormalizationError(
+                            ErrorKind.NON_QUAVER_DURATION,
+                            f"{c} has a written length of more than {MAX_DIGITS} characters",
+                            start,
+                        )
+                    digits, slashes, divisor = m.groups()
+                    num = int(digits) if digits else 1
+                    # A/ halves, A// quarters, A/3 divides by 3 and A//3 by 6
+                    den = 2 ** (len(slashes) - 1) * int(divisor) if divisor else 2 ** len(slashes)
+                    if num == 0 or den == 0:
+                        raise NormalizationError(
+                            ErrorKind.NON_QUAVER_DURATION, "zero duration", start
+                        )
+                    i = m.end()
+                quavers, rest = divmod(unit_num * num, unit_den * den)
             if rest and off_grid is None:
                 off_grid = NormalizationError(
                     ErrorKind.NON_QUAVER_DURATION,

@@ -390,6 +390,17 @@ def test_corpus_from_dump_exit_code(capsys, dump_path):
     assert "jig: 1 tunes" in out
 
 
+@pytest.mark.parametrize("command", ["normalize", "compress", "analyze", "corpus", "rank"])
+def test_each_rejection_is_one_line_after_the_stdout(command, jig_path):
+    both = io.StringIO()
+    with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+        code = main([command, str(jig_path)])
+    out, line, end = both.getvalue().rsplit("\n", 2)
+    assert code == 1
+    assert out and "rejected" not in out and end == ""
+    assert line.startswith("tunelz: rejected jig_and_truncated:5 (Broken Fancy): wrong_length")
+
+
 def test_corpus_runs_are_byte_identical(capsys, extreme_reels_path):
     _, first, _ = run(capsys, "corpus", "--format", "json", str(extreme_reels_path))
     _, second, _ = run(capsys, "corpus", "--format", "json", str(extreme_reels_path))
@@ -710,6 +721,7 @@ NOT_UTF8 = b"X:1\nT:Caf\xe9\nK:G\nABcd\n"
 NOT_JSON = b"not json"
 LONG_INT = b'[{"setting_id": ' + b"9" * 5000 + b"}]"
 DEEP = b"[" * 100_000
+SALLY_ENTRY = {"setting_id": "1", "name": "Sally", "type": "reel", "abc": goldens.SALLY}
 
 
 @pytest.mark.parametrize("argv, content, message", [
@@ -722,6 +734,8 @@ DEEP = b"[" * 100_000
     (["corpus", "--dump", "{f}"], NOT_UTF8, "cannot read dump {f}: 'utf-8' codec"),
     (["corpus", "--dump", "{f}"], LONG_INT, "dump {f} is not valid JSON: Exceeds the limit"),
     (["corpus", "--dump", "{f}"], DEEP, "dump {f} is not valid JSON: maximum recursion"),
+    *[(["corpus", "--dump", "{f}"], json.dumps([SALLY_ENTRY, entry]).encode(),
+       "dump {f} entry 1 is not an object\n") for entry in (5, ["x"])],
     (["analyze", "--baseline", "{f}", "--normalize-to", "128", "{sally}"], NOT_JSON,
      "baseline curve {f} is not usable: Expecting value"),
     (["analyze", "--baseline", "{f}", "--normalize-to", "128", "{sally}"], NOT_UTF8,
@@ -754,8 +768,8 @@ DEEP = b"[" * 100_000
        % length.decode())
       for length in (b'"1"', b"1.9", b"true")],
 ], ids=["normalize", "analyze", "corpus", "rank", "compress", "decompress", "dump-not-utf8",
-        "dump-long-int", "dump-deep", "baseline-not-json", "baseline-not-utf8",
-        "baseline-deep", "decompress-deep", "decompress-not-json",
+        "dump-long-int", "dump-deep", "dump-entry-number", "dump-entry-list",
+        "baseline-not-json", "baseline-not-utf8", "baseline-deep", "decompress-deep", "decompress-not-json",
         "decompress-text-past-ceiling", "decompress-json-past-ceiling",
         "decompress-text-long-number", "decompress-text-long-token",
         "decompress-json-long-token", "compress-malformed-header",

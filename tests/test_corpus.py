@@ -27,7 +27,6 @@ from tunelz.corpus import (
     ingest_abc_files,
     ingest_json_dump,
     rank,
-    rejection_summary,
     reports_to_csv,
     stats_to_dict,
 )
@@ -219,6 +218,24 @@ def test_dump_entry_field_that_is_not_a_string_is_refused(tmp_path, fields, mess
     assert str(exc.value) == f"dump {path} entry 1 {message}"
 
 
+@pytest.mark.parametrize("entry", [5, ["x"]], ids=["number", "list"])
+def test_dump_entry_that_is_not_an_object_is_refused(tmp_path, entry):
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps([_SALLY_ENTRY, entry]), encoding="utf-8")
+    with pytest.raises(IngestError) as exc:
+        ingest_json_dump(path)
+    assert str(exc.value) == f"dump {path} entry 1 is not an object"
+
+
+def test_dump_offset_after_a_comment_counts_in_the_abc_body(tmp_path):
+    body = "AB % a comment here\nCDz"
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps([{**_SALLY_ENTRY, "abc": body}]), encoding="utf-8")
+    (record,) = ingest_json_dump(path)
+    assert record.outcome.kind is ErrorKind.UNSUPPORTED_CONSTRUCT
+    assert record.outcome.location == body.index("z") == 22
+
+
 @pytest.mark.parametrize("fields, record_id, key", [
     ({"setting_id": 27}, "27", "C"),
     ({"setting_id": 0}, "0", "C"),
@@ -337,7 +354,6 @@ def test_abc_ingestion_mixed_outcomes(jig_path):
     assert jig.accepted and jig.category is Category.JIG
     assert not truncated.accepted
     assert truncated.outcome.kind is ErrorKind.WRONG_LENGTH
-    assert rejection_summary(records) == {"wrong_length": 1}
 
 
 def test_abc_ingestion_unreadable_path(tmp_path):
@@ -632,11 +648,3 @@ def test_records_with_direct_sequences_analyze_cleanly():
     )
     (report,) = analyze([record])
     assert report.lz77_tokens < 10
-
-
-def test_rejection_summary_counts_kinds():
-    bad = TuneRecord(
-        id="x", name="x", category=Category.OTHER, key="", abc="",
-        outcome=NormalizationError(ErrorKind.WRONG_LENGTH, "short"),
-    )
-    assert rejection_summary([bad, bad]) == {"wrong_length": 2}

@@ -139,6 +139,22 @@ def test_parse_strips_comment_lines_from_body():
     assert "cd" in tune.body
 
 
+def test_a_comment_is_blanked_so_that_later_offsets_count_in_the_body_as_written():
+    with pytest.raises(NormalizationError) as exc:
+        normalize(parse_abc("X:1\nK:D\nAB % note\nCDz\n")[0])
+    assert exc.value.location == 12
+    (tune,) = parse_abc("X:1\nK:D\nAB|% trailing\r\n% a comment line\ncd|\n")
+    assert tune.body == "AB|" + " " * 10 + "\r\n" + " " * 16 + "\ncd|\n"
+
+
+def test_a_commented_body_normalizes_as_the_body_without_its_comments(sally_path):
+    header, body = sally_path.read_text(encoding="utf-8").split("K: Gmajor\n")
+    commented = "".join(f"% bar line {n}\n{line} % end of line {n}\n"
+                        for n, line in enumerate(body.splitlines()))
+    (tune,) = parse_abc(f"{header}K: Gmajor\n{commented}")
+    assert normalize(tune).symbols == goldens.SALLY
+
+
 # ------------------------------------------------------------- expansion
 
 
