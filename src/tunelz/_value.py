@@ -11,11 +11,12 @@ Every value is frozen and hashed by its fields.
 
 The input boundary is kept here too: the one reader of input files, its
 twin for standard input, the one writer of output files, the one reader
-of numbers in text and flags, the one test of a JSON integer, and the
-limits on the length of a symbol sequence and on quoting input, shared
-by the loaders and the baseline.
+of numbers in text and flags, the one loader of JSON text and reader of
+its fields, and the limits on the length of a symbol sequence and on
+quoting input, shared by the loaders and the baseline.
 """
 
+import json
 from enum import Enum
 from fractions import Fraction
 
@@ -25,11 +26,20 @@ from fractions import Fraction
 # int/str digit limit could neither be read nor printed in an error.
 MAX_DIGITS = 100
 # Most symbols a sequence may hold: the longest tune is a few hundred
-# quavers, and this keeps a short input from expanding to gigabytes.
-MAX_STREAM_SYMBOLS = 1_000_000
+# quavers.  This bounds the memory a short input can expand to, and the
+# LZ77 parse's time, which grows about quadratically: 20,000 letters over
+# 2 symbols, the slowest alphabet, parse in about 0.4 s (one core of a
+# 2-core x86-64 host, CPython 3.11).
+MAX_STREAM_SYMBOLS = 20_000
 # Most characters of input text quoted in an error
 _MAX_QUOTED = 120
 _SCALARS = frozenset({str, int, float, bool, type(None)})  # plain returns these as they are
+# JSON kinds: a name for errors, and the types a value loads as (bool is not int) or values
+STRING = ("a string", (str,))
+INTEGER = ("a JSON integer", (int,))
+NUMBER = ("a JSON number", (int, float))
+ARRAY = ("an array", (list,))
+OBJECT = ("an object", (dict,))
 
 
 class IngestError(ValueError):
@@ -74,9 +84,43 @@ def integer(text: str) -> int:
     return int(text)
 
 
-def is_int(value) -> bool:
-    """Whether a JSON value is an integer; ``true`` and ``false`` are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _json_integer(text: str) -> int:
+    if len(text) - text.startswith("-") > MAX_DIGITS:  # as integer() refuses it
+        raise ValueError(f"an integer of more than {MAX_DIGITS} digits")
+    return int(text)
+
+
+def _json_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def load_json(text: str, what: str, top: type):
+    """``text`` read as JSON whose top level is a ``top`` (list or dict), with no NaN,
+    Infinity or integer of over ``MAX_DIGITS`` digits; ValueError says why ``what`` is not."""
+    try:
+        value = json.loads(text, parse_int=_json_integer, parse_constant=_json_constant)
+    except (ValueError, RecursionError) as exc:  # or nesting deeper than the stack
+        raise ValueError(f"{what} is not valid JSON: {exc}") from exc
+    if type(value) is not top:
+        raise ValueError(f"{what} is not a JSON {'array' if top is list else 'object'}")
+    return value
+
+
+def field(fields: dict, name: str, kind: tuple, what: str, *default):
+    """``item`` of ``fields[name]``, or a ``default`` given for an absent field."""
+    if name in fields:
+        return item(fields[name], kind, f"{what} {name}")
+    if not default:
+        raise ValueError(f"{what} lacks field {name!r}")
+    return default[0]
+
+
+def item(value, kind: tuple, what: str):
+    """``value``, if it is of ``kind``; ValueError names ``what`` and ``kind``, quoting it."""
+    name, accepted = kind
+    if type(value) in accepted or value in accepted:
+        return value
+    raise ValueError(f"{what} is not {name}: {excerpt(json.dumps(value), str)}")
 
 
 def excerpt(text: str, show=repr) -> str:

@@ -18,8 +18,8 @@ import math
 import random
 import statistics
 
-from ._value import Value, excerpt, is_int, plain, shown
-from .lz import Algorithm, token_count
+from ._value import ARRAY, INTEGER, NUMBER, OBJECT, Value, field, item, load_json, plain, shown
+from .lz import CODER_NAME, Algorithm, token_count
 
 DEFAULT_ALPHABET_SIZE = 13
 DEFAULT_SAMPLES = 1000
@@ -152,46 +152,29 @@ def curve_to_json(curve: BaselineCurve) -> str:
 def curve_from_json(text: str) -> BaselineCurve:
     """Load a curve saved by ``curve_to_json``.
 
-    Raises ValueError when the curve, its ``points`` or a point is not a
-    JSON object, array and object, when a field is missing or not a JSON
-    number (an integer for a length, count or seed; never a bool), when
-    there are no points, when lengths are not strictly increasing, when a
-    field is out of the range ``estimate_baseline`` draws from (a length
-    or sample count below 1, an alphabet size outside 1..26), or when a
-    mean ratio is not a finite positive number, or when ``algorithm``, the
-    coder the ratios were sampled with, is present and neither ``"lz77"``
-    nor ``"lz78"``.
+    Raises ValueError at the first fault: text ``_value.load_json`` refuses;
+    a curve, ``points`` or point that is not an object, array and object; a
+    field missing or not a JSON number (an integer for a length, count or
+    seed); no points; lengths not strictly increasing; a length or sample
+    count below 1 or an alphabet size outside 1..26, which ``estimate_baseline``
+    never draws; a mean ratio not finite and > 0, or a spread not finite and
+    >= 0; or an ``algorithm``, the coder of the ratios, not "lz77" or "lz78".
     """
-    try:
-        payload = json.loads(text)
-    except RecursionError as exc:  # nesting deeper than the interpreter's stack
-        raise ValueError(f"baseline curve is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ValueError("baseline curve is not a JSON object")
-    algorithm = payload.get("algorithm", "lz77")  # a curve saved without it holds LZ77 ratios
-    if algorithm not in ("lz77", "lz78"):
-        raise ValueError(f"baseline curve algorithm is not lz77 or lz78: "
-                         f"{excerpt(json.dumps(algorithm), str)}")
-    try:
-        if not isinstance(payload["points"], list):
-            raise ValueError("baseline curve points is not an array")
-        points = []
-        for index, p in enumerate(payload["points"]):
-            if not isinstance(p, dict):
-                raise ValueError(f"baseline curve point {index} is not an object")
-            points.append(BaselinePoint(_field(p, "length", int), _field(p, "mean_ratio", float),
-                                        _field(p, "std_dev", float)))
-        curve = BaselineCurve(
-            alphabet_size=_field(payload, "alphabet_size", int),
-            samples_per_length=_field(payload, "samples_per_length", int),
-            points=tuple(points),
-            rng_seed=_field(payload, "rng_seed", int),
-            algorithm=Algorithm(algorithm),
-        )
-    except KeyError as exc:
-        raise ValueError(f"baseline curve lacks field {exc}") from None
-    except (TypeError, OverflowError) as exc:  # or a ratio past a float's range
-        raise ValueError(f"baseline curve has a non-numeric field: {exc}") from None
+    what = "baseline curve"
+    payload = load_json(text, what, dict)
+    points = []
+    for index, p in enumerate(field(payload, "points", ARRAY, what)):
+        where = f"{what} point {index}"
+        item(p, OBJECT, where)
+        points.append(BaselinePoint(field(p, "length", INTEGER, where),
+                                    float(field(p, "mean_ratio", NUMBER, where)),
+                                    float(field(p, "std_dev", NUMBER, where))))
+    curve = BaselineCurve(
+        field(payload, "alphabet_size", INTEGER, what),
+        field(payload, "samples_per_length", INTEGER, what), tuple(points),
+        field(payload, "rng_seed", INTEGER, what),
+        # a curve saved without it holds LZ77 ratios
+        Algorithm(field(payload, "algorithm", CODER_NAME, what, "lz77")))
     if not points:
         raise ValueError("baseline curve has no points")
     for left, right in zip(points, points[1:]):
@@ -213,17 +196,12 @@ def curve_from_json(text: str) -> BaselineCurve:
                 f"baseline curve mean_ratio at length {point.length} "
                 f"is not finite and > 0: {point.mean_ratio}"
             )
+        if not (math.isfinite(point.std_dev) and point.std_dev >= 0):
+            raise ValueError(
+                f"baseline curve std_dev at length {point.length} "
+                f"is not finite and >= 0: {point.std_dev}"
+            )
     return curve
-
-
-def _field(fields: dict, name: str, kind: type):
-    """``fields[name]`` as ``kind``: an int from a JSON integer, a float from
-    any JSON number; TypeError names any other value, a bool included."""
-    value = fields[name]
-    if not (is_int(value) or kind is float and type(value) is float):
-        raise TypeError(f"{name} is not {'an integer' if kind is int else 'a number'}: "
-                        f"{excerpt(json.dumps(value), str)}")
-    return kind(value)
 
 
 def curve_to_csv(curve: BaselineCurve) -> str:

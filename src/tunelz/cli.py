@@ -119,9 +119,16 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     rejected = [r for r in records if not r.accepted]
     for record in rejected:
-        print(f"{PROG}: rejected {record.id} ({record.name}): {record.outcome}",
-              file=sys.stderr)
+        print(f"{PROG}: rejected {_one_line(record.id)} ({_one_line(record.name)}): "
+              f"{record.outcome}", file=sys.stderr)
     return 1 if rejected else 0
+
+
+def _one_line(text: str) -> str:
+    """``text`` cut by ``excerpt``, with each character that ``str.isprintable``
+    refuses (a line break among them) escaped as ``repr`` writes it."""
+    return excerpt(text, lambda part: part if part.isprintable() else "".join(
+        [c if c.isprintable() else repr(c)[1:-1] for c in part]))
 
 
 # ----------------------------------------------------------------- commands

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 from enum import Enum
 from fractions import Fraction
 
-from ._value import IngestError, Value, excerpt, is_int, plain, read_text
+from ._value import (OBJECT, STRING, IngestError, Value, excerpt, field, item,
+                     load_json, plain, read_text)
 from .baseline import BaselineCurve, mean_and_spread, normalize_ratio
 from .lz import Algorithm, compress_lz77, compression_ratio, token_count
 from .notation import (
@@ -41,6 +41,8 @@ MAX_BINS = 10_000
 # Characters in the text histogram's longest bar
 BAR_WIDTH = 40
 _ID_KEYS = ("setting_id", "tune_id")  # dump identifier, first present wins
+_ID = ("a string or a JSON integer", (str, int))
+_OPTIONAL_STRING = ("a string or null", (str, type(None)))
 
 
 class EmptyCategoryError(ValueError):
@@ -100,44 +102,29 @@ def ingest_json_dump(path: str | os.PathLike) -> list[TuneRecord]:
     individual tune land in that record's outcome, including an ``abc``
     body that holds more than one tune (MALFORMED_HEADER).
     """
+    what = f"dump {path}"
     text = read_text(path, "dump")
-    # ValueError also covers a number past Python's int/str digit limit,
-    # and RecursionError nesting deeper than the interpreter's stack
     try:
-        entries = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise IngestError(f"dump {path} is not valid JSON: {exc}") from exc
-    if not isinstance(entries, list):
-        raise IngestError(f"dump {path} is not a JSON array")
+        entries = [_dump_entry(entry, f"{what} entry {n}")
+                   for n, entry in enumerate(load_json(text, what, list))]
+    except ValueError as exc:
+        raise IngestError(str(exc)) from exc
+    return [TuneRecord(record_id, name, category, key, body, _entry_outcome(meter, body))
+            for record_id, name, category, key, body, meter in entries]
 
-    records = []
-    for n, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise IngestError(f"dump {path} entry {n} is not an object")
-        id_key = next((k for k in _ID_KEYS if entry.get(k) not in (None, "")), None)
-        if id_key is None or not all(k in entry for k in ("name", "type", "abc")):
-            raise IngestError(f"dump {path} entry {n} lacks one of id/name/type/abc")
-        if not (isinstance(entry[id_key], str) or is_int(entry[id_key])):
-            raise IngestError(
-                f"dump {path} entry {n} field {id_key!r} is neither a string nor an integer")
-        for key in ("name", "type", "abc", "meter", "mode"):
-            value = entry.get(key)  # a null meter or mode takes its default, as "" does
-            if not (isinstance(value, str) or value is None and key in ("meter", "mode")):
-                raise IngestError(f"dump {path} entry {n} field {key!r} is not a string")
-        category = category_from_type(entry["type"])
-        meter = (entry.get("meter") or _default_meter(category)).rstrip()
-        body = entry["abc"]
-        records.append(
-            TuneRecord(
-                id=str(entry[id_key]),
-                name=entry["name"],
-                category=category,
-                key=entry.get("mode") or "C",
-                abc=body,
-                outcome=_entry_outcome(meter, body),
-            )
-        )
-    return records
+
+def _dump_entry(entry, what: str) -> tuple:
+    """A dump entry's record id, name, category, key, body and meter, as ingest_json_dump says."""
+    item(entry, OBJECT, what)
+    id_key = next((k for k in _ID_KEYS if entry.get(k) not in (None, "")), None)
+    if id_key is None:
+        raise ValueError(f"{what} lacks field {' or '.join(map(repr, _ID_KEYS))}")
+    category = category_from_type(field(entry, "type", STRING, what))
+    # a null meter or mode takes its default, as "" does
+    meter = field(entry, "meter", _OPTIONAL_STRING, what, None) or _default_meter(category)
+    return (str(field(entry, id_key, _ID, what)), field(entry, "name", STRING, what), category,
+            field(entry, "mode", _OPTIONAL_STRING, what, None) or "C",
+            field(entry, "abc", STRING, what), meter.rstrip())
 
 
 def _default_meter(category: Category) -> str:

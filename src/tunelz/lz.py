@@ -25,9 +25,11 @@ from enum import Enum
 from fractions import Fraction
 from itertools import count
 
-from ._value import MAX_STREAM_SYMBOLS, Value, excerpt, integer, is_int, plain, shown
+from ._value import (ARRAY, INTEGER, MAX_STREAM_SYMBOLS, Value, excerpt, field, integer,
+                     load_json, plain, shown)
 
 MIN_MATCH = 2
+CODER_NAME = ("lz77 or lz78", ("lz77", "lz78"))  # JSON kind of a saved stream's or curve's coder
 
 
 class Algorithm(Enum):
@@ -419,20 +421,15 @@ def stream_from_json(text: str) -> TokenStream:
     are checked against the declared length only by ``decompress``.
     """
     try:
-        payload = json.loads(text)
-        algorithm = Algorithm(payload["algorithm"])
-        raw = payload["tokens"]
-        source_length = payload["source_length"]
-    except (KeyError, ValueError, TypeError, RecursionError) as exc:
-        raise CorruptStream(f"malformed stream JSON: {shown(exc)}") from exc
-    if not is_int(source_length):
-        raise CorruptStream("malformed stream JSON: source_length is not an integer: "
-                            f"{shown(json.dumps(source_length))}")
+        payload = load_json(text, "stream", dict)
+        algorithm = Algorithm(field(payload, "algorithm", CODER_NAME, "stream"))
+        source_length = field(payload, "source_length", INTEGER, "stream")
+        raw = field(payload, "tokens", ARRAY, "stream")
+    except ValueError as exc:
+        raise CorruptStream(str(exc)) from exc
     if source_length > MAX_STREAM_SYMBOLS:
         raise CorruptStream(f"stream claims {source_length} symbols, "
                             f"more than the ceiling of {MAX_STREAM_SYMBOLS}")
-    if not isinstance(raw, list):
-        raise CorruptStream("malformed stream JSON: tokens is not an array")
     tokens = tuple(_token_from_json(i, entry) for i, entry in enumerate(raw))
     return TokenStream(algorithm, tokens, source_length)
 
@@ -442,9 +439,9 @@ def _token_from_json(i: int, entry) -> Lz77Token | Lz78Token:
     keys = set(entry) if isinstance(entry, dict) else None
     if keys == {"symbol"} and _is_symbol(entry["symbol"]):
         return Literal(entry["symbol"])
-    if keys == {"start", "length"} and is_int(entry["start"]) and is_int(entry["length"]):
+    if keys == {"start", "length"} and type(entry["start"]) is type(entry["length"]) is int:
         return BackRef(entry["start"], entry["length"])
-    if keys == {"prefix", "extension"} and is_int(entry["prefix"]) and (
+    if keys == {"prefix", "extension"} and type(entry["prefix"]) is int and (
         entry["extension"] is None or _is_symbol(entry["extension"])
     ):
         return Lz78Token(entry["prefix"], entry["extension"])

@@ -229,8 +229,9 @@ def test_json_curve_without_a_coder_holds_lz77_ratios():
 @pytest.mark.parametrize("changes, message", [
     ({"rng_seed": None}, "lacks field 'rng_seed'"),
     ({"points": [{"length": 96, "std_dev": 0.0}]}, "lacks field 'mean_ratio'"),
-    ({"points": [{"length": 96, "mean_ratio": "x", "std_dev": 0.0}]}, "non-numeric"),
-    ({"alphabet_size": [13]}, "non-numeric"),
+    ({"points": [{"length": 96, "mean_ratio": "x", "std_dev": 0.0}]},
+     '^baseline curve point 0 mean_ratio is not a JSON number: "x"$'),
+    ({"alphabet_size": [13]}, r"^baseline curve alphabet_size is not a JSON integer: \[13\]$"),
     ({"points": []}, "no points"),
     ({"points": [{"length": 128, "mean_ratio": 1.29, "std_dev": 0.0},
                  {"length": 96, "mean_ratio": 1.23, "std_dev": 0.0}]},
@@ -245,17 +246,17 @@ def test_json_curve_without_a_coder_holds_lz77_ratios():
     # a count, length or seed is a JSON integer, a ratio or spread a JSON number;
     # int() and float() would have read each of these
     ({"points": [{"length": 96.7, "mean_ratio": 1.23, "std_dev": 0.0}]},
-     "non-numeric field: length is not an integer: 96.7"),
-    ({"alphabet_size": "13"}, 'non-numeric field: alphabet_size is not an integer: "13"'),
+     "^baseline curve point 0 length is not a JSON integer: 96.7$"),
+    ({"alphabet_size": "13"}, '^baseline curve alphabet_size is not a JSON integer: "13"$'),
     ({"samples_per_length": 1000.9},
-     "non-numeric field: samples_per_length is not an integer: 1000.9"),
-    ({"rng_seed": True}, "non-numeric field: rng_seed is not an integer: true"),
+     "^baseline curve samples_per_length is not a JSON integer: 1000.9$"),
+    ({"rng_seed": True}, "^baseline curve rng_seed is not a JSON integer: true$"),
     ({"points": [{"length": 96, "mean_ratio": "1.23", "std_dev": 0.0}]},
-     'non-numeric field: mean_ratio is not a number: "1.23"'),
+     '^baseline curve point 0 mean_ratio is not a JSON number: "1.23"$'),
     ({"points": [{"length": 96, "mean_ratio": 1.23, "std_dev": False}]},
-     "non-numeric field: std_dev is not a number: false"),
+     "^baseline curve point 0 std_dev is not a JSON number: false$"),
     ({"points": [{"length": 96, "mean_ratio": 10**400, "std_dev": 0.0}]},
-     "non-numeric field: int too large to convert to float"),
+     "^baseline curve is not valid JSON: an integer of more than 100 digits$"),
     # in range of what estimate_baseline draws
     ({"points": [{"length": -5, "mean_ratio": 1.23, "std_dev": 0.0}]},
      "^baseline curve length must be >= 1: -5$"),
@@ -270,21 +271,31 @@ def test_json_curve_without_a_coder_holds_lz77_ratios():
     # or string in place of changes is the whole curve
     ([], "^baseline curve is not a JSON object$"),
     ("curve", "^baseline curve is not a JSON object$"),
-    ({"points": 5}, "^baseline curve points is not an array$"),
-    ({"points": {"length": 96}}, "^baseline curve points is not an array$"),
-    ({"points": [5]}, "^baseline curve point 0 is not an object$"),
+    ({"points": 5}, "^baseline curve points is not an array: 5$"),
+    ({"points": {"length": 96}}, r'^baseline curve points is not an array: \{"length": 96\}$'),
+    ({"points": [5]}, "^baseline curve point 0 is not an object: 5$"),
     ({"points": [{"length": 96, "mean_ratio": 1.23, "std_dev": 0.0}, [128]]},
-     "^baseline curve point 1 is not an object$"),
+     r"^baseline curve point 1 is not an object: \[128\]$"),
     # the coder the ratios were sampled with
     ({"algorithm": "lz79"}, '^baseline curve algorithm is not lz77 or lz78: "lz79"$'),
     ({"algorithm": "LZ77"}, '^baseline curve algorithm is not lz77 or lz78: "LZ77"$'),
     ({"algorithm": 77}, "^baseline curve algorithm is not lz77 or lz78: 77$"),
+    # a spread is finite and >= 0; JSON's NaN is refused as it loads
+    ({"points": [{"length": 96, "mean_ratio": 1.23, "std_dev": -0.5}]},
+     "^baseline curve std_dev at length 96 is not finite and >= 0: -0.5$"),
+    ({"points": [{"length": 96, "mean_ratio": 1.23, "std_dev": float("-inf")}]},
+     "^baseline curve std_dev at length 96 is not finite and >= 0: -inf$"),
+    ({"points": [{"length": 96, "mean_ratio": 1.23, "std_dev": float("nan")}]},
+     "^baseline curve is not valid JSON: NaN is not a JSON number$"),
+    ({"points": [{"length": 96, "mean_ratio": 1.23}]}, "^baseline curve point 0 lacks field 'std_dev'$"),
+    ({"points": None}, "^baseline curve lacks field 'points'$"),
 ])
 def test_json_load_rejects_bad_curve(changes, message):
     if isinstance(changes, dict):
         payload = json.loads(curve_to_json(REFERENCE_CURVE)) | changes
         changes = {k: v for k, v in payload.items() if v is not None}
-    text = json.dumps(changes)
+    # JSON has no Infinity: an infinite float is written as 1e400, which loads as one
+    text = json.dumps(changes).replace("Infinity", "1e400")
     with pytest.raises(ValueError, match=message) as exc:
         curve_from_json(text)
     assert type(exc.value) is ValueError

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -111,24 +112,40 @@ def test_compress_spaced_x_header_is_abc(capsys, tmp_path, sally_path):
 
 def test_compress_raw_input_past_the_ceiling_names_the_file(capsys, tmp_path):
     path = tmp_path / "seq.txt"
-    path.write_text("a" * 1_000_001, encoding="utf-8")
+    path.write_text("a" * 20_001, encoding="utf-8")
     code, out, err = run(capsys, "compress", str(path))
     assert code == 2
     assert out == ""
-    assert err == (f"tunelz: error: raw input {path} holds 1000001 symbols, "
-                   "more than the ceiling of 1000000\n")
+    assert err == (f"tunelz: error: raw input {path} holds 20001 symbols, "
+                   "more than the ceiling of 20000\n")
 
 
 def test_compress_raw_input_at_the_ceiling_round_trips(capsys, tmp_path):
     raw = tmp_path / "seq.txt"
-    raw.write_text("a" * 1_000_000 + "\n", encoding="utf-8")
+    raw.write_text("a" * 20_000 + "\n", encoding="utf-8")
     code, out, _ = run(capsys, "compress", "--format", "json", str(raw))
     assert code == 0
     stream = tmp_path / "stream.json"
     stream.write_text(out, encoding="utf-8")
     code, out, err = run(capsys, "decompress", str(stream))
     assert (code, err) == (0, "")
-    assert out == "a" * 1_000_000 + "\n"
+    assert out == "a" * 20_000 + "\n"
+
+
+def test_raw_compress_at_the_ceiling_stays_under_a_cpu_limit(tmp_path):
+    # LZ77 time grows about quadratically, and 2 letters is the slowest
+    # alphabet: this compress takes about 0.5 s of CPU on one core of a 2-core
+    # x86-64 host (CPython 3.11), so only a worse order of growth passes 10 s
+    symbols = "".join(random.Random(0).choices("ab", k=20_000))
+    raw = tmp_path / "seq.txt"
+    raw.write_text(symbols, encoding="utf-8")
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_CPU, (10, 10)); "
+            "from tunelz.cli import main; sys.exit(main())")
+    env = {**os.environ, "PYTHONPATH": str(Path(tunelz.__file__).parent.parent)}
+    result = subprocess.run([sys.executable, "-c", code, "compress", "--format", "json", str(raw)],
+                            env=env, capture_output=True, encoding="utf-8", check=False)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert lz.decompress(lz.stream_from_json(result.stdout)) == symbols
 
 
 @pytest.mark.parametrize("algo, raw, message", [
@@ -197,7 +214,7 @@ def test_decompress_corrupt_stream(capsys, tmp_path):
     ([{"prefix": 0, "extension": "ab"}], "token 0 is not a valid token object"),
     ([{"prefix": 0}], "token 0 is not a valid token object"),
     ([{"symbol": "a", "start": 0, "length": 2}], "token 0 is not a valid token object"),
-    ({"symbol": "a"}, "malformed stream JSON: tokens is not an array"),
+    ({"symbol": "a"}, 'stream tokens is not an array: {"symbol": "a"}'),
 ])
 def test_decompress_rejects_bad_json_tokens(capsys, tmp_path, tokens, message):
     path = tmp_path / "stream.json"
@@ -401,6 +418,29 @@ def test_each_rejection_is_one_line_after_the_stdout(command, jig_path):
     assert line.startswith("tunelz: rejected jig_and_truncated:5 (Broken Fancy): wrong_length")
 
 
+# an id or a name is shown with each character str.isprintable refuses
+# escaped, and cut as every quotation of input is, so a rejection is one line
+@pytest.mark.parametrize("field, value, shown", [
+    ("name", "Line\nBreak", "Line\\nBreak"),
+    ("name", "Line\u2028Break", "Line\\u2028Break"),
+    ("setting_id", "7\r", "7\\r"),
+    ("setting_id", "\r", "\\r"),
+    ("name", "n" * 10**6, "n" * 120 + "... (1000000 characters)"),
+    ("name", "Sí Bheag, Sí Mhór", "Sí Bheag, Sí Mhór"),
+], ids=["newline", "line-separator", "carriage-return-id", "carriage-return-only-id",
+        "1mb-name", "printable"])
+def test_a_rejection_is_one_line_whatever_its_id_or_name(capsys, tmp_path, field, value, shown):
+    path = tmp_path / "dump.json"
+    entry = {"setting_id": 1, "name": "N", "type": "reel", "abc": "z"}
+    path.write_text(json.dumps([entry | {field: value}]), encoding="utf-8")
+    code, _, err = run(capsys, "corpus", "--dump", str(path))
+    shows = {"setting_id": "1", "name": "N"} | {field: shown}
+    (line,) = err.splitlines()
+    assert code == 1
+    assert line.startswith(f"tunelz: rejected {shows['setting_id']} ({shows['name']}): "
+                           "unsupported_construct: ")
+
+
 def test_corpus_runs_are_byte_identical(capsys, extreme_reels_path):
     _, first, _ = run(capsys, "corpus", "--format", "json", str(extreme_reels_path))
     _, second, _ = run(capsys, "corpus", "--format", "json", str(extreme_reels_path))
@@ -529,14 +569,14 @@ def _curve_with(changes):
      "tunelz: error: bin_count must be in 1..10000"),
     *[(["analyze", "--baseline", "{curve}", "--normalize-to", "128",
         "{data}/sally_gardens.abc"], {name: value},
-       "tunelz: error: baseline curve {curve} is not usable: baseline curve has a "
-       f"non-numeric field: {name} is not {kind}: {shown}")
-      for name, value, kind, shown in [
-          ("length", 96.7, "an integer", "96.7"),
-          ("alphabet_size", "13", "an integer", '"13"'),
-          ("samples_per_length", 1000.9, "an integer", "1000.9"),
-          ("rng_seed", True, "an integer", "true"),
-          ("mean_ratio", "1.23", "a number", '"1.23"')]],
+       "tunelz: error: baseline curve {curve} is not usable: baseline curve "
+       f"{where}{name} is not {kind}: {shown}")
+      for where, name, value, kind, shown in [
+          ("point 0 ", "length", 96.7, "a JSON integer", "96.7"),
+          ("", "alphabet_size", "13", "a JSON integer", '"13"'),
+          ("", "samples_per_length", 1000.9, "a JSON integer", "1000.9"),
+          ("", "rng_seed", True, "a JSON integer", "true"),
+          ("point 0 ", "mean_ratio", "1.23", "a JSON number", '"1.23"')]],
 ], ids=["lengths", "samples", "alphabet", "negative-seed", "bins-past-ceiling", "bins-0",
         "curve-length-float", "curve-alphabet-string", "curve-samples-float",
         "curve-seed-bool", "curve-ratio-string"])
@@ -722,6 +762,43 @@ NOT_JSON = b"not json"
 LONG_INT = b'[{"setting_id": ' + b"9" * 5000 + b"}]"
 DEEP = b"[" * 100_000
 SALLY_ENTRY = {"setting_id": "1", "name": "Sally", "type": "reel", "abc": goldens.SALLY}
+# Each JSON input names its file in its own place: a dump inside the message,
+# a curve in a prefix and a token stream in a suffix.  The fault's own text
+# follows the input's subject, and reads the same for the same fault.
+_JSON_LINES = {
+    "dump": (["corpus", "--dump", "{f}"], "dump {{f}} {fault}\n"),
+    "baseline": (["analyze", "--baseline", "{f}", "--normalize-to", "128", "{sally}"],
+                 "baseline curve {{f}} is not usable: baseline curve {fault}\n"),
+    "decompress": (["decompress", "{f}"], "stream {fault} (token stream {{f}})\n"),
+}
+_JSON_PROBES = [
+    *[(fault, source, content, text) for fault, contents, text in [
+        ("open-brace", (b"{", b"{", b"{"), "is not valid JSON: Expecting property name "
+         "enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("deep", (DEEP, DEEP, b'{"tokens": ' + DEEP), "is not valid JSON: maximum recursion "
+         "depth exceeded while decoding a JSON array from a unicode string"),
+        ("long-int", (LONG_INT, b'{"rng_seed": -%s}' % (b"9" * 5000),
+                      b'{"source_length": %s}' % (b"9" * 5000)),
+         "is not valid JSON: an integer of more than 100 digits"),
+        *[(name, (b'[{"setting_id": %s}]' % constant, b'{"points": [{"std_dev": %s}]}' % constant,
+                  b'{"source_length": %s}' % constant),
+           f"is not valid JSON: {constant.decode()} is not a JSON number")
+          for name, constant in [("nan", b"NaN"), ("infinity", b"Infinity"),
+                                 ("minus-infinity", b"-Infinity")]],
+    ] for source, content in zip(_JSON_LINES, contents)],
+    # a stream's top level is an object: decompress reads other text as a text stream
+    ("top-level-kind", "dump", b"{}", "is not a JSON array"),
+    ("top-level-kind", "baseline", b"[]", "is not a JSON object"),
+    ("missing-field", "dump", b'[{"setting_id": 1, "name": "n", "type": "reel"}]',
+     "entry 0 lacks field 'abc'"),
+    ("missing-field", "baseline", b'{"rng_seed": 0}', "lacks field 'points'"),
+    ("missing-field", "decompress", b'{"tokens": []}', "lacks field 'algorithm'"),
+    ("wrong-kind", "dump", b'[{"setting_id": 1, "name": 5, "type": "reel", "abc": ""}]',
+     "entry 0 name is not a string: 5"),
+    ("wrong-kind", "baseline", b'{"points": 5}', "points is not an array: 5"),
+    ("wrong-kind", "decompress", b'{"algorithm": "lz77", "source_length": 1, "tokens": 5}',
+     "tokens is not an array: 5"),
+]
 
 
 @pytest.mark.parametrize("argv, content, message", [
@@ -732,25 +809,21 @@ SALLY_ENTRY = {"setting_id": "1", "name": "Sally", "type": "reel", "abc": golden
     (["compress", "{f}"], NOT_UTF8, "cannot read input {f}: 'utf-8' codec"),
     (["decompress", "{f}"], NOT_UTF8, "cannot read input {f}: 'utf-8' codec"),
     (["corpus", "--dump", "{f}"], NOT_UTF8, "cannot read dump {f}: 'utf-8' codec"),
-    (["corpus", "--dump", "{f}"], LONG_INT, "dump {f} is not valid JSON: Exceeds the limit"),
-    (["corpus", "--dump", "{f}"], DEEP, "dump {f} is not valid JSON: maximum recursion"),
     *[(["corpus", "--dump", "{f}"], json.dumps([SALLY_ENTRY, entry]).encode(),
-       "dump {f} entry 1 is not an object\n") for entry in (5, ["x"])],
+       "dump {f} entry 1 is not an object: %s\n" % json.dumps(entry))
+      for entry in (5, ["x"])],
     (["analyze", "--baseline", "{f}", "--normalize-to", "128", "{sally}"], NOT_JSON,
-     "baseline curve {f} is not usable: Expecting value"),
+     "baseline curve {f} is not usable: baseline curve is not valid JSON: Expecting value"),
     (["analyze", "--baseline", "{f}", "--normalize-to", "128", "{sally}"], NOT_UTF8,
      "cannot read baseline curve {f}: 'utf-8' codec"),
-    (["analyze", "--baseline", "{f}", "--normalize-to", "128", "{sally}"], DEEP,
-     "baseline curve {f} is not usable: baseline curve is not valid JSON: maximum recursion"),
-    (["decompress", "{f}"], b'{"tokens": ' + DEEP, "malformed stream JSON: maximum recursion"),
     (["decompress", "{f}"], b'{"tokens": ',
-     "malformed stream JSON: Expecting value: line 1 column 12 (char 11) (token stream {f})\n"),
+     "stream is not valid JSON: Expecting value: line 1 column 12 (char 11) (token stream {f})\n"),
     (["decompress", "{f}"], b"a [0,2000000]",
-     "token 1: decodes to 2000001 symbols, more than the ceiling of 1000000 (token stream {f})\n"),
+     "token 1: decodes to 2000001 symbols, more than the ceiling of 20000 (token stream {f})\n"),
     (["decompress", "{f}"], json.dumps({
         "algorithm": "lz77", "source_length": 2_000_001,
         "tokens": [{"symbol": "a"}, {"start": 0, "length": 2_000_000}]}).encode(),
-     "stream claims 2000001 symbols, more than the ceiling of 1000000 (token stream {f})\n"),
+     "stream claims 2000001 symbols, more than the ceiling of 20000 (token stream {f})\n"),
     (["decompress", "{f}"], b"a [0," + b"9" * 5000 + b"]",
      "token 1: number of more than 100 digits in '[0," + "9" * 117
      + "'... (5004 characters) (token stream {f})\n"),
@@ -764,17 +837,20 @@ SALLY_ENTRY = {"setting_id": "1", "name": "Sally", "type": "reel", "abc": golden
      "ABC file {f}: malformed_header: unusable meter '4/0' (offset 5)\n"),
     *[(["decompress", "{f}"],
        b'{"algorithm": "lz77", "source_length": %s, "tokens": [{"symbol": "a"}]}' % length,
-       "malformed stream JSON: source_length is not an integer: %s (token stream {f})\n"
+       "stream source_length is not a JSON integer: %s (token stream {f})\n"
        % length.decode())
       for length in (b'"1"', b"1.9", b"true")],
+    *[(_JSON_LINES[source][0], content, _JSON_LINES[source][1].format(fault=text))
+      for _, source, content, text in _JSON_PROBES],
 ], ids=["normalize", "analyze", "corpus", "rank", "compress", "decompress", "dump-not-utf8",
-        "dump-long-int", "dump-deep", "dump-entry-number", "dump-entry-list",
-        "baseline-not-json", "baseline-not-utf8", "baseline-deep", "decompress-deep", "decompress-not-json",
+        "dump-entry-number", "dump-entry-list", "baseline-not-json", "baseline-not-utf8",
+        "decompress-not-json",
         "decompress-text-past-ceiling", "decompress-json-past-ceiling",
         "decompress-text-long-number", "decompress-text-long-token",
         "decompress-json-long-token", "compress-malformed-header",
         "decompress-json-length-string", "decompress-json-length-float",
-        "decompress-json-length-bool"])
+        "decompress-json-length-bool",
+        *[f"{source}-{fault}" for fault, source, _, _ in _JSON_PROBES]])
 def test_unloadable_input_is_a_one_line_error(capsys, tmp_path, sally_path, argv, content,
                                               message):
     path = tmp_path / "input"
@@ -859,6 +935,9 @@ _ATOMS = st.sampled_from([
     '"extension"', "null", "-",
     # dump entries
     '"setting_id"', '"tune_id"', '"name"', '"type"', '"abc"', '"reel"', '"jig"', '"meter"',
+    # baseline curves
+    '"points"', '"mean_ratio"', '"std_dev"', '"alphabet_size"', '"samples_per_length"',
+    '"rng_seed"', "NaN", "-Infinity", "1e400",
 ])
 _NUMBERS = st.integers(0, 10**4).map(str)
 _DUMPS = st.lists(
@@ -870,15 +949,27 @@ _DUMPS = st.lists(
     }),
     max_size=3,
 ).map(json.dumps)
+_RATIOS = st.one_of(st.floats(), st.integers(-2, 2))  # NaN and infinities among the floats
+_CURVES = st.fixed_dictionaries({
+    "alphabet_size": st.integers(0, 27), "samples_per_length": st.integers(0, 3),
+    "rng_seed": st.integers(0, 3),
+    "points": st.lists(st.fixed_dictionaries({
+        "length": st.integers(0, 200), "mean_ratio": _RATIOS, "std_dev": _RATIOS}), max_size=3),
+}).map(json.dumps)
 _CONTENTS = st.one_of(
     st.binary(max_size=200),
     st.lists(st.one_of(_ATOMS, _NUMBERS), max_size=30).map("".join).map(str.encode),
     _DUMPS.map(str.encode),
+    _CURVES.map(str.encode),
 )
+# each reads the arbitrary file as its last argument
 _SUBCOMMANDS = (
     ["normalize"], ["compress", "--algo", "lz77"], ["compress", "--algo", "lz78"],
     ["decompress"], ["analyze"], ["corpus"], ["rank"], ["corpus", "--dump"],
+    ["analyze", "--normalize-to", "128", str(DATA_DIR / "sally_gardens.abc"), "--baseline"],
 )
+_REJECTION = re.compile(
+    rf"tunelz: rejected .* \(.*\): ({'|'.join(kind.value for kind in tunelz.ErrorKind)}): ")
 
 
 @settings(deadline=None)
@@ -891,6 +982,16 @@ def test_every_subcommand_is_total_on_arbitrary_input(tmp_path_factory, content)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*argv, str(path)])
         assert code in (0, 1, 2), argv
+        # a result prints nothing to stderr, rejections one line each, and an
+        # error one line
+        lines = err.getvalue().splitlines()
+        assert err.getvalue() == "".join(f"{line}\n" for line in lines), argv
+        if code == 0:
+            assert lines == [], argv
+        elif code == 1:
+            assert lines and all(_REJECTION.match(line) for line in lines), (argv, lines)
+        else:
+            assert len(lines) == 1 and lines[0].startswith("tunelz: error: "), (argv, lines)
 
 
 @pytest.mark.parametrize("case", sorted(STDOUT_GOLDEN))

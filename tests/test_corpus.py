@@ -185,28 +185,34 @@ def test_dump_must_be_an_array(tmp_path):
 def test_dump_entry_missing_required_key(tmp_path):
     path = tmp_path / "missing.json"
     path.write_text('[{"name": "No Body", "type": "reel"}]', encoding="utf-8")
-    with pytest.raises(IngestError):
+    with pytest.raises(IngestError) as exc:
         ingest_json_dump(path)
+    assert str(exc.value) == f"dump {path} entry 0 lacks field 'setting_id' or 'tune_id'"
+    path.write_text('[{"tune_id": 7, "name": "No Body", "type": "reel"}]', encoding="utf-8")
+    with pytest.raises(IngestError) as exc:
+        ingest_json_dump(path)
+    assert str(exc.value) == f"dump {path} entry 0 lacks field 'abc'"
 
 
 _SALLY_ENTRY = {"setting_id": "1", "name": "Sally", "type": "reel", "abc": goldens.SALLY}
 
 
 @pytest.mark.parametrize("fields, message", [
-    ({"setting_id": True}, "field 'setting_id' is neither a string nor an integer"),
-    ({"setting_id": 1.5}, "field 'setting_id' is neither a string nor an integer"),
-    ({"setting_id": ["1"]}, "field 'setting_id' is neither a string nor an integer"),
-    ({"setting_id": None, "tune_id": {"k": 1}}, "field 'tune_id' is neither a string nor an integer"),
-    ({"name": ["a"]}, "field 'name' is not a string"),
-    ({"name": None}, "field 'name' is not a string"),
-    ({"type": 1}, "field 'type' is not a string"),
-    ({"type": None}, "field 'type' is not a string"),
-    ({"abc": None}, "field 'abc' is not a string"),
-    ({"abc": {"k": 1}}, "field 'abc' is not a string"),
-    ({"meter": 4}, "field 'meter' is not a string"),
-    ({"meter": ["6/8"]}, "field 'meter' is not a string"),
-    ({"mode": False}, "field 'mode' is not a string"),
-    ({"mode": {"k": 1}}, "field 'mode' is not a string"),
+    ({"setting_id": True}, "setting_id is not a string or a JSON integer: true"),
+    ({"setting_id": 1.5}, "setting_id is not a string or a JSON integer: 1.5"),
+    ({"setting_id": ["1"]}, 'setting_id is not a string or a JSON integer: ["1"]'),
+    ({"setting_id": None, "tune_id": {"k": 1}},
+     'tune_id is not a string or a JSON integer: {"k": 1}'),
+    ({"name": ["a"]}, 'name is not a string: ["a"]'),
+    ({"name": None}, "name is not a string: null"),
+    ({"type": 1}, "type is not a string: 1"),
+    ({"type": None}, "type is not a string: null"),
+    ({"abc": None}, "abc is not a string: null"),
+    ({"abc": {"k": 1}}, 'abc is not a string: {"k": 1}'),
+    ({"meter": 4}, "meter is not a string or null: 4"),
+    ({"meter": ["6/8"]}, 'meter is not a string or null: ["6/8"]'),
+    ({"mode": False}, "mode is not a string or null: false"),
+    ({"mode": {"k": 1}}, 'mode is not a string or null: {"k": 1}'),
 ], ids=["id-bool", "id-float", "id-list", "tune-id-object", "name-list", "name-null",
         "type-number", "type-null", "abc-null", "abc-object", "meter-number", "meter-list",
         "mode-bool", "mode-object"])
@@ -224,7 +230,7 @@ def test_dump_entry_that_is_not_an_object_is_refused(tmp_path, entry):
     path.write_text(json.dumps([_SALLY_ENTRY, entry]), encoding="utf-8")
     with pytest.raises(IngestError) as exc:
         ingest_json_dump(path)
-    assert str(exc.value) == f"dump {path} entry 1 is not an object"
+    assert str(exc.value) == f"dump {path} entry 1 is not an object: {json.dumps(entry)}"
 
 
 def test_dump_offset_after_a_comment_counts_in_the_abc_body(tmp_path):
@@ -372,7 +378,8 @@ def test_abc_file_not_utf8_names_the_path(tmp_path):
 @pytest.mark.parametrize("content, message", [
     pytest.param(b"\xff[]", "cannot read dump {}: 'utf-8' codec", id="not-utf8"),
     pytest.param(b'[{"setting_id": ' + b"9" * 5000 + b"}]",
-                 "dump {} is not valid JSON: Exceeds the limit", id="5000-digit-id"),
+                 "dump {} is not valid JSON: an integer of more than 100 digits",
+                 id="5000-digit-id"),
     pytest.param(b"[" * 100_000, "dump {} is not valid JSON: maximum recursion",
                  id="nested-100000-deep"),
 ])

@@ -155,14 +155,14 @@ def test_decompress_stops_at_the_token_that_passes_the_declared_length():
 
 @pytest.mark.parametrize("load, text, message", [
     (stream_from_text, "a [0,2000000]",
-     "token 1: decodes to 2000001 symbols, more than the ceiling of 1000000"),
+     "token 1: decodes to 2000001 symbols, more than the ceiling of 20000"),
     (stream_from_json,
      json.dumps({"algorithm": "lz77", "source_length": 2_000_001,
                  "tokens": [{"symbol": "a"}, {"start": 0, "length": 2_000_000}]}),
-     "stream claims 2000001 symbols, more than the ceiling of 1000000"),
+     "stream claims 2000001 symbols, more than the ceiling of 20000"),
 ], ids=["text", "json"])
 def test_loaded_stream_stops_at_the_ceiling(load, text, message):
-    assert MAX_STREAM_SYMBOLS == 1_000_000
+    assert MAX_STREAM_SYMBOLS == 20_000
     tracemalloc.start()
     try:
         with pytest.raises(CorruptStream) as exc:
@@ -283,6 +283,25 @@ def test_json_form_round_trip():
     assert stream_from_json(stream_to_json(stream)) == stream
 
 
+# decompress reads a text that does not start with { as a text stream, so
+# the top level's kind is checked here
+@pytest.mark.parametrize("text, message", [
+    ("[]", "stream is not a JSON object"),
+    ('{"algorithm": "lz77", "tokens": []}', "stream lacks field 'source_length'"),
+    ('{"algorithm": true, "source_length": 0, "tokens": []}',
+     "stream algorithm is not lz77 or lz78: true"),
+    ('{"algorithm": "lz78", "source_length": -0.0, "tokens": []}',
+     "stream source_length is not a JSON integer: -0.0"),
+    ('{"algorithm": "lz78", "source_length": 1e400, "tokens": []}',
+     "stream source_length is not a JSON integer: Infinity"),
+], ids=["top-level-array", "missing-length", "algorithm-bool", "length-negative-zero",
+        "length-overflowing-float"])
+def test_json_form_names_the_field_and_the_kind_it_wants(text, message):
+    with pytest.raises(CorruptStream) as exc:
+        stream_from_json(text)
+    assert str(exc.value) == message
+
+
 def test_text_form_rejects_garbage():
     with pytest.raises(CorruptStream):
         stream_from_text("[3,2] what?", algorithm=Algorithm.LZ77)
@@ -319,7 +338,7 @@ def test_text_form_reads_numbers_of_100_digits():
     (stream_from_text, "1a " + "?" * 10**6 + "b",
      "unrecognized LZ78 token '" + "?" * 120 + "'... (1000001 characters)"),
     (stream_from_json, json.dumps({"algorithm": "q" * 10**6, "source_length": 1, "tokens": []}),
-     "malformed stream JSON: '" + "q" * 119 + "... (1000027 characters)"),
+     'stream algorithm is not lz77 or lz78: "' + "q" * 119 + "... (1000002 characters)"),
 ], ids=["lz78-text", "json-algorithm"])
 def test_long_stream_input_is_excerpted_in_the_error(load, text, message):
     # the command line cases are in test_cli.test_unloadable_input_is_a_one_line_error
