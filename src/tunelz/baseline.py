@@ -11,8 +11,7 @@ its own generator from the master seed, so results do not depend on
 evaluation order and are reproducible bit for bit.
 """
 
-from __future__ import annotations
-
+import bisect
 import json
 import math
 import random
@@ -116,14 +115,14 @@ def baseline_at(curve: BaselineCurve, length: int) -> float:
             f"length {length} outside sampled span "
             f"[{points[0].length}, {points[-1].length}]"
         )
-    for i, point in enumerate(points):
-        if point.length == length:
-            return point.mean_ratio
-        if point.length > length:
-            left = points[i - 1]
-            t = (length - left.length) / (point.length - left.length)
-            return left.mean_ratio + t * (point.mean_ratio - left.mean_ratio)
-    raise AssertionError("unreachable")
+    # the first point at or past length; curve lengths strictly increase
+    i = bisect.bisect_left(points, length, key=lambda point: point.length)
+    point = points[i]
+    if point.length == length:
+        return point.mean_ratio
+    left = points[i - 1]
+    t = (length - left.length) / (point.length - left.length)
+    return left.mean_ratio + t * (point.mean_ratio - left.mean_ratio)
 
 
 def normalize_ratio(

@@ -8,8 +8,6 @@ lines).  Every subcommand is a pure function of its arguments, input
 files and seed, so repeated runs produce byte-identical output.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
@@ -215,8 +213,10 @@ def cmd_compress(args) -> list[cp.TuneRecord]:
 
 def cmd_decompress(args) -> list[cp.TuneRecord]:
     text = _read_input(args.path)
+    head = text.lstrip()[:2]
     try:
-        if text.lstrip().startswith("{"):
+        # a text stream's "[" always opens a back-reference, "[i,j]", digits first
+        if head[:1] == "{" or head[:1] == "[" and not head[1:].isdigit():
             stream = lz.stream_from_json(text)
         else:
             stream = lz.stream_from_text(text, index_base=args.index_base)

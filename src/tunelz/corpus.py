@@ -12,8 +12,6 @@ depend on the order of the reports: sums are exact and ties between
 extremes break by name then id.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import os

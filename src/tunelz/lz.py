@@ -17,8 +17,6 @@ of a stream is ``source_length / token_count`` as an exact rational.
 All functions here are pure and safe to call from multiple threads.
 """
 
-from __future__ import annotations
-
 import json
 import re
 from enum import Enum

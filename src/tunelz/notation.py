@@ -9,16 +9,16 @@ literally, and everything else (bars, spaces, ornaments) is discarded.
 The grid is strict.  Durations that are not a whole number of quavers,
 pitches outside the two-octave range, rests, and chords are rejected
 rather than approximated, because silent quantization would corrupt the
-complexity estimates computed downstream.  Rejections carry a kind, a
-human-readable detail, and a character offset.  A header error's offset
-counts in the ABC text; a body error's counts in the tune body as
-written, from the line after ``K:``, since a ``%`` comment is blanked
-rather than cut.
+complexity estimates computed downstream.  A ``%`` starts a comment
+that runs to the end of its line anywhere in the text, header lines
+included; each comment is blanked, not cut, and there is no ``\\%``
+escape.  Rejections carry a kind, a human-readable detail, and a
+character offset.  A header error's offset counts in the ABC text; a
+body error's counts in the tune body as written, from the line after
+``K:``.
 
 Everything here is a pure function of its inputs.
 """
-
-from __future__ import annotations
 
 import re
 from enum import Enum
@@ -76,6 +76,8 @@ class QuaverSequence(Value):
 
 
 _FIELD_RE = re.compile(r"^([A-Za-z])\s*:\s*(.*?)\s*$")
+# from a "%" to the end of its line, where str.splitlines ends one
+_COMMENT_RE = re.compile(r"%[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
 _NUMBER = rf"([0-9]{{1,{MAX_DIGITS}}})"
 _METER_RE = re.compile(rf"^{_NUMBER}\s*/\s*{_NUMBER}$")
 
@@ -109,10 +111,14 @@ def parse_abc(source: str) -> list[AbcTune]:
     Header fields X, T, M, L, K and R are extracted (M defaults to 4/4,
     L to 1/8); other header lines are ignored.  The body is everything
     after the ``K:`` line up to the next ``X:`` line or end of input.
+    Every ``%`` comment, header lines included, is first blanked to
+    spaces up to its line break, so header values are read without it
+    and every offset counts in ``source`` as written.
     Raises NormalizationError with kind MALFORMED_HEADER, naming the
     offending line, when a block has no ``K:`` line or a field value is
     unusable.
     """
+    source = _COMMENT_RE.sub(lambda m: " " * len(m[0]), source)
     lines = source.splitlines(keepends=True)
     offsets = list(accumulate((len(line) for line in lines), initial=0))
     starts = [i for i, line in enumerate(lines)
@@ -136,9 +142,8 @@ def _parse_block(lines: list[str], offsets: list[int], start: int, end: int) -> 
     body_start = None
 
     for i in range(start, end):
-        raw = lines[i]
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
+        stripped = lines[i].strip()
+        if not stripped:
             continue
         m = _FIELD_RE.match(stripped)
         if not m:
@@ -178,21 +183,13 @@ def _parse_block(lines: list[str], offsets: list[int], start: int, end: int) -> 
             offsets[start],
         )
 
-    # a comment is blanked, not cut, so that every offset counts in the body as written
-    body_lines = []
-    for line in lines[body_start:end]:
-        cut = line.find("%")
-        if cut >= 0:
-            comment = line[cut:].splitlines()[0]  # the line break stays
-            line = line[:cut] + " " * len(comment) + line[cut + len(comment):]
-        body_lines.append(line)
     return AbcTune(
         reference_number=reference,
         title=title,
         meter=meter,
         unit_note_length=unit,
         key=key,
-        body="".join(body_lines),
+        body="".join(lines[body_start:end]),
         rhythm=rhythm,
     )
 

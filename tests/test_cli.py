@@ -203,7 +203,9 @@ def test_decompress_corrupt_stream(capsys, tmp_path):
     bad.write_text("[5,2] a", encoding="utf-8")
     code, _, err = run(capsys, "decompress", str(bad))
     assert code == 2
-    assert "error" in err
+    # a "[" with a digit after it opens a back-reference of a text stream, not JSON
+    assert err == ("tunelz: error: token 0: start 5 outside emitted prefix of 0"
+                   f" (token stream {bad})\n")
 
 
 @pytest.mark.parametrize("tokens, message", [
@@ -786,9 +788,12 @@ _JSON_PROBES = [
           for name, constant in [("nan", b"NaN"), ("infinity", b"Infinity"),
                                  ("minus-infinity", b"-Infinity")]],
     ] for source, content in zip(_JSON_LINES, contents)],
-    # a stream's top level is an object: decompress reads other text as a text stream
+    # a stream's top level is an object: decompress reads as JSON any text that
+    # starts with "{", or with a "[" that opens no text back-reference "[i,j]"
     ("top-level-kind", "dump", b"{}", "is not a JSON array"),
     ("top-level-kind", "baseline", b"[]", "is not a JSON object"),
+    ("top-level-kind", "decompress", b"[]", "is not a JSON object"),
+    ("token-array", "decompress", b' [{"symbol": "a"}]', "is not a JSON object"),
     ("missing-field", "dump", b'[{"setting_id": 1, "name": "n", "type": "reel"}]',
      "entry 0 lacks field 'abc'"),
     ("missing-field", "baseline", b'{"rng_seed": 0}', "lacks field 'points'"),
@@ -1025,7 +1030,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # -B: -I ignores PYTHONDONTWRITEBYTECODE, and the test leaves no bytecode behind
     src = str(Path(tunelz.__file__).parent.parent)
     code = (f"import sys; sys.path.insert(0, {src!r}); import tunelz.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules))); "
+            "print(sorted({'__future__', 'dataclasses', 'inspect', 'pathlib'} & set(sys.modules))); "
             # the runtime is stdlib-only: every module loaded is the standard library's
             "print(sorted({name.partition('.')[0] for name in sys.modules}"
             " - set(sys.stdlib_module_names) - {'tunelz', '__main__'}))")

@@ -7,6 +7,7 @@ import pickle
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from tunelz.corpus import (
     ingest_abc_files,
     ingest_json_dump,
     rank,
+    records_from_abc,
     reports_to_csv,
     stats_to_dict,
 )
@@ -35,6 +37,8 @@ from tunelz.corpus import TuneRecord
 from tunelz.lz import Algorithm, compress_lz78, compression_ratio
 
 import goldens
+
+DATA_DIR = Path(__file__).parent / "data"
 
 CURVE = BaselineCurve(
     13, 1000, (BaselinePoint(96, 1.23, 0.0), BaselinePoint(128, 1.29, 0.0)), 0
@@ -147,6 +151,15 @@ def test_dump_meter_with_a_line_break_inside_is_malformed(tmp_path, meter, shown
     (record,) = ingest_json_dump(path)
     assert record.outcome.kind is ErrorKind.MALFORMED_HEADER
     assert record.outcome.detail == f"unusable meter {shown}"
+
+
+def test_dump_meter_is_read_without_its_comment(tmp_path):
+    body = "ABcdef" * 16
+    entry = {"setting_id": "1", "name": "Six", "type": "jig", "meter": "6/8 % jig", "abc": body}
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    (record,) = ingest_json_dump(path)
+    assert record.outcome == QuaverSequence(body, Category.JIG)
 
 
 @pytest.mark.parametrize("meter, body, offset", [
@@ -347,6 +360,36 @@ def test_crlf_abc_file_reads_as_its_lf_copy(tmp_path, sally_path):
     crlf = tmp_path / sally_path.name
     crlf.write_bytes(sally_path.read_bytes().replace(b"\n", b"\r\n"))
     assert ingest_abc_files([crlf]) == ingest_abc_files([sally_path])
+
+
+# the characters at which str.splitlines ends a line; a comment runs up to the first
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+ABC_FILES = sorted(path.name for path in DATA_DIR.glob("*.abc"))
+
+
+def _as_read(record: TuneRecord) -> tuple:
+    outcome = record.outcome
+    if not record.accepted:
+        outcome = (outcome.kind, outcome.detail)
+    return record.id, record.name, record.category, record.key, outcome
+
+
+@pytest.mark.parametrize("name", ABC_FILES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_comment_on_any_line_leaves_every_record_as_read(name, data):
+    source = (DATA_DIR / name).read_text(encoding="utf-8")
+    lines = source.splitlines(keepends=True)
+    comments = data.draw(st.dictionaries(
+        st.integers(0, len(lines) - 1),
+        st.tuples(st.sampled_from(["", " ", "\t"]),
+                  st.text(st.characters(blacklist_characters=LINE_BREAKS), max_size=20)),
+        min_size=1))
+    for i, (space, comment) in comments.items():
+        content = lines[i].rstrip(LINE_BREAKS)
+        lines[i] = f"{content}{space}%{comment}{lines[i][len(content):]}"
+    expected = [_as_read(r) for r in records_from_abc(source, "f")]
+    assert [_as_read(r) for r in records_from_abc("".join(lines), "f")] == expected
 
 
 def test_abc_ingestion_no_paths():

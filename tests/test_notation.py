@@ -147,6 +147,34 @@ def test_a_comment_is_blanked_so_that_later_offsets_count_in_the_body_as_written
     assert tune.body == "AB|" + " " * 10 + "\r\n" + " " * 16 + "\ncd|\n"
 
 
+@pytest.mark.parametrize("line_break", ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                                        "\x85", "\u2028", "\u2029"])
+def test_a_comment_is_blanked_up_to_its_line_break_which_stays(line_break):
+    source = line_break.join(["X: 1 % one", "K: D % key", "AB % c", "cd|\n"])
+    (tune,) = parse_abc(source)
+    assert (tune.reference_number, tune.key) == (1, "D")
+    assert tune.body == f"AB    {line_break}cd|\n"
+
+
+_HEADER = {"X": "1", "T": "Sally", "M": "4/4", "L": "1/8", "R": "jig", "K": "D"}
+
+
+@pytest.mark.parametrize("letter, value, field, expected", [
+    ("X", "3", "reference_number", 3),
+    ("T", "Sally Gardens", "title", "Sally Gardens"),
+    ("M", "6/8", "meter", (6, 8)),
+    ("L", "1/16", "unit_note_length", Fraction(1, 16)),
+    ("R", "reel", "rhythm", "reel"),
+    ("K", "Dmix", "key", "Dmix"),
+])
+def test_a_header_value_is_read_without_its_trailing_comment(letter, value, field, expected):
+    header = {**_HEADER, letter: f"{value} % a comment"}
+    source = "".join(f"{k}: {v}\n" for k, v in header.items()) + "AB\n"
+    (tune,) = parse_abc(source)
+    assert getattr(tune, field) == expected
+    assert tune.body == "AB\n"
+
+
 def test_a_commented_body_normalizes_as_the_body_without_its_comments(sally_path):
     header, body = sally_path.read_text(encoding="utf-8").split("K: Gmajor\n")
     commented = "".join(f"% bar line {n}\n{line} % end of line {n}\n"
