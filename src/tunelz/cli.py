@@ -155,7 +155,12 @@ def _analyze(args, records: list[cp.TuneRecord]) -> list[cp.ComplexityReport]:
         return cp.analyze(records)
     text = read_text(path, "baseline curve")
     try:
-        return cp.analyze(records, bl.curve_from_json(text), reference)
+        curve = bl.curve_from_json(text)
+    except ValueError as exc:  # each message starts "baseline curve": the path goes after it
+        detail = str(exc).removeprefix("baseline curve")
+        raise cp.IngestError(f"baseline curve {path}{detail}") from exc
+    try:
+        return cp.analyze(records, curve, reference)
     except ValueError as exc:
         raise cp.IngestError(f"baseline curve {path} is not usable: {exc}") from exc
 

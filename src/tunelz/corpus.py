@@ -23,6 +23,7 @@ from ._value import (OBJECT, STRING, IngestError, Value, excerpt, field, item,
 from .baseline import BaselineCurve, mean_and_spread, normalize_ratio
 from .lz import Algorithm, compress_lz77, compression_ratio, token_count
 from .notation import (
+    _COMMENT_RE,
     AbcTune,
     Category,
     ErrorKind,
@@ -118,8 +119,11 @@ def _dump_entry(entry, what: str) -> tuple:
     if id_key is None:
         raise ValueError(f"{what} lacks field {' or '.join(map(repr, _ID_KEYS))}")
     category = category_from_type(field(entry, "type", STRING, what))
-    # a null meter or mode takes its default, as "" does
-    meter = field(entry, "meter", _OPTIONAL_STRING, what, None) or _default_meter(category)
+    # a null meter or mode takes its default, as "" does, and so does a meter
+    # that is blank once its comment is blanked
+    meter = field(entry, "meter", _OPTIONAL_STRING, what, None) or ""
+    if not _COMMENT_RE.sub("", meter).strip():
+        meter = _default_meter(category)
     return (str(field(entry, id_key, _ID, what)), field(entry, "name", STRING, what), category,
             field(entry, "mode", _OPTIONAL_STRING, what, None) or "C",
             field(entry, "abc", STRING, what), meter.rstrip())

@@ -214,30 +214,40 @@ def _check_limit(i: int, end: int, limit: int, bound: str) -> None:
         raise CorruptStream(f"token {i}: decodes to {shown(end)} symbols, {bound} {limit}")
 
 
+def _check_field(i: int, name: str, value, kind: type) -> None:
+    if type(value) is not kind or kind is str and len(value) != 1:
+        wanted = "an integer" if kind is int else "a one-character string"
+        raise CorruptStream(f"token {i}: {name} {shown(repr(value))} is not {wanted}")
+
+
 def _stream_length(algorithm: Algorithm, tokens: tuple, limit: int, bound: str) -> int:
     """The number of symbols ``tokens`` decode to, found without decoding them.
 
-    Raises CorruptStream at the first token that is not of ``algorithm``'s
-    kind, that names a start or phrase not yet decoded, that is a short
-    back-reference or an early terminal token, or that passes ``limit``
-    symbols; ``bound`` names ``limit`` in the error, as in "stream claims".
-    The decoders check nothing themselves, so ``decompress`` runs this first.
+    The one judge of token values: the decoders check nothing themselves.
+    Raises CorruptStream at the first token not of ``algorithm``'s kind;
+    with a symbol or extension not a one-character ``str``, or a start,
+    length or phrase index not an ``int`` (a bool is not one); naming a
+    start or phrase not yet decoded; that is a short back-reference or an
+    early terminal token; or that passes ``limit`` symbols, which ``bound``
+    names in the error, as in "stream claims".
     """
     length = 0
     if algorithm is Algorithm.LZ77:
         for i, tok in enumerate(tokens):
             if isinstance(tok, Literal):
+                _check_field(i, "symbol", tok.symbol, str)
                 end = length + 1
             elif not isinstance(tok, BackRef):
                 raise CorruptStream(f"token {i} is not an LZ77 token: {shown(repr(tok))}")
-            elif tok.length < MIN_MATCH:
-                raise CorruptStream(
-                    f"token {i}: back-reference length {shown(tok.length)} < {MIN_MATCH}")
-            elif not 0 <= tok.start < length:
-                raise CorruptStream(
-                    f"token {i}: start {shown(tok.start)} outside emitted prefix of {length}"
-                )
             else:
+                _check_field(i, "start", tok.start, int)
+                _check_field(i, "length", tok.length, int)
+                if tok.length < MIN_MATCH:
+                    raise CorruptStream(
+                        f"token {i}: back-reference length {shown(tok.length)} < {MIN_MATCH}")
+                if not 0 <= tok.start < length:
+                    raise CorruptStream(
+                        f"token {i}: start {shown(tok.start)} outside emitted prefix of {length}")
                 end = length + tok.length
             _check_limit(i, end, limit, bound)
             length = end
@@ -246,34 +256,42 @@ def _stream_length(algorithm: Algorithm, tokens: tuple, limit: int, bound: str) 
     for i, tok in enumerate(tokens):
         if not isinstance(tok, Lz78Token):
             raise CorruptStream(f"token {i} is not an LZ78 token: {shown(repr(tok))}")
+        _check_field(i, "phrase index", tok.prefix_index, int)
         if not 0 <= tok.prefix_index < len(phrase_lengths):
             raise CorruptStream(
-                f"token {i}: phrase index {shown(tok.prefix_index)} not yet defined"
-            )
+                f"token {i}: phrase index {shown(tok.prefix_index)} not yet defined")
         phrase = phrase_lengths[tok.prefix_index]
         if tok.extension is None:
             if i != len(tokens) - 1:
                 raise CorruptStream(f"token {i}: terminal token before end of stream")
         else:
-            phrase += len(tok.extension)
+            _check_field(i, "extension", tok.extension, str)
+            phrase += 1
             phrase_lengths.append(phrase)
         length += phrase
         _check_limit(i, length, limit, bound)
     return length
 
 
+def _checked(stream: TokenStream) -> TokenStream:
+    """``stream``, if it decodes to exactly ``source_length`` symbols; else CorruptStream."""
+    claimed = stream.source_length
+    if type(claimed) is not int:
+        raise CorruptStream(f"stream source_length is not an integer: {shown(repr(claimed))}")
+    length = _stream_length(stream.algorithm, stream.tokens, claimed, "stream claims")
+    if length != claimed:
+        raise CorruptStream(f"decoded {length} symbols, stream claims {claimed}")
+    return stream
+
+
 def decompress(stream: TokenStream) -> str:
     """Reconstruct the source sequence of a token stream.
 
-    Raises CorruptStream when a token index is out of range, a terminal
-    LZ78 token is not last, or the decoded length disagrees with the
-    stream's ``source_length``.  The stream is checked before any symbol
-    is decoded, so a token that would pass ``source_length`` builds nothing.
+    Raises CorruptStream when a token fails ``_stream_length``'s check or
+    the stream does not decode to its ``source_length``, an ``int``.  All is
+    checked before a symbol is decoded, so a token past it builds nothing.
     """
-    length = _stream_length(stream.algorithm, stream.tokens, stream.source_length,
-                            "stream claims")
-    if length != stream.source_length:
-        raise CorruptStream(f"decoded {length} symbols, stream claims {stream.source_length}")
+    _checked(stream)
     if stream.algorithm is Algorithm.LZ77:
         return _decompress_lz77(stream.tokens)
     return _decompress_lz78(stream.tokens)
@@ -414,9 +432,9 @@ def stream_to_json(stream: TokenStream) -> str:
 def stream_from_json(text: str) -> TokenStream:
     """Load a stream saved by ``stream_to_json``.
 
-    Raises CorruptStream when the text is not such a stream, or when it
-    declares a ``source_length`` above ``MAX_STREAM_SYMBOLS``; the tokens
-    are checked against the declared length only by ``decompress``.
+    Raises CorruptStream when the text is not such a stream, when it
+    declares a ``source_length`` above ``MAX_STREAM_SYMBOLS``, or when its
+    tokens fail the check ``decompress`` makes, with the same message.
     """
     try:
         payload = load_json(text, "stream", dict)
@@ -429,22 +447,16 @@ def stream_from_json(text: str) -> TokenStream:
         raise CorruptStream(f"stream claims {source_length} symbols, "
                             f"more than the ceiling of {MAX_STREAM_SYMBOLS}")
     tokens = tuple(_token_from_json(i, entry) for i, entry in enumerate(raw))
-    return TokenStream(algorithm, tokens, source_length)
+    return _checked(TokenStream(algorithm, tokens, source_length))
 
 
 def _token_from_json(i: int, entry) -> Lz77Token | Lz78Token:
-    """One token object: {symbol}, {start, length} or {prefix, extension}."""
+    """One token object: {symbol}, {start, length} or {prefix, extension}, values unchecked."""
     keys = set(entry) if isinstance(entry, dict) else None
-    if keys == {"symbol"} and _is_symbol(entry["symbol"]):
+    if keys == {"symbol"}:
         return Literal(entry["symbol"])
-    if keys == {"start", "length"} and type(entry["start"]) is type(entry["length"]) is int:
+    if keys == {"start", "length"}:
         return BackRef(entry["start"], entry["length"])
-    if keys == {"prefix", "extension"} and type(entry["prefix"]) is int and (
-        entry["extension"] is None or _is_symbol(entry["extension"])
-    ):
+    if keys == {"prefix", "extension"}:
         return Lz78Token(entry["prefix"], entry["extension"])
     raise CorruptStream(f"token {i} is not a valid token object: {shown(json.dumps(entry))}")
-
-
-def _is_symbol(value) -> bool:
-    return isinstance(value, str) and len(value) == 1

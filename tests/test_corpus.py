@@ -263,8 +263,14 @@ def test_dump_offset_after_a_comment_counts_in_the_abc_body(tmp_path):
     ({"meter": None, "mode": None}, "1", "C"),
     ({"meter": "", "mode": ""}, "1", "C"),
     ({"meter": "4/4", "mode": "Dmix"}, "1", "Dmix"),
+    # a meter blank once its comment is blanked takes the default too
+    ({"meter": "% jig"}, "1", "C"),
+    ({"meter": " % 6/8 "}, "1", "C"),
+    ({"meter": "   "}, "1", "C"),
+    ({"meter": "\n"}, "1", "C"),
 ], ids=["int-id", "zero-id", "int-tune-id", "empty-setting-id", "null-defaults",
-        "empty-defaults", "given"])
+        "empty-defaults", "given", "comment-meter", "spaced-comment-meter", "spaces-meter",
+        "line-break-meter"])
 def test_dump_entry_takes_integer_ids_and_null_or_empty_defaults(tmp_path, fields, record_id, key):
     path = tmp_path / "dump.json"
     path.write_text(json.dumps([{**_SALLY_ENTRY, **fields}]), encoding="utf-8")

@@ -139,9 +139,8 @@ def test_decompress_rejects_a_token_of_the_other_coder(stream, message):
 
 
 def test_decompress_stops_at_the_token_that_passes_the_declared_length():
-    text = json.dumps({"algorithm": "lz77", "source_length": 3,
-                       "tokens": [{"symbol": "a"}, {"start": 0, "length": 10**6}]})
-    stream = stream_from_json(text)
+    # stream_from_json refuses this stream at load, with the same message
+    stream = TokenStream(Algorithm.LZ77, (Literal("a"), BackRef(0, 10**6)), 3)
     tracemalloc.start()
     try:
         with pytest.raises(CorruptStream) as exc:
@@ -249,6 +248,98 @@ def test_decompress_checks_the_whole_stream_before_decoding():
         tracemalloc.stop()
     assert str(exc.value) == "token 2: back-reference length 1 < 2"
     assert peak < 64 * 1024
+
+
+# ------------------------------------------------------------ the token check
+#
+# decompress and both stream loaders judge every token value in one place,
+# so a stream built in Python and one loaded from JSON fail alike
+
+# field values of every kind a token could be given, small ints most often
+FIELD_VALUES = st.one_of(st.integers(-2, 8), st.text("ab", max_size=3), st.none(),
+                         st.booleans(), st.floats(), st.integers())
+JSON_FIELD_VALUES = st.one_of(st.integers(-2, 8), st.text("ab", max_size=3), st.none(),
+                              st.booleans(), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.sampled_from(Algorithm),
+       st.lists(st.one_of(st.builds(Literal, FIELD_VALUES),
+                          st.builds(BackRef, FIELD_VALUES, FIELD_VALUES),
+                          st.builds(Lz78Token, FIELD_VALUES, FIELD_VALUES)), max_size=6),
+       FIELD_VALUES)
+@settings(max_examples=400, deadline=None)
+def test_decompress_returns_the_claimed_symbols_or_raises_corrupt_stream(algorithm, tokens,
+                                                                         source_length):
+    stream = TokenStream(algorithm, tuple(tokens), source_length)
+    try:
+        symbols = decompress(stream)
+    except CorruptStream:
+        return
+    assert type(symbols) is str
+    assert len(symbols) == source_length
+
+
+@given(st.sampled_from(["lz77", "lz78"]),
+       st.lists(st.one_of(st.fixed_dictionaries({"symbol": JSON_FIELD_VALUES}),
+                          st.fixed_dictionaries({"start": JSON_FIELD_VALUES,
+                                                 "length": JSON_FIELD_VALUES}),
+                          st.fixed_dictionaries({"prefix": JSON_FIELD_VALUES,
+                                                 "extension": JSON_FIELD_VALUES})), max_size=6),
+       JSON_FIELD_VALUES)
+@settings(max_examples=400, deadline=None)
+def test_json_stream_loads_only_if_decompress_accepts_it(algorithm, tokens, source_length):
+    text = json.dumps({"algorithm": algorithm, "source_length": source_length, "tokens": tokens})
+    try:
+        stream = stream_from_json(text)
+    except CorruptStream:
+        return
+    assert len(decompress(stream)) == source_length
+
+
+@pytest.mark.parametrize("algorithm, objects, tokens, message", [
+    (Algorithm.LZ77, [{"symbol": "ab"}], (Literal("ab"),),
+     "token 0: symbol 'ab' is not a one-character string"),
+    (Algorithm.LZ77, [{"symbol": ""}], (Literal(""),),
+     "token 0: symbol '' is not a one-character string"),
+    (Algorithm.LZ77, [{"symbol": 5}], (Literal(5),),
+     "token 0: symbol 5 is not a one-character string"),
+    (Algorithm.LZ77, [{"symbol": None}], (Literal(None),),
+     "token 0: symbol None is not a one-character string"),
+    (Algorithm.LZ77, [{"symbol": "a"}, {"start": 0.0, "length": 2}],
+     (Literal("a"), BackRef(0.0, 2)), "token 1: start 0.0 is not an integer"),
+    (Algorithm.LZ77, [{"symbol": "a"}, {"start": 0, "length": 2.0}],
+     (Literal("a"), BackRef(0, 2.0)), "token 1: length 2.0 is not an integer"),
+    (Algorithm.LZ77, [{"symbol": "a"}, {"start": False, "length": 2}],
+     (Literal("a"), BackRef(False, 2)), "token 1: start False is not an integer"),
+    (Algorithm.LZ77, [{"symbol": "a"}, {"start": 0, "length": "2"}],
+     (Literal("a"), BackRef(0, "2")), "token 1: length '2' is not an integer"),
+    (Algorithm.LZ78, [{"prefix": 0.0, "extension": "a"}], (Lz78Token(0.0, "a"),),
+     "token 0: phrase index 0.0 is not an integer"),
+    (Algorithm.LZ78, [{"prefix": True, "extension": "a"}], (Lz78Token(True, "a"),),
+     "token 0: phrase index True is not an integer"),
+    (Algorithm.LZ78, [{"prefix": 0, "extension": 3}], (Lz78Token(0, 3),),
+     "token 0: extension 3 is not a one-character string"),
+    (Algorithm.LZ78, [{"prefix": 0, "extension": "ab"}], (Lz78Token(0, "ab"),),
+     "token 0: extension 'ab' is not a one-character string"),
+], ids=["symbol-two-characters", "symbol-empty", "symbol-int", "symbol-null", "start-float",
+        "length-float", "start-bool", "length-string", "prefix-float", "prefix-bool",
+        "extension-int", "extension-two-characters"])
+def test_a_json_and_a_built_stream_with_one_fault_fail_alike(algorithm, objects, tokens,
+                                                            message):
+    text = json.dumps({"algorithm": algorithm.value, "source_length": 3, "tokens": objects})
+    with pytest.raises(CorruptStream) as loaded:
+        stream_from_json(text)
+    with pytest.raises(CorruptStream) as built:
+        decompress(TokenStream(algorithm, tokens, 3))
+    assert str(loaded.value) == str(built.value) == message
+
+
+@pytest.mark.parametrize("source_length", ["3", 3.0, True, None])
+def test_decompress_refuses_a_source_length_that_is_not_an_int(source_length):
+    stream = TokenStream(Algorithm.LZ77, (Literal("a"), BackRef(0, 2)), source_length)
+    with pytest.raises(CorruptStream) as exc:
+        decompress(stream)
+    assert str(exc.value) == f"stream source_length is not an integer: {source_length!r}"
 
 
 # ------------------------------------------------------------ serialization
