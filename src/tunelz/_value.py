@@ -17,6 +17,7 @@ quoting input, shared by the loaders and the baseline.
 """
 
 import json
+import sys
 from enum import Enum
 from fractions import Fraction
 
@@ -130,9 +131,21 @@ def excerpt(text: str, show=repr) -> str:
     return f"{show(text[:_MAX_QUOTED])}... ({len(text)} characters)"
 
 
-def shown(value) -> str:
-    """``str(value)`` excerpted, for an error that quotes a value such as a token or a field."""
-    return excerpt(str(value), str)
+def shown(value, show=str) -> str:
+    """``show(value)`` excerpted, for an error that quotes a value such as a token or a
+    field; an int too long for ``str`` to write, or a value holding one, by its size."""
+    try:
+        return excerpt(show(value), str)
+    except ValueError:  # str() refuses an int past the interpreter's digit limit
+        size = f"an integer of more than {sys.get_int_max_str_digits()} digits"
+        return size if type(value) is int else f"{type(value).__name__} holding {size}"
+
+
+def too_long(number: int) -> bool:
+    """Whether ``str(number)`` passes the interpreter's digit limit (0 for none); as
+    2**3 < 10, an int of at most 3 bits per digit allowed does not."""
+    limit = sys.get_int_max_str_digits()
+    return 0 < 3 * limit < number.bit_length() and not -10 ** limit < number < 10 ** limit
 
 
 class Value:

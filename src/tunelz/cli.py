@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", parents=[tunes, curve],
                        help="aggregate statistics over a tune collection")
     p.set_defaults(run=cmd_corpus)
-    p.add_argument("--category", choices=("reel", "jig", "all"), default="all")
+    p.add_argument("--category", default="all",
+                   choices=[c.value for _, c in cp.STANDARD_SHAPES.values()] + ["all"])
     p.add_argument("--bins", type=integer, default=cp.DEFAULT_BINS)
     p.add_argument("--hist-out", dest="hist_out", help="write histogram CSV to a file")
 

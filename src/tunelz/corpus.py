@@ -24,6 +24,8 @@ from .baseline import BaselineCurve, mean_and_spread, normalize_ratio
 from .lz import Algorithm, compress_lz77, compression_ratio, token_count
 from .notation import (
     _COMMENT_RE,
+    DEFAULT_METER,
+    STANDARD_SHAPES,
     AbcTune,
     Category,
     ErrorKind,
@@ -42,6 +44,9 @@ BAR_WIDTH = 40
 _ID_KEYS = ("setting_id", "tune_id")  # dump identifier, first present wins
 _ID = ("a string or a JSON integer", (str, int))
 _OPTIONAL_STRING = ("a string or null", (str, type(None)))
+_CATEGORIES = {category.value: category for category in Category}
+# the meter of a dump entry that gives none: its category's standard one, else the default
+_DEFAULT_METERS = {category: meter for meter, (_, category) in STANDARD_SHAPES.items()}
 
 
 class EmptyCategoryError(ValueError):
@@ -77,12 +82,7 @@ class Order(Enum):
 
 
 def category_from_type(type_name: str) -> Category:
-    lowered = type_name.strip().lower()
-    if lowered == "reel":
-        return Category.REEL
-    if lowered == "jig":
-        return Category.JIG
-    return Category.OTHER
+    return _CATEGORIES.get(type_name.strip().lower(), Category.OTHER)
 
 
 # ------------------------------------------------------------------ ingest
@@ -123,14 +123,10 @@ def _dump_entry(entry, what: str) -> tuple:
     # that is blank once its comment is blanked
     meter = field(entry, "meter", _OPTIONAL_STRING, what, None) or ""
     if not _COMMENT_RE.sub("", meter).strip():
-        meter = _default_meter(category)
+        meter = "{}/{}".format(*_DEFAULT_METERS.get(category, DEFAULT_METER))
     return (str(field(entry, id_key, _ID, what)), field(entry, "name", STRING, what), category,
             field(entry, "mode", _OPTIONAL_STRING, what, None) or "C",
             field(entry, "abc", STRING, what), meter.rstrip())
-
-
-def _default_meter(category: Category) -> str:
-    return "6/8" if category is Category.JIG else "4/4"
 
 
 def _entry_outcome(meter: str, body: str) -> QuaverSequence | NormalizationError:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import count
 
 from ._value import (ARRAY, INTEGER, MAX_STREAM_SYMBOLS, Value, excerpt, field, integer,
-                     load_json, plain, shown)
+                     load_json, plain, shown, too_long)
 
 MIN_MATCH = 2
 CODER_NAME = ("lz77 or lz78", ("lz77", "lz78"))  # JSON kind of a saved stream's or curve's coder
@@ -211,13 +211,15 @@ def token_count(seq: str, algorithm: Algorithm) -> int:
 
 def _check_limit(i: int, end: int, limit: int, bound: str) -> None:
     if end > limit:
-        raise CorruptStream(f"token {i}: decodes to {shown(end)} symbols, {bound} {limit}")
+        raise CorruptStream(f"token {i}: decodes to {shown(end)} symbols, {bound} {shown(limit)}")
 
 
 def _check_field(i: int, name: str, value, kind: type) -> None:
     if type(value) is not kind or kind is str and len(value) != 1:
         wanted = "an integer" if kind is int else "a one-character string"
-        raise CorruptStream(f"token {i}: {name} {shown(repr(value))} is not {wanted}")
+        raise CorruptStream(f"token {i}: {name} {shown(value, repr)} is not {wanted}")
+    if kind is int and too_long(value):
+        raise CorruptStream(f"token {i}: {name} is {shown(value)}")
 
 
 def _stream_length(algorithm: Algorithm, tokens: tuple, limit: int, bound: str) -> int:
@@ -226,10 +228,11 @@ def _stream_length(algorithm: Algorithm, tokens: tuple, limit: int, bound: str) 
     The one judge of token values: the decoders check nothing themselves.
     Raises CorruptStream at the first token not of ``algorithm``'s kind;
     with a symbol or extension not a one-character ``str``, or a start,
-    length or phrase index not an ``int`` (a bool is not one); naming a
-    start or phrase not yet decoded; that is a short back-reference or an
-    early terminal token; or that passes ``limit`` symbols, which ``bound``
-    names in the error, as in "stream claims".
+    length or phrase index not an ``int`` (a bool is not one) or too long
+    for ``str`` to write; naming a start or phrase not yet decoded; that is
+    a short back-reference or an early terminal token; or that passes
+    ``limit`` symbols, which ``bound`` names in the error, as in "stream
+    claims".
     """
     length = 0
     if algorithm is Algorithm.LZ77:
@@ -238,7 +241,7 @@ def _stream_length(algorithm: Algorithm, tokens: tuple, limit: int, bound: str) 
                 _check_field(i, "symbol", tok.symbol, str)
                 end = length + 1
             elif not isinstance(tok, BackRef):
-                raise CorruptStream(f"token {i} is not an LZ77 token: {shown(repr(tok))}")
+                raise CorruptStream(f"token {i} is not an LZ77 token: {shown(tok, repr)}")
             else:
                 _check_field(i, "start", tok.start, int)
                 _check_field(i, "length", tok.length, int)
@@ -255,7 +258,7 @@ def _stream_length(algorithm: Algorithm, tokens: tuple, limit: int, bound: str) 
     phrase_lengths = [0]  # by phrase index; 0 is the empty phrase
     for i, tok in enumerate(tokens):
         if not isinstance(tok, Lz78Token):
-            raise CorruptStream(f"token {i} is not an LZ78 token: {shown(repr(tok))}")
+            raise CorruptStream(f"token {i} is not an LZ78 token: {shown(tok, repr)}")
         _check_field(i, "phrase index", tok.prefix_index, int)
         if not 0 <= tok.prefix_index < len(phrase_lengths):
             raise CorruptStream(
@@ -277,10 +280,10 @@ def _checked(stream: TokenStream) -> TokenStream:
     """``stream``, if it decodes to exactly ``source_length`` symbols; else CorruptStream."""
     claimed = stream.source_length
     if type(claimed) is not int:
-        raise CorruptStream(f"stream source_length is not an integer: {shown(repr(claimed))}")
+        raise CorruptStream(f"stream source_length is not an integer: {shown(claimed, repr)}")
     length = _stream_length(stream.algorithm, stream.tokens, claimed, "stream claims")
     if length != claimed:
-        raise CorruptStream(f"decoded {length} symbols, stream claims {claimed}")
+        raise CorruptStream(f"decoded {length} symbols, stream claims {shown(claimed)}")
     return stream
 
 

@@ -30,16 +30,19 @@ from ._value import MAX_DIGITS, MAX_STREAM_SYMBOLS, Value, excerpt, integer
 QUAVER = Fraction(1, 8)
 PITCH_LETTERS = frozenset("ABCDEFGabcdefg")
 
-REEL_METER = (4, 4)
-REEL_LENGTH = 128
-JIG_METER = (6, 8)
-JIG_LENGTH = 96
-
 
 class Category(Enum):
     REEL = "reel"
     JIG = "jig"
     OTHER = "other"
+
+
+# The paper's two tune shapes: each standard meter's length in quavers and
+# category.  A tune with no M: line is read in the first meter.
+STANDARD_SHAPES = {(4, 4): (128, Category.REEL), (6, 8): (96, Category.JIG)}
+DEFAULT_METER = next(iter(STANDARD_SHAPES))
+_STANDARD_NAMES = " or ".join(f"{category.value} ({n}/{d}, {length})"
+                              for (n, d), (length, category) in STANDARD_SHAPES.items())
 
 
 class ErrorKind(Enum):
@@ -79,37 +82,27 @@ _FIELD_RE = re.compile(r"^([A-Za-z])\s*:\s*(.*?)\s*$")
 # from a "%" to the end of its line, where str.splitlines ends one
 _COMMENT_RE = re.compile(r"%[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
 _NUMBER = rf"([0-9]{{1,{MAX_DIGITS}}})"
-_METER_RE = re.compile(rf"^{_NUMBER}\s*/\s*{_NUMBER}$")
+_RATIO_RE = re.compile(rf"^{_NUMBER}\s*/\s*{_NUMBER}$")
+_METER_LETTERS = {"C": (4, 4), "C|": (2, 2)}  # common and cut time
 
 
-def _parse_meter(value: str, location: int) -> tuple[int, int]:
-    value = value.strip()
-    if value == "C":
-        return (4, 4)
-    if value == "C|":
-        return (2, 2)
-    m = _METER_RE.match(value)
-    if not m or int(m.group(1)) < 1 or int(m.group(2)) < 1:
-        raise NormalizationError(
-            ErrorKind.MALFORMED_HEADER, f"unusable meter {excerpt(value)}", location
-        )
-    return (int(m.group(1)), int(m.group(2)))
-
-
-def _parse_unit_length(value: str, location: int) -> Fraction:
-    m = _METER_RE.match(value.strip())
-    if m and 0 < int(m.group(1)) <= int(m.group(2)):
-        return Fraction(int(m.group(1)), int(m.group(2)))
-    raise NormalizationError(
-        ErrorKind.MALFORMED_HEADER, f"unusable unit note length {excerpt(value)}", location
-    )
+def _ratio(value: str, what: str, location: int, at_most_one=False) -> tuple[int, int]:
+    """An ``n/d`` header value whose numbers are at least 1, and with n <= d if
+    ``at_most_one``; else MALFORMED_HEADER, naming ``what`` and quoting ``value``."""
+    m = _RATIO_RE.match(value)
+    n, d = map(int, m.groups()) if m else (0, 0)
+    if n and d and (n <= d or not at_most_one):
+        return n, d
+    raise NormalizationError(ErrorKind.MALFORMED_HEADER, f"unusable {what} {excerpt(value)}",
+                             location)
 
 
 def parse_abc(source: str) -> list[AbcTune]:
     """Split ABC text into tunes, one per block starting at an ``X:`` line.
 
-    Header fields X, T, M, L, K and R are extracted (M defaults to 4/4,
-    L to 1/8); other header lines are ignored.  The body is everything
+    Header fields X, T, M, L, K and R are extracted (M defaults to
+    ``DEFAULT_METER``, the first of the ``STANDARD_SHAPES``, and L to
+    1/8); other header lines are ignored.  The body is everything
     after the ``K:`` line up to the next ``X:`` line or end of input.
     Every ``%`` comment, header lines included, is first blanked to
     spaces up to its line break, so header values are read without it
@@ -135,7 +128,7 @@ def _is_field(line: str, letter: str) -> bool:
 def _parse_block(lines: list[str], offsets: list[int], start: int, end: int) -> AbcTune:
     reference = None
     title = ""
-    meter = REEL_METER
+    meter = DEFAULT_METER
     unit = QUAVER
     key = None
     rhythm = None
@@ -165,9 +158,9 @@ def _parse_block(lines: list[str], offsets: list[int], start: int, end: int) -> 
         elif letter == "T":
             title = title or value
         elif letter == "M":
-            meter = _parse_meter(value, offsets[i])
+            meter = _METER_LETTERS.get(value) or _ratio(value, "meter", offsets[i])
         elif letter == "L":
-            unit = _parse_unit_length(value, offsets[i])
+            unit = Fraction(*_ratio(value, "unit note length", offsets[i], at_most_one=True))
         elif letter == "R":
             rhythm = value
         elif letter == "K":
@@ -412,20 +405,18 @@ def expand_body(body: str, unit_note_length: Fraction = QUAVER) -> str:
 def normalize(tune: AbcTune) -> QuaverSequence:
     """Flatten a parsed tune into its quaver-grid symbol sequence.
 
-    Accepts only standard-length tunes: 4/4 with 128 quavers (reel) or
-    6/8 with 96 (jig); anything else raises WRONG_LENGTH, judged on the
-    quaver count before any symbol string is built.
+    Accepts only a tune of one of the ``STANDARD_SHAPES``: a standard
+    meter and its length in quavers, which give its category (a reel or a
+    jig); anything else raises WRONG_LENGTH, judged on the quaver count
+    before any symbol string is built.
     """
     pairs = _quaver_notes(tune.body, tune.unit_note_length)
     total = sum([quavers for _, quavers in pairs])
-    if tune.meter == REEL_METER and total == REEL_LENGTH:
-        category = Category.REEL
-    elif tune.meter == JIG_METER and total == JIG_LENGTH:
-        category = Category.JIG
-    else:
+    length, category = STANDARD_SHAPES.get(tune.meter, (None, None))
+    if total != length:
         raise NormalizationError(
             ErrorKind.WRONG_LENGTH,
             f"meter {tune.meter[0]}/{tune.meter[1]} with {total} quavers is not a "
-            f"standard-length reel (4/4, {REEL_LENGTH}) or jig (6/8, {JIG_LENGTH})",
+            f"standard-length {_STANDARD_NAMES}",
         )
     return QuaverSequence("".join([letter * quavers for letter, quavers in pairs]), category)

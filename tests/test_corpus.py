@@ -162,6 +162,23 @@ def test_dump_meter_is_read_without_its_comment(tmp_path):
     assert record.outcome == QuaverSequence(body, Category.JIG)
 
 
+@pytest.mark.parametrize("type_name, body, category, shape", [
+    ("Jig", "ABcdef" * 16, Category.JIG, Category.JIG),
+    ("reel", goldens.SALLY, Category.REEL, Category.REEL),
+    ("polka", goldens.SALLY, Category.OTHER, Category.REEL),
+    ("other", goldens.SALLY, Category.OTHER, Category.REEL),
+], ids=["jig", "reel", "unknown-type", "other"])
+def test_dump_entry_without_a_meter_takes_the_standard_meter_of_its_type(
+        tmp_path, type_name, body, category, shape):
+    # a jig is read in 6/8, any other type in 4/4
+    entry = {"setting_id": "1", "name": "T", "type": type_name, "abc": body}
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    (record,) = ingest_json_dump(path)
+    assert record.category is category
+    assert record.outcome == QuaverSequence(body, shape)
+
+
 @pytest.mark.parametrize("meter, body, offset", [
     ("4/0", goldens.SALLY, 0),
     ("4/4", "ABcd\nX: 2\nEFGA", 10),

@@ -255,9 +255,12 @@ def test_decompress_checks_the_whole_stream_before_decoding():
 # decompress and both stream loaders judge every token value in one place,
 # so a stream built in Python and one loaded from JSON fail alike
 
+# an int of more than 4,300 digits, which str() refuses under the interpreter's digit limit
+HUGE = 10**4300 + 1
 # field values of every kind a token could be given, small ints most often
 FIELD_VALUES = st.one_of(st.integers(-2, 8), st.text("ab", max_size=3), st.none(),
-                         st.booleans(), st.floats(), st.integers())
+                         st.booleans(), st.floats(), st.integers(),
+                         st.integers(min_value=HUGE), st.integers(max_value=-HUGE))
 JSON_FIELD_VALUES = st.one_of(st.integers(-2, 8), st.text("ab", max_size=3), st.none(),
                               st.booleans(), st.floats(allow_nan=False, allow_infinity=False))
 
@@ -340,6 +343,30 @@ def test_decompress_refuses_a_source_length_that_is_not_an_int(source_length):
     with pytest.raises(CorruptStream) as exc:
         decompress(stream)
     assert str(exc.value) == f"stream source_length is not an integer: {source_length!r}"
+
+
+@pytest.mark.parametrize("algorithm, tokens, source_length, message", [
+    (Algorithm.LZ77, (Literal("a"), BackRef(0, 10**5000)), 3,
+     "token 1: length is an integer of more than 4300 digits"),
+    (Algorithm.LZ77, (Literal("a"), BackRef(10**5000, 2)), 3,
+     "token 1: start is an integer of more than 4300 digits"),
+    (Algorithm.LZ77, (Literal("a"),), 10**5000,
+     "decoded 1 symbols, stream claims an integer of more than 4300 digits"),
+    (Algorithm.LZ77, (Literal("a"),), -(10**5000),
+     "token 0: decodes to 1 symbols, stream claims an integer of more than 4300 digits"),
+    (Algorithm.LZ78, (Lz78Token(10**5000, "a"),), 1,
+     "token 0: phrase index is an integer of more than 4300 digits"),
+    (Algorithm.LZ77, (Literal("a"), BackRef(-(10**5000), 2)), 3,
+     "token 1: start is an integer of more than 4300 digits"),
+    (Algorithm.LZ77, (Lz78Token(10**5000, "a"),), 1,
+     "token 0 is not an LZ77 token: Lz78Token holding an integer of more than 4300 digits"),
+], ids=["length", "start", "source-length", "negative-source-length", "phrase-index",
+        "negative-start", "wrong-kind"])
+def test_an_int_too_long_to_print_is_named_by_field_and_size(algorithm, tokens, source_length,
+                                                             message):
+    with pytest.raises(CorruptStream) as exc:
+        decompress(TokenStream(algorithm, tokens, source_length))
+    assert str(exc.value) == message
 
 
 # ------------------------------------------------------------ serialization

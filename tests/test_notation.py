@@ -78,6 +78,19 @@ def test_parse_meter_letters(value, expected):
     assert tune.meter == expected
 
 
+def test_parse_skips_blank_header_lines():
+    (tune,) = parse_abc("X:1\n\nT:A\n\nM:6/8\nK:D\nABc def|\n")
+    assert tune.title == "A"
+    assert tune.meter == (6, 8)
+
+
+def test_header_error_after_a_blank_line_is_at_its_own_line():
+    with pytest.raises(NormalizationError) as exc:
+        parse_abc("X:1\n\nM:4/0\nK:D\n")
+    assert exc.value.detail == "unusable meter '4/0'"
+    assert exc.value.location == len("X:1\n\n")
+
+
 def test_parse_missing_key_line():
     with pytest.raises(NormalizationError) as exc:
         parse_abc("X:1\nT:No Key\nM:4/4\n")
