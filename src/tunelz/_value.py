@@ -196,7 +196,7 @@ def plain(value):
     """``value`` as JSON-ready data: a Value becomes a dict of its fields in
     ``__slots__`` order, a tuple or list a list, a Fraction a float and an
     enum member its value, each read through ``plain`` in turn; any other
-    value is returned unchanged."""
+    value raises TypeError."""
     # exact types first: isinstance(value, Fraction) runs through ABCMeta
     kind = type(value)
     if kind in _SCALARS:
@@ -213,5 +213,5 @@ def plain(value):
         return fields
     if isinstance(value, Enum):
         return value._value_  # .value, without its descriptor
-    return value
+    raise TypeError(f"no plain form for a {kind.__qualname__}")
 

@@ -187,7 +187,7 @@ def _sequences_for_compression(args) -> tuple[list[str], list[cp.TuneRecord]]:
     records = cp.records_from_abc_file(text, args.path)
     if records:
         return [r.outcome.symbols for r in records if r.accepted], records
-    bad = next((i for i, ch in enumerate(text) if not (ch.isalpha() or ch.isspace())), None)
+    bad = next((i for i, ch in enumerate(text) if not (lz.is_symbol(ch) or ch.isspace())), None)
     if bad is not None:
         raise ValueError(f"raw symbol {text[bad]!r} at offset {bad} is not a letter")
     symbols = "".join(text.split())

@@ -19,6 +19,7 @@ All functions here are pure and safe to call from multiple threads.
 
 import json
 import re
+import sys
 from enum import Enum
 from fractions import Fraction
 from itertools import count
@@ -209,9 +210,37 @@ def token_count(seq: str, algorithm: Algorithm) -> int:
     return len(_lz78_parse(seq))
 
 
-def _check_limit(i: int, end: int, limit: int, bound: str) -> None:
+def is_symbol(ch) -> bool:
+    """The rule of symbol: one character for which ``str.isalpha`` holds.
+
+    Raw ``compress`` input and the text stream form carry only such
+    symbols, so no symbol reads back as a number, a bracket or a space.
+    The JSON form, the coders and ``decompress`` take any one-character
+    string.
+    """
+    return type(ch) is str and len(ch) == 1 and ch.isalpha()
+
+
+def _letter(i: int, name: str, ch, error: type) -> str:
+    """``ch``, if it is a symbol; else ``error`` names token ``i``'s ``name`` field."""
+    if not is_symbol(ch):
+        raise error(f"token {i}: {name} {shown(ch, repr)} is not a letter")
+    return ch
+
+
+def _symbols(count: int) -> str:
+    """``count`` symbols, or a power of ten below it when ``str`` cannot write it."""
+    if too_long(count):
+        return f"at least 10**{sys.get_int_max_str_digits()} symbols"
+    return f"{count} symbols"
+
+
+def _check_limit(i: int, end: int, limit: int, bound: str, length: int | None = None) -> None:
+    """Refuse token ``i`` if the stream then decodes to ``end`` > ``limit`` symbols;
+    a count too long to write names the back-reference ``length`` that made it."""
     if end > limit:
-        raise CorruptStream(f"token {i}: decodes to {shown(end)} symbols, {bound} {shown(limit)}")
+        cause = f"length {shown(length)} " if length is not None and too_long(end) else ""
+        raise CorruptStream(f"token {i}: {cause}decodes to {_symbols(end)}, {bound} {shown(limit)}")
 
 
 def _check_field(i: int, name: str, value, kind: type) -> None:
@@ -239,7 +268,8 @@ def _stream_length(algorithm: Algorithm, tokens: tuple, limit: int, bound: str) 
         for i, tok in enumerate(tokens):
             if isinstance(tok, Literal):
                 _check_field(i, "symbol", tok.symbol, str)
-                end = length + 1
+                length += 1
+                _check_limit(i, length, limit, bound)
             elif not isinstance(tok, BackRef):
                 raise CorruptStream(f"token {i} is not an LZ77 token: {shown(tok, repr)}")
             else:
@@ -249,11 +279,10 @@ def _stream_length(algorithm: Algorithm, tokens: tuple, limit: int, bound: str) 
                     raise CorruptStream(
                         f"token {i}: back-reference length {shown(tok.length)} < {MIN_MATCH}")
                 if not 0 <= tok.start < length:
-                    raise CorruptStream(
-                        f"token {i}: start {shown(tok.start)} outside emitted prefix of {length}")
-                end = length + tok.length
-            _check_limit(i, end, limit, bound)
-            length = end
+                    raise CorruptStream(f"token {i}: start {shown(tok.start)} "
+                                        f"outside emitted prefix of {shown(length)}")
+                length += tok.length
+                _check_limit(i, length, limit, bound, tok.length)
         return length
     phrase_lengths = [0]  # by phrase index; 0 is the empty phrase
     for i, tok in enumerate(tokens):
@@ -283,7 +312,7 @@ def _checked(stream: TokenStream) -> TokenStream:
         raise CorruptStream(f"stream source_length is not an integer: {shown(claimed, repr)}")
     length = _stream_length(stream.algorithm, stream.tokens, claimed, "stream claims")
     if length != claimed:
-        raise CorruptStream(f"decoded {length} symbols, stream claims {shown(claimed)}")
+        raise CorruptStream(f"decoded {_symbols(length)}, stream claims {shown(claimed)}")
     return stream
 
 
@@ -336,11 +365,11 @@ def compression_ratio(stream: TokenStream) -> Fraction:
 # Literals print as bare letters.  LZ77 back-references print as [i,j];
 # LZ78 tokens print as index+letter ("1d"), a zero index is dropped, and
 # a terminal token prints as the bare index.  Tokens are space-separated.
-# Numbers are written in ASCII digits, and no symbol is a digit of another
-# script, which a reader would take for a number.
+# Numbers are written in ASCII digits.  Every symbol is a letter
+# (``is_symbol``), so none is read as a number, a bracket or a space.
 
 _LZ77_REF_RE = re.compile(r"\[([0-9]+)\s*,\s*([0-9]+)\]")
-_LZ78_TOKEN_RE = re.compile(r"([0-9]*)([^0-9]?)")
+_LZ78_TOKEN_RE = re.compile(r"([0-9]*)(.?)")
 _DIGIT_RE = re.compile(r"[0-9]")
 
 
@@ -348,22 +377,23 @@ def stream_to_text(stream: TokenStream, index_base: int = 0) -> str:
     """Render a stream in the compact text notation.
 
     ``index_base`` shifts displayed LZ77 positions (0 or 1); storage is
-    always 0-based.
+    always 0-based.  A symbol or extension that is not a letter
+    (``is_symbol``) raises ValueError naming its token, so the text
+    always reads back, through ``stream_from_text``, as this stream.
     """
     if index_base not in (0, 1):
         raise ValueError("index_base must be 0 or 1")
     parts: list[str] = []
-    for tok in stream.tokens:
+    for i, tok in enumerate(stream.tokens):
         if isinstance(tok, Literal):
-            parts.append(tok.symbol)
+            parts.append(_letter(i, "symbol", tok.symbol, ValueError))
         elif isinstance(tok, BackRef):
             parts.append(f"[{tok.start + index_base},{tok.length}]")
         elif tok.extension is None:
             parts.append(str(tok.prefix_index))
-        elif tok.prefix_index == 0:
-            parts.append(tok.extension)
         else:
-            parts.append(f"{tok.prefix_index}{tok.extension}")
+            extension = _letter(i, "extension", tok.extension, ValueError)
+            parts.append(extension if tok.prefix_index == 0 else f"{tok.prefix_index}{extension}")
     return " ".join(parts)
 
 
@@ -378,9 +408,10 @@ def stream_from_text(
     LZ77, digit-prefixed tokens mean LZ78, and a stream of bare letters
     defaults to LZ77 (both coders decode it identically).  The text form
     declares no length, so it is summed from the tokens, which are
-    checked as ``decompress`` checks them; a stream that decodes to more
-    than ``MAX_STREAM_SYMBOLS`` symbols, a number of more than
-    ``MAX_DIGITS`` digits, or a digit other than 0-9 raises CorruptStream.
+    checked as ``decompress`` checks them; a symbol or extension that is
+    not a letter (``is_symbol``), a stream that decodes to more than
+    ``MAX_STREAM_SYMBOLS`` symbols, a number of more than ``MAX_DIGITS``
+    digits, or a digit other than 0-9 raises CorruptStream.
     """
     if index_base not in (0, 1):
         raise ValueError("index_base must be 0 or 1")
@@ -399,16 +430,19 @@ def stream_from_text(
                 start, length = m.groups()
                 tokens.append(BackRef(_number(i, word, start) - index_base,
                                       _number(i, word, length)))
-            elif len(word) == 1 and not _DIGIT_RE.match(word):
-                tokens.append(Literal(word))
+            elif len(word) == 1:
+                tokens.append(Literal(_letter(i, "symbol", word, CorruptStream)))
             else:
                 raise CorruptStream(f"unrecognized LZ77 token {excerpt(word)}")
         else:
             m = _LZ78_TOKEN_RE.fullmatch(word)
-            if not m or (not m.group(1) and not m.group(2)):
+            if not m:
                 raise CorruptStream(f"unrecognized LZ78 token {excerpt(word)}")
-            prefix = _number(i, word, m.group(1)) if m.group(1) else 0
-            tokens.append(Lz78Token(prefix, m.group(2) or None))
+            digits, extension = m.groups()
+            if extension:
+                _letter(i, "extension", extension, CorruptStream)
+            prefix = _number(i, word, digits) if digits else 0
+            tokens.append(Lz78Token(prefix, extension or None))
     parsed = tuple(tokens)
     length = _stream_length(algorithm, parsed, MAX_STREAM_SYMBOLS, "more than the ceiling of")
     return TokenStream(algorithm, parsed, length)

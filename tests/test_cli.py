@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import runpy
 import subprocess
 import sys
 import time
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import tunelz
 from tunelz import lz
-from tunelz._value import integer
+from tunelz._value import IngestError, integer, read_stdin
 from tunelz.cli import build_parser, main
 
 import goldens
@@ -206,6 +207,15 @@ def test_decompress_corrupt_stream(capsys, tmp_path):
     # a "[" with a digit after it opens a back-reference of a text stream, not JSON
     assert err == ("tunelz: error: token 0: start 5 outside emitted prefix of 0"
                    f" (token stream {bad})\n")
+
+
+def test_decompress_refuses_a_text_symbol_that_is_not_a_letter(capsys, tmp_path):
+    # compress writes no such literal: its raw input and its text form hold letters only
+    path = tmp_path / "tokens.txt"
+    path.write_text("a ] % [0,2]", encoding="utf-8")
+    code, out, err = run(capsys, "decompress", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"tunelz: error: token 1: symbol ']' is not a letter (token stream {path})\n"
 
 
 @pytest.mark.parametrize("tokens, message", [
@@ -886,6 +896,14 @@ def test_stdin_is_strict_utf8_whatever_the_locale(command):
                              b"byte 0xe9 in position 9: invalid continuation byte\n")
 
 
+def test_stdin_that_is_not_utf8_names_standard_input():
+    # in process, the branch that _run_on_stdin above reaches in a child
+    with pytest.raises(IngestError) as exc:
+        read_stdin(io.BytesIO(NOT_UTF8), "input")
+    assert str(exc.value) == ("cannot read input -: 'utf-8' codec can't decode byte 0xe9 "
+                              "in position 9: invalid continuation byte")
+
+
 @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
 def test_stdin_reads_line_breaks_as_a_file_does(capsys, sally_path, newline):
     text = sally_path.read_text(encoding="utf-8") + "\nX: 2\nT: Caf\u00e9\nK: G\nABcd\n"
@@ -1005,6 +1023,17 @@ def test_stdout_matches_golden(capsys, case):
     argv = case.replace("{data}", str(DATA_DIR)).split()
     code, out, _ = run(capsys, *argv)
     assert (code, out) == (STDOUT_GOLDEN[case]["exit"], STDOUT_GOLDEN[case]["stdout"])
+
+
+def test_module_run_as_a_script_exits_with_mains_code(capsys, monkeypatch):
+    # python -m tunelz.cli, in process; runpy warns of a module it runs that is
+    # already imported, so the test runs a fresh copy
+    monkeypatch.delitem(sys.modules, "tunelz.cli")
+    stream = DATA_DIR / "sally_gardens.lz77.txt"
+    monkeypatch.setattr(sys, "argv", ["tunelz", "decompress", str(stream)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("tunelz.cli", run_name="__main__")
+    assert (exc.value.code, capsys.readouterr().out) == (0, goldens.SALLY + "\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,6 +19,7 @@ from tunelz.corpus import (
     ComplexityReport,
     EmptyCategoryError,
     IngestError,
+    MAX_BINS,
     Order,
     aggregate,
     analyze,
@@ -676,6 +677,13 @@ def test_histogram_text_bars():
 def test_histogram_needs_a_value():
     with pytest.raises(ValueError, match="^histogram needs at least one value$"):
         build_histogram([])
+
+
+@pytest.mark.parametrize("bin_count", [0, MAX_BINS + 1])
+def test_histogram_bin_count_is_in_range(bin_count):
+    assert MAX_BINS == 10_000
+    with pytest.raises(ValueError, match=r"^bin_count must be in 1\.\.10000$"):
+        build_histogram([1.0], bin_count)
 
 
 def test_pipeline_output_is_deterministic(extreme_reels_path, sally_path):

@@ -20,6 +20,7 @@ from tunelz.lz import (
     _lz77_parse,
     compress,
     compress_lz77,
+    compress_lz78,
     compression_ratio,
     decompress,
     stream_from_json,
@@ -345,6 +346,9 @@ def test_decompress_refuses_a_source_length_that_is_not_an_int(source_length):
     assert str(exc.value) == f"stream source_length is not an integer: {source_length!r}"
 
 
+NINES = "9" * 120 + "... (4300 characters)"  # 10**4300 - 1, excerpted
+
+
 @pytest.mark.parametrize("algorithm, tokens, source_length, message", [
     (Algorithm.LZ77, (Literal("a"), BackRef(0, 10**5000)), 3,
      "token 1: length is an integer of more than 4300 digits"),
@@ -360,8 +364,19 @@ def test_decompress_refuses_a_source_length_that_is_not_an_int(source_length):
      "token 1: start is an integer of more than 4300 digits"),
     (Algorithm.LZ77, (Lz78Token(10**5000, "a"),), 1,
      "token 0 is not an LZ77 token: Lz78Token holding an integer of more than 4300 digits"),
+    # a count past the digit limit is bounded by a power of ten, after the
+    # back-reference length that made it
+    (Algorithm.LZ77, (Literal("a"), BackRef(0, 10**4300 - 1)), 3,
+     f"token 1: length {NINES} decodes to at least 10**4300 symbols, stream claims 3"),
+    (Algorithm.LZ77, (Literal("a"), BackRef(0, 10**4300 - 2), Literal("b")), 10**4300 - 1,
+     f"token 2: decodes to at least 10**4300 symbols, stream claims {NINES}"),
+    (Algorithm.LZ77, (Literal("a"), BackRef(0, 10**4300 - 1)), 10**5000,
+     "decoded at least 10**4300 symbols, stream claims an integer of more than 4300 digits"),
+    (Algorithm.LZ77, (Literal("a"), BackRef(0, 10**4300 - 1), BackRef(-1, 2)), 10**5000,
+     "token 2: start -1 outside emitted prefix of an integer of more than 4300 digits"),
 ], ids=["length", "start", "source-length", "negative-source-length", "phrase-index",
-        "negative-start", "wrong-kind"])
+        "negative-start", "wrong-kind", "length-past-the-limit", "literal-past-the-limit",
+        "decoded-count", "emitted-prefix"])
 def test_an_int_too_long_to_print_is_named_by_field_and_size(algorithm, tokens, source_length,
                                                              message):
     with pytest.raises(CorruptStream) as exc:
@@ -417,6 +432,37 @@ def test_json_form_round_trip():
 def test_json_form_names_the_field_and_the_kind_it_wants(text, message):
     with pytest.raises(CorruptStream) as exc:
         stream_from_json(text)
+    assert str(exc.value) == message
+
+
+# every symbol of the text form is a letter (is_symbol), as raw compress
+# input is; the JSON form carries any one-character string
+@pytest.mark.parametrize("stream, message", [
+    (compress_lz78("ab ab"), "token 2: extension ' ' is not a letter"),
+    (compress_lz77("1a1a"), "token 0: symbol '1' is not a letter"),
+    (compress_lz78("a1a1a1"), "token 1: extension '1' is not a letter"),
+    (TokenStream(Algorithm.LZ77, (Literal("a" * 1000),), 1),
+     "token 0: symbol '" + "a" * 119 + "... (1002 characters) is not a letter"),
+], ids=["lz78-space", "lz77-digit", "lz78-digit", "lz77-long-symbol"])
+def test_text_form_writes_only_letters(stream, message):
+    with pytest.raises(ValueError) as exc:
+        stream_to_text(stream)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, algorithm, message", [
+    ("a ] % [0,2]", None, "token 1: symbol ']' is not a letter"),
+    ("a b ,", Algorithm.LZ77, "token 2: symbol ',' is not a letter"),
+    ("1", Algorithm.LZ77, "token 0: symbol '1' is not a letter"),
+    ("a 1?", None, "token 1: extension '?' is not a letter"),
+    ("a ?", Algorithm.LZ78, "token 1: extension '?' is not a letter"),
+    ("a 1]", Algorithm.LZ78, "token 1: extension ']' is not a letter"),
+], ids=["lz77-bracket", "lz77-comma", "lz77-digit", "lz78-question", "lz78-bare-question",
+        "lz78-bracket"])
+def test_text_form_reads_only_letters(text, algorithm, message):
+    with pytest.raises(CorruptStream) as exc:
+        stream_from_text(text, algorithm)
     assert str(exc.value) == message
 
 
@@ -591,6 +637,20 @@ def test_text_serialization_round_trip(seq):
     stream = compress_lz77(seq)
     assert stream_from_text(stream_to_text(stream), Algorithm.LZ77) == stream
     assert stream_from_json(stream_to_json(stream)) == stream
+
+
+@given(st.text(max_size=64), st.sampled_from(Algorithm), st.sampled_from((0, 1)))
+@settings(max_examples=300, deadline=None)
+def test_text_form_reads_back_what_it_writes(seq, algorithm, index_base):
+    # any symbols at all, well within the ceiling: the writer refuses a stream,
+    # or the reader gets it back
+    stream = compress(seq, algorithm)
+    try:
+        text = stream_to_text(stream, index_base)
+    except ValueError:
+        assert stream_from_json(stream_to_json(stream)) == stream  # JSON carries any symbol
+        return
+    assert stream_from_text(text, algorithm, index_base) == stream
 
 
 @given(st.one_of(sequences(max_size=300), repetitive_sequences()),

@@ -28,6 +28,7 @@ from tunelz import (
     TokenStream,
     TuneRecord,
 )
+from tunelz._value import plain
 
 POINT = BaselinePoint(96, 1.25, 0.5)
 HIST = HistogramSpec(2, 1.0, 2.0, (1, 0))
@@ -236,3 +237,9 @@ def test_rejected_record_survives_pickling_and_copying(duplicate):
     assert not twin.accepted
     assert [twin.id, twin.name, twin.category, twin.key, twin.abc] == ["7", "N", Category.JIG, "D", "AB"]
     assert error_fields(twin.outcome) == error_fields(ERROR)
+
+
+def test_plain_refuses_a_value_it_has_no_form_for():
+    with pytest.raises(TypeError) as exc:
+        plain({"a": 1})
+    assert str(exc.value) == "no plain form for a dict"
