@@ -21,10 +21,11 @@ import sys
 from enum import Enum
 from fractions import Fraction
 
-# Longest number tunelz reads, where a digit is ASCII 0-9 (int() and
-# str.isdigit take other scripts' digits too).  Longer ones are refused
-# unread: int() of a long digit string is slow, and a value past Python's
-# int/str digit limit could neither be read nor printed in an error.
+# Longest number tunelz takes, where a digit is ASCII 0-9 (int() and
+# str.isdigit take other scripts' digits too), whether it comes in text,
+# JSON, a flag or a token stream built in Python.  A longer one is refused
+# by its size, and in text unread, as int() of a long digit string is
+# slow; so an error prints every number it names in full.
 MAX_DIGITS = 100
 # Most symbols a sequence may hold: the longest tune is a few hundred
 # quavers.  This bounds the memory a short input can expand to, and the
@@ -139,13 +140,6 @@ def shown(value, show=str) -> str:
     except ValueError:  # str() refuses an int past the interpreter's digit limit
         size = f"an integer of more than {sys.get_int_max_str_digits()} digits"
         return size if type(value) is int else f"{type(value).__name__} holding {size}"
-
-
-def too_long(number: int) -> bool:
-    """Whether ``str(number)`` passes the interpreter's digit limit (0 for none); as
-    2**3 < 10, an int of at most 3 bits per digit allowed does not."""
-    limit = sys.get_int_max_str_digits()
-    return 0 < 3 * limit < number.bit_length() and not -10 ** limit < number < 10 ** limit
 
 
 class Value:

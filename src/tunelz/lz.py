@@ -19,15 +19,15 @@ All functions here are pure and safe to call from multiple threads.
 
 import json
 import re
-import sys
 from enum import Enum
 from fractions import Fraction
 from itertools import count
 
-from ._value import (ARRAY, INTEGER, MAX_STREAM_SYMBOLS, Value, excerpt, field, integer,
-                     load_json, plain, shown, too_long)
+from ._value import (ARRAY, INTEGER, MAX_DIGITS, MAX_STREAM_SYMBOLS, Value, excerpt, field,
+                     integer, load_json, plain, shown)
 
 MIN_MATCH = 2
+_TOO_LONG = 10 ** MAX_DIGITS  # the least int of more than MAX_DIGITS digits
 CODER_NAME = ("lz77 or lz78", ("lz77", "lz78"))  # JSON kind of a saved stream's or curve's coder
 
 
@@ -228,27 +228,23 @@ def _letter(i: int, name: str, ch, error: type) -> str:
     return ch
 
 
-def _symbols(count: int) -> str:
-    """``count`` symbols, or a power of ten below it when ``str`` cannot write it."""
-    if too_long(count):
-        return f"at least 10**{sys.get_int_max_str_digits()} symbols"
-    return f"{count} symbols"
+def _check_limit(i: int, end: int, limit: int, bound: str) -> None:
+    """Refuse token ``i`` if the stream then decodes to ``end`` > ``limit`` symbols.
 
-
-def _check_limit(i: int, end: int, limit: int, bound: str, length: int | None = None) -> None:
-    """Refuse token ``i`` if the stream then decodes to ``end`` > ``limit`` symbols;
-    a count too long to write names the back-reference ``length`` that made it."""
+    ``limit`` and each back-reference length have at most ``MAX_DIGITS``
+    digits, so ``end``, the first count past ``limit``, has at most one
+    more, and the error prints both in full.
+    """
     if end > limit:
-        cause = f"length {shown(length)} " if length is not None and too_long(end) else ""
-        raise CorruptStream(f"token {i}: {cause}decodes to {_symbols(end)}, {bound} {shown(limit)}")
+        raise CorruptStream(f"token {i}: decodes to {end} symbols, {bound} {limit}")
 
 
 def _check_field(i: int, name: str, value, kind: type) -> None:
     if type(value) is not kind or kind is str and len(value) != 1:
         wanted = "an integer" if kind is int else "a one-character string"
         raise CorruptStream(f"token {i}: {name} {shown(value, repr)} is not {wanted}")
-    if kind is int and too_long(value):
-        raise CorruptStream(f"token {i}: {name} is {shown(value)}")
+    if kind is int and not -_TOO_LONG < value < _TOO_LONG:
+        raise CorruptStream(f"token {i}: {name} of more than {MAX_DIGITS} digits")
 
 
 def _stream_length(algorithm: Algorithm, tokens: tuple, limit: int, bound: str) -> int:
@@ -257,9 +253,10 @@ def _stream_length(algorithm: Algorithm, tokens: tuple, limit: int, bound: str) 
     The one judge of token values: the decoders check nothing themselves.
     Raises CorruptStream at the first token not of ``algorithm``'s kind;
     with a symbol or extension not a one-character ``str``, or a start,
-    length or phrase index not an ``int`` (a bool is not one) or too long
-    for ``str`` to write; naming a start or phrase not yet decoded; that is
-    a short back-reference or an early terminal token; or that passes
+    length or phrase index not an ``int`` (a bool is not one) or of more
+    than ``MAX_DIGITS`` digits, the rule of every number tunelz reads;
+    naming a start or phrase not yet decoded; that is a short
+    back-reference or an early terminal token; or that passes
     ``limit`` symbols, which ``bound`` names in the error, as in "stream
     claims".
     """
@@ -277,12 +274,12 @@ def _stream_length(algorithm: Algorithm, tokens: tuple, limit: int, bound: str) 
                 _check_field(i, "length", tok.length, int)
                 if tok.length < MIN_MATCH:
                     raise CorruptStream(
-                        f"token {i}: back-reference length {shown(tok.length)} < {MIN_MATCH}")
+                        f"token {i}: back-reference length {tok.length} < {MIN_MATCH}")
                 if not 0 <= tok.start < length:
-                    raise CorruptStream(f"token {i}: start {shown(tok.start)} "
-                                        f"outside emitted prefix of {shown(length)}")
+                    raise CorruptStream(
+                        f"token {i}: start {tok.start} outside emitted prefix of {length}")
                 length += tok.length
-                _check_limit(i, length, limit, bound, tok.length)
+                _check_limit(i, length, limit, bound)
         return length
     phrase_lengths = [0]  # by phrase index; 0 is the empty phrase
     for i, tok in enumerate(tokens):
@@ -290,8 +287,7 @@ def _stream_length(algorithm: Algorithm, tokens: tuple, limit: int, bound: str) 
             raise CorruptStream(f"token {i} is not an LZ78 token: {shown(tok, repr)}")
         _check_field(i, "phrase index", tok.prefix_index, int)
         if not 0 <= tok.prefix_index < len(phrase_lengths):
-            raise CorruptStream(
-                f"token {i}: phrase index {shown(tok.prefix_index)} not yet defined")
+            raise CorruptStream(f"token {i}: phrase index {tok.prefix_index} not yet defined")
         phrase = phrase_lengths[tok.prefix_index]
         if tok.extension is None:
             if i != len(tokens) - 1:
@@ -306,13 +302,16 @@ def _stream_length(algorithm: Algorithm, tokens: tuple, limit: int, bound: str) 
 
 
 def _checked(stream: TokenStream) -> TokenStream:
-    """``stream``, if it decodes to exactly ``source_length`` symbols; else CorruptStream."""
+    """``stream``, if it decodes to exactly ``source_length`` symbols, an ``int`` of at
+    most ``MAX_DIGITS`` digits; else CorruptStream."""
     claimed = stream.source_length
     if type(claimed) is not int:
         raise CorruptStream(f"stream source_length is not an integer: {shown(claimed, repr)}")
+    if not -_TOO_LONG < claimed < _TOO_LONG:
+        raise CorruptStream(f"stream source_length of more than {MAX_DIGITS} digits")
     length = _stream_length(stream.algorithm, stream.tokens, claimed, "stream claims")
     if length != claimed:
-        raise CorruptStream(f"decoded {_symbols(length)}, stream claims {shown(claimed)}")
+        raise CorruptStream(f"decoded {length} symbols, stream claims {claimed}")
     return stream
 
 
@@ -320,8 +319,9 @@ def decompress(stream: TokenStream) -> str:
     """Reconstruct the source sequence of a token stream.
 
     Raises CorruptStream when a token fails ``_stream_length``'s check or
-    the stream does not decode to its ``source_length``, an ``int``.  All is
-    checked before a symbol is decoded, so a token past it builds nothing.
+    the stream does not decode to its ``source_length``, an ``int`` of at
+    most ``MAX_DIGITS`` digits.  All is checked before a symbol is decoded,
+    so a token past it builds nothing.
     """
     _checked(stream)
     if stream.algorithm is Algorithm.LZ77:
@@ -368,7 +368,7 @@ def compression_ratio(stream: TokenStream) -> Fraction:
 # Numbers are written in ASCII digits.  Every symbol is a letter
 # (``is_symbol``), so none is read as a number, a bracket or a space.
 
-_LZ77_REF_RE = re.compile(r"\[([0-9]+)\s*,\s*([0-9]+)\]")
+_LZ77_REF_RE = re.compile(r"\[([0-9]+),([0-9]+)\]")
 _LZ78_TOKEN_RE = re.compile(r"([0-9]*)(.?)")
 _DIGIT_RE = re.compile(r"[0-9]")
 
@@ -410,15 +410,13 @@ def stream_from_text(
     declares no length, so it is summed from the tokens, which are
     checked as ``decompress`` checks them; a symbol or extension that is
     not a letter (``is_symbol``), a stream that decodes to more than
-    ``MAX_STREAM_SYMBOLS`` symbols, a number of more than ``MAX_DIGITS``
-    digits, or a digit other than 0-9 raises CorruptStream.
+    ``MAX_STREAM_SYMBOLS`` symbols, or a number of more than ``MAX_DIGITS``
+    digits, refused unread, raises CorruptStream.  A number is ASCII
+    digits, so a digit of another script is refused as a symbol or as
+    part of an unrecognized token.
     """
     if index_base not in (0, 1):
         raise ValueError("index_base must be 0 or 1")
-    if not text.isascii():
-        digit = next((c for c in text if c.isdigit() and not c.isascii()), None)
-        if digit is not None:
-            raise CorruptStream(f"{digit!r} is a digit other than 0-9")
     if algorithm is None:
         lz78 = "[" not in text and _DIGIT_RE.search(text) is not None
         algorithm = Algorithm.LZ78 if lz78 else Algorithm.LZ77

@@ -2,6 +2,7 @@
 
 import json
 import string
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -256,12 +257,14 @@ def test_decompress_checks_the_whole_stream_before_decoding():
 # decompress and both stream loaders judge every token value in one place,
 # so a stream built in Python and one loaded from JSON fail alike
 
-# an int of more than 4,300 digits, which str() refuses under the interpreter's digit limit
+# an int that str() refuses under the interpreter's default int/str digit limit
 HUGE = 10**4300 + 1
-# field values of every kind a token could be given, small ints most often
+# field values of every kind a token could be given, small ints most often, and
+# ints of more than 100 digits, as a stream may not hold, on either side of HUGE
 FIELD_VALUES = st.one_of(st.integers(-2, 8), st.text("ab", max_size=3), st.none(),
                          st.booleans(), st.floats(), st.integers(),
-                         st.integers(min_value=HUGE), st.integers(max_value=-HUGE))
+                         st.integers(min_value=HUGE), st.integers(max_value=-HUGE),
+                         st.integers(10**100, 10**4300), st.integers(-(10**4300), -(10**100)))
 JSON_FIELD_VALUES = st.one_of(st.integers(-2, 8), st.text("ab", max_size=3), st.none(),
                               st.booleans(), st.floats(allow_nan=False, allow_infinity=False))
 
@@ -346,42 +349,76 @@ def test_decompress_refuses_a_source_length_that_is_not_an_int(source_length):
     assert str(exc.value) == f"stream source_length is not an integer: {source_length!r}"
 
 
-NINES = "9" * 120 + "... (4300 characters)"  # 10**4300 - 1, excerpted
+NINES = "9" * 100  # 10**100 - 1, the longest number a stream may hold
+
+# every int of a stream has at most 100 digits, as every number tunelz reads
+# has: a longer field or source_length is named by its size, and a count of
+# decoded symbols, at most one field past the claim, is printed in full
+HUGE_INTS = [
+    pytest.param(Algorithm.LZ77, (Literal("a"), BackRef(0, 10**5000)), 3,
+                 "token 1: length of more than 100 digits", id="length"),
+    pytest.param(Algorithm.LZ77, (Literal("a"), BackRef(10**5000, 2)), 3,
+                 "token 1: start of more than 100 digits", id="start"),
+    pytest.param(Algorithm.LZ77, (Literal("a"),), 10**5000,
+                 "stream source_length of more than 100 digits", id="source-length"),
+    pytest.param(Algorithm.LZ77, (Literal("a"),), -(10**5000),
+                 "stream source_length of more than 100 digits", id="negative-source-length"),
+    pytest.param(Algorithm.LZ78, (Lz78Token(10**5000, "a"),), 1,
+                 "token 0: phrase index of more than 100 digits", id="phrase-index"),
+    pytest.param(Algorithm.LZ77, (Literal("a"), BackRef(-(10**5000), 2)), 3,
+                 "token 1: start of more than 100 digits", id="negative-start"),
+    pytest.param(Algorithm.LZ77, (Lz78Token(10**200, "a"),), 1,
+                 "token 0 is not an LZ77 token: Lz78Token(prefix_index=1" + "0" * 96
+                 + "... (240 characters)", id="wrong-kind"),
+    # between the interpreter's lowest int/str digit limit, 640, and its default
+    pytest.param(Algorithm.LZ77, (Literal("a"), BackRef(0, 10**700)), 3,
+                 "token 1: length of more than 100 digits", id="length-past-the-limit"),
+    pytest.param(Algorithm.LZ77, (Literal("a"), BackRef(0, 10**100 - 1)), 3,
+                 "token 1: decodes to 1" + "0" * 100 + " symbols, stream claims 3",
+                 id="length-past-the-count"),
+    pytest.param(Algorithm.LZ77, (Literal("a"), BackRef(0, 10**100 - 2), Literal("b")),
+                 10**100 - 1, f"token 2: decodes to 1{'0' * 100} symbols, stream claims {NINES}",
+                 id="literal-past-the-limit"),
+    pytest.param(Algorithm.LZ77, (Literal("a"), BackRef(0, 10**100 - 3)), 10**100 - 1,
+                 f"decoded {NINES[:-1]}8 symbols, stream claims {NINES}", id="decoded-count"),
+    pytest.param(Algorithm.LZ77, (Literal("a"), BackRef(0, 10**100 - 2), BackRef(-1, 2)),
+                 10**100 - 1, f"token 2: start -1 outside emitted prefix of {NINES}",
+                 id="emitted-prefix"),
+]
 
 
-@pytest.mark.parametrize("algorithm, tokens, source_length, message", [
-    (Algorithm.LZ77, (Literal("a"), BackRef(0, 10**5000)), 3,
-     "token 1: length is an integer of more than 4300 digits"),
-    (Algorithm.LZ77, (Literal("a"), BackRef(10**5000, 2)), 3,
-     "token 1: start is an integer of more than 4300 digits"),
-    (Algorithm.LZ77, (Literal("a"),), 10**5000,
-     "decoded 1 symbols, stream claims an integer of more than 4300 digits"),
-    (Algorithm.LZ77, (Literal("a"),), -(10**5000),
-     "token 0: decodes to 1 symbols, stream claims an integer of more than 4300 digits"),
-    (Algorithm.LZ78, (Lz78Token(10**5000, "a"),), 1,
-     "token 0: phrase index is an integer of more than 4300 digits"),
-    (Algorithm.LZ77, (Literal("a"), BackRef(-(10**5000), 2)), 3,
-     "token 1: start is an integer of more than 4300 digits"),
-    (Algorithm.LZ77, (Lz78Token(10**5000, "a"),), 1,
-     "token 0 is not an LZ77 token: Lz78Token holding an integer of more than 4300 digits"),
-    # a count past the digit limit is bounded by a power of ten, after the
-    # back-reference length that made it
-    (Algorithm.LZ77, (Literal("a"), BackRef(0, 10**4300 - 1)), 3,
-     f"token 1: length {NINES} decodes to at least 10**4300 symbols, stream claims 3"),
-    (Algorithm.LZ77, (Literal("a"), BackRef(0, 10**4300 - 2), Literal("b")), 10**4300 - 1,
-     f"token 2: decodes to at least 10**4300 symbols, stream claims {NINES}"),
-    (Algorithm.LZ77, (Literal("a"), BackRef(0, 10**4300 - 1)), 10**5000,
-     "decoded at least 10**4300 symbols, stream claims an integer of more than 4300 digits"),
-    (Algorithm.LZ77, (Literal("a"), BackRef(0, 10**4300 - 1), BackRef(-1, 2)), 10**5000,
-     "token 2: start -1 outside emitted prefix of an integer of more than 4300 digits"),
-], ids=["length", "start", "source-length", "negative-source-length", "phrase-index",
-        "negative-start", "wrong-kind", "length-past-the-limit", "literal-past-the-limit",
-        "decoded-count", "emitted-prefix"])
-def test_an_int_too_long_to_print_is_named_by_field_and_size(algorithm, tokens, source_length,
-                                                             message):
+def _refusal(algorithm, tokens, source_length) -> str:
     with pytest.raises(CorruptStream) as exc:
         decompress(TokenStream(algorithm, tokens, source_length))
-    assert str(exc.value) == message
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("algorithm, tokens, source_length, message", HUGE_INTS)
+def test_an_int_too_long_to_print_is_named_by_field_and_size(algorithm, tokens, source_length,
+                                                             message):
+    assert _refusal(algorithm, tokens, source_length) == message
+
+
+@pytest.mark.parametrize("digit_limit", [0, 640, None], ids=["no-limit", "640", "default"])
+def test_huge_ints_read_the_same_under_any_int_str_digit_limit(digit_limit):
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(default if digit_limit is None else digit_limit)
+    try:
+        messages = [_refusal(*case.values[:3]) for case in HUGE_INTS]
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert messages == [case.values[3] for case in HUGE_INTS]
+
+
+def test_a_wrong_kind_token_holding_an_int_str_cannot_write_is_named_by_its_size():
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        message = _refusal(Algorithm.LZ77, (Lz78Token(10**700, "a"),), 1)
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert message == ("token 0 is not an LZ77 token: "
+                       "Lz78Token holding an integer of more than 640 digits")
 
 
 # ------------------------------------------------------------ serialization
@@ -483,13 +520,17 @@ def test_text_form_refuses_long_numbers_unread(text, algorithm, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("text", ["a [\u0660,\u0662]", "a \u00b2", "a \u0662", "a [0,\u00b2]"],
-                         ids=["arabic-indic-ref", "superscript", "arabic-indic", "superscript-ref"])
-def test_text_form_refuses_digits_other_than_ascii(text):
-    digit = next(c for c in text if c.isdigit() and not c.isascii())
+# a number is ASCII digits, so any other digit is refused as a symbol or within a token
+@pytest.mark.parametrize("text, message", [
+    ("a [\u0660,\u0662]", "unrecognized LZ77 token '[\u0660,\u0662]'"),
+    ("a \u00b2", "token 1: symbol '\u00b2' is not a letter"),
+    ("a \u0662", "token 1: symbol '\u0662' is not a letter"),
+    ("a [0,\u00b2]", "unrecognized LZ77 token '[0,\u00b2]'"),
+], ids=["arabic-indic-ref", "superscript", "arabic-indic", "superscript-ref"])
+def test_text_form_refuses_digits_other_than_ascii(text, message):
     with pytest.raises(CorruptStream) as exc:
         stream_from_text(text)
-    assert str(exc.value) == f"{digit!r} is a digit other than 0-9"
+    assert str(exc.value) == message
 
 
 def test_text_form_reads_numbers_of_100_digits():
@@ -511,12 +552,11 @@ def test_long_stream_input_is_excerpted_in_the_error(load, text, message):
     assert str(exc.value) == message
 
 
-def test_long_token_field_is_excerpted_in_the_error():
-    stream = TokenStream(Algorithm.LZ77, (Literal("a"), BackRef(10**200, 2)), 3)
-    with pytest.raises(CorruptStream) as exc:
-        decompress(stream)
-    assert str(exc.value) == ("token 1: start 1" + "0" * 119
-                              + "... (201 characters) outside emitted prefix of 1")
+def test_long_int_token_field_is_named_by_its_size():
+    assert (_refusal(Algorithm.LZ77, (Literal("a"), BackRef(10**200, 2)), 3)
+            == "token 1: start of more than 100 digits")
+    assert (_refusal(Algorithm.LZ77, (Literal("a"), BackRef(10**100 - 1, 2)), 3)
+            == f"token 1: start {NINES} outside emitted prefix of 1")
 
 
 # -------------------------------------------------------------- properties

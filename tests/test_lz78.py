@@ -127,12 +127,20 @@ def test_text_form_terminal_token():
     assert stream_from_text(text) == stream  # digits force LZ78 detection
 
 
-@pytest.mark.parametrize("text", ["a \u00b2", "a 1\u00b2", "\u0661a"],
-                         ids=["superscript", "superscript-extension", "arabic-indic-prefix"])
-def test_text_form_refuses_digits_other_than_ascii(text):
-    for algorithm in (None, Algorithm.LZ78):
-        with pytest.raises(CorruptStream, match="is a digit other than 0-9$"):
+# a number is ASCII digits, so any other digit is refused as a symbol or within a token;
+# the messages are those with the coder inferred, then with LZ78 named
+@pytest.mark.parametrize("text, messages", [
+    ("a \u00b2", ("token 1: symbol '\u00b2' is not a letter",
+                  "token 1: extension '\u00b2' is not a letter")),
+    ("a 1\u00b2", ("token 1: extension '\u00b2' is not a letter",
+                   "token 1: extension '\u00b2' is not a letter")),
+    ("\u0661a", ("unrecognized LZ77 token '\u0661a'", "unrecognized LZ78 token '\u0661a'")),
+], ids=["superscript", "superscript-extension", "arabic-indic-prefix"])
+def test_text_form_refuses_digits_other_than_ascii(text, messages):
+    for algorithm, message in zip((None, Algorithm.LZ78), messages):
+        with pytest.raises(CorruptStream) as exc:
             stream_from_text(text, algorithm)
+        assert str(exc.value) == message
 
 
 def test_json_round_trip():
