@@ -12,6 +12,7 @@ evaluation order and are reproducible bit for bit.
 """
 
 import bisect
+import functools
 import json
 import math
 import random
@@ -29,10 +30,11 @@ MAX_LENGTH = 2_000
 # the work one request may ask for, samples × Σ(length + _DRAW_COST) over
 # its distinct lengths; the paper's grid at 1,000 samples asks for 820,000
 SYMBOL_BUDGET = 1_000_000
-# seeding and drawing a string takes about 14 us, as long as parsing 16
-# symbols at 1 us each (the parse takes about 0.5 us a symbol on the paper's
+# seeding and drawing a string takes about 8 us at length 1 and 13 us at 128
+# (CPython 3.11, one core of a 2-core x86-64 host), at most as long as parsing
+# 16 symbols at 1 us each (the parse takes about 0.5 us a symbol on the paper's
 # grid and 3.3 us over 2 symbols at MAX_LENGTH); the most samples of length 1
-# that the budget admits, 58,823, take about 1 s
+# that the budget admits, 58,823, take about 0.6 s
 _DRAW_COST = 16
 # string.ascii_lowercase; importing string would compile Template's regex at start-up
 _LOWERCASE = "abcdefghijklmnopqrstuvwxyz"
@@ -59,9 +61,65 @@ def mean_and_spread(values: list[float]) -> tuple[float, float]:
     return statistics.fmean(values), spread
 
 
+@functools.cache
+def _letter_tables(letters: str) -> tuple[bytes, bytes]:
+    """For each value k of the top 8, then the top 16, bits of a ``random()``
+    draw x, the letter ``floor(x * n)`` picks from ``letters``, or 0 where k
+    leaves it open.
+
+    x with top bits k (``bits`` of them) lies in [k, k + 1) / 2**bits, and the
+    rounded product fl(x * n) in [n*k, n*(k + 1)) / 2**bits: the lower end is
+    exact, and x is at least 2**-53 short of the upper one, more than half a
+    float's spacing there once it is multiplied by n.  So letter m is known for
+    every k with m * 2**bits <= n*k and n*(k + 1) <= (m + 1) * 2**bits, and the
+    one k, if any, that holds (m + 1) * 2**bits / n inside it is open: fewer
+    than n keys in all, and none when n is a power of 2.
+    """
+    n = len(letters)
+
+    def table(bits: int) -> bytes:
+        size = 1 << bits
+        out = bytearray()
+        for m, letter in enumerate(letters.encode("ascii")):
+            first = -(-m * size // n)  # the least k with m * size <= n*k
+            end = (m + 1) * size // n  # past the greatest k with n*(k + 1) <= (m + 1) * size
+            out += bytes([letter]) * (end - first)
+            if (m + 1) * size % n:  # k = end holds (m + 1) * size / n inside it
+                out.append(0)
+        return bytes(out)
+
+    return table(8), table(16)
+
+
+def _exact_letter(letters: str, words: bytes) -> int:
+    """The letter, as a byte, that ``choices`` picks with the two 32-bit words of
+    one ``random()`` call, little-endian in ``words``."""
+    a = int.from_bytes(words[:4], "little") >> 5
+    b = int.from_bytes(words[4:], "little") >> 6
+    x = (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)  # as random() computes it
+    return ord(letters[math.floor(x * len(letters))])
+
+
 def _random_string(letters: str, length: int, seed: int, index: int) -> str:
+    """The ``length`` letters that ``rng.choices(letters, k=length)`` draws.
+
+    ``choices`` calls ``random()`` once a letter, which reads two 32-bit words
+    w0 and w1 of the generator, and one ``getrandbits`` call gives the same
+    words, least significant first.  The top byte of each w0 picks its letter
+    through one ``translate``; the few that straddle two letters look up the
+    top two bytes, and the rarer ones that still straddle compute ``random()``.
+    """
     rng = random.Random(f"{seed}:{length}:{index}")
-    return "".join(rng.choices(letters, k=length))
+    words = rng.getrandbits(64 * length).to_bytes(8 * length, "little")
+    by_byte, by_two_bytes = _letter_tables(letters)
+    drawn = bytearray(words[3::8].translate(by_byte))
+    i = drawn.find(0)
+    while i >= 0:
+        j = 8 * i
+        drawn[i] = (by_two_bytes[words[j + 3] << 8 | words[j + 2]]
+                    or _exact_letter(letters, words[j:j + 8]))
+        i = drawn.find(0, i + 1)
+    return drawn.decode("ascii")
 
 
 def estimate_baseline(

@@ -82,6 +82,7 @@ _FIELD_RE = re.compile(r"^([A-Za-z])\s*:\s*(.*?)\s*$")
 # from a "%" to the end of its line, where str.splitlines ends one
 _COMMENT_RE = re.compile(r"%[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
 _NUMBER = rf"([0-9]{{1,{MAX_DIGITS}}})"
+_TOO_LONG = 10**MAX_DIGITS  # the least number of more than MAX_DIGITS digits
 _RATIO_RE = re.compile(rf"^{_NUMBER}\s*/\s*{_NUMBER}$")
 _METER_LETTERS = {"C": (4, 4), "C|": (2, 2)}  # common and cut time
 
@@ -95,6 +96,14 @@ def _ratio(value: str, what: str, location: int, at_most_one=False) -> tuple[int
         return n, d
     raise NormalizationError(ErrorKind.MALFORMED_HEADER, f"unusable {what} {excerpt(value)}",
                              location)
+
+
+def _check_digits(what: str, numbers: tuple[int, ...]) -> None:
+    """MALFORMED_HEADER if a number of ``what`` has more than ``MAX_DIGITS`` digits;
+    ``parse_abc`` reads none such, but a hand-built tune may hold one."""
+    if max(map(abs, numbers)) >= _TOO_LONG:
+        raise NormalizationError(ErrorKind.MALFORMED_HEADER,
+                                 f"{what} has a number of more than {MAX_DIGITS} digits")
 
 
 def parse_abc(source: str) -> list[AbcTune]:
@@ -222,6 +231,7 @@ def _quaver_notes(body: str, unit_note_length: Fraction) -> list[tuple[str, int]
     that cannot be read raises at once; the first note that does not
     fill whole quavers raises only once the scan has ended.
     """
+    _check_digits("unit note length", (unit_note_length.numerator, unit_note_length.denominator))
     # a note lasts unit * num/den whole notes, that is 8 * unit * num/den quavers
     unit_num, unit_den = 8 * unit_note_length.numerator, unit_note_length.denominator
     bare = divmod(unit_num, unit_den)  # the quavers of a note with no written length
@@ -408,12 +418,15 @@ def normalize(tune: AbcTune) -> QuaverSequence:
     Accepts only a tune of one of the ``STANDARD_SHAPES``: a standard
     meter and its length in quavers, which give its category (a reel or a
     jig); anything else raises WRONG_LENGTH, judged on the quaver count
-    before any symbol string is built.
+    before any symbol string is built.  A meter or unit note length number
+    of more than ``MAX_DIGITS`` digits, which ``parse_abc`` never reads,
+    raises MALFORMED_HEADER.
     """
     pairs = _quaver_notes(tune.body, tune.unit_note_length)
     total = sum([quavers for _, quavers in pairs])
     length, category = STANDARD_SHAPES.get(tune.meter, (None, None))
     if total != length:
+        _check_digits("meter", tune.meter)
         raise NormalizationError(
             ErrorKind.WRONG_LENGTH,
             f"meter {tune.meter[0]}/{tune.meter[1]} with {total} quavers is not a "

@@ -2,6 +2,8 @@
 against.  Deliberately written as plain triple loops over plain tuples so
 they share nothing with the production matcher."""
 
+import random
+
 from tunelz.lz import BackRef, Literal, Lz78Token
 
 
@@ -86,3 +88,9 @@ def plain_lz78_tokens(stream):
             raise TypeError(f"not an LZ78 token: {tok!r}")
         out.append((tok.prefix_index, tok.extension))
     return out
+
+
+def choices_draw(letters, length, seed, index):
+    """The baseline's random string as ``random.choices`` draws it, one
+    ``random()`` call a letter, from the generator seeded for this string."""
+    return "".join(random.Random(f"{seed}:{length}:{index}").choices(letters, k=length))

@@ -1,6 +1,7 @@
 """Random-string baseline curve and length normalization."""
 
 import json
+import math
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +23,8 @@ from tunelz.baseline import (
 )
 from tunelz.lz import Algorithm
 from tunelz.notation import Category
+
+import oracles
 
 # curve pinned to the published random-string means at the two tune lengths
 REFERENCE_CURVE = BaselineCurve(
@@ -91,6 +94,42 @@ def test_length_past_the_ceiling_draws_no_string(monkeypatch):
     with pytest.raises(ValueError, match=r"^lengths must be in 1\.\.2000$"):
         estimate_baseline([10, baseline.MAX_LENGTH + 1], samples=2)
     assert drawn == []
+
+
+@pytest.mark.parametrize("size", range(1, 27))
+def test_random_string_is_the_string_choices_draws(size):
+    letters = baseline._LOWERCASE[:size]
+    for length in (1, 2, 50, 128, 200, baseline.MAX_LENGTH):
+        for seed in (0, 7, 2**40):
+            for index in (0, 1, 999):
+                assert (baseline._random_string(letters, length, seed, index)
+                        == oracles.choices_draw(letters, length, seed, index))
+
+
+@pytest.mark.parametrize("size", range(1, 27))
+def test_letter_tables_hold_the_letter_every_draw_of_a_key_picks(size):
+    letters = baseline._LOWERCASE[:size]
+    for bits, table in zip((8, 16), baseline._letter_tables(letters)):
+        assert len(table) == 1 << bits
+        # n letters leave n - (n & -n) keys open: none for a power of 2
+        assert table.count(0) == size - (size & -size)
+        step = 1 / (1 << bits)
+        for k in range(1 << bits):
+            # the letters of the least and the greatest random() with these top bits
+            least = math.floor(k * step * size)
+            greatest = math.floor(((k + 1) * step - 2**-53) * size)
+            assert table[k] == (ord(letters[least]) if least == greatest else 0)
+
+
+def test_random_string_computes_a_letter_two_bytes_leave_open(monkeypatch):
+    exact = []
+    letter = baseline._exact_letter
+    monkeypatch.setattr(baseline, "_exact_letter",
+                        lambda *args: exact.append(args) or letter(*args))
+    for index in range(10):
+        assert (baseline._random_string("abcdefghijklm", baseline.MAX_LENGTH, 0, index)
+                == oracles.choices_draw("abcdefghijklm", baseline.MAX_LENGTH, 0, index))
+    assert exact
 
 
 PAPER_GRID = [50, 96, 100, 128, 150, 200]

@@ -394,6 +394,36 @@ def test_unusable_unit_length_rejected(value):
     assert exc.value.detail == f"unusable unit note length {value!r}"
 
 
+# parse_abc reads no header number of more than 100 digits, and one past the
+# interpreter's int/str digit limit could not be printed in a message
+@pytest.mark.parametrize("meter, unit, field", [
+    ((4, 4), Fraction(1, 10**5000), "unit note length"),
+    ((4, 4), Fraction(10**100, 10**100 + 1), "unit note length"),
+    ((10**5000, 4), UNIT, "meter"),
+    ((4, -(10**100)), UNIT, "meter"),
+])
+def test_hand_built_header_number_past_the_digit_rule_is_refused(meter, unit, field):
+    with pytest.raises(NormalizationError) as exc:
+        normalize(make_tune("ABcd", meter=meter, unit=unit))
+    assert exc.value.kind is ErrorKind.MALFORMED_HEADER
+    assert exc.value.detail == f"{field} has a number of more than 100 digits"
+
+
+def test_expand_body_refuses_a_unit_past_the_digit_rule():
+    with pytest.raises(NormalizationError) as exc:
+        expand_body("A", Fraction(1, 10**5000))
+    assert exc.value.detail == "unit note length has a number of more than 100 digits"
+
+
+def test_header_numbers_of_100_digits_are_read():
+    big = 10**100 - 1
+    assert expand_body(f"A{big}", Fraction(1, big)) == "A" * 8
+    with pytest.raises(NormalizationError) as exc:
+        normalize(make_tune("ABcd", meter=(big, 4)))
+    assert exc.value.kind is ErrorKind.WRONG_LENGTH
+    assert exc.value.detail.startswith(f"meter {big}/4 with 4 quavers")
+
+
 def test_whole_note_unit_length_accepted():
     (tune,) = parse_abc("X:1\nL:8/8\nK:G\nA\n")
     assert tune.unit_note_length == 1
