@@ -147,13 +147,13 @@ def _load_records(args) -> list[cp.TuneRecord]:
     return cp.ingest_abc_files(args.paths)
 
 
-def _analyze(args, records: list[cp.TuneRecord]) -> list[cp.ComplexityReport]:
+def _analyze(args, records: list[cp.TuneRecord], *, lz78: bool = True) -> list[cp.ComplexityReport]:
     """``cp.analyze`` under the curve flags; every fault of the curve names its file."""
     path, reference = args.baseline_path, args.normalize_to
     if (path is None) != (reference is None):
         raise cp.IngestError("--baseline and --normalize-to go together")
     if path is None:
-        return cp.analyze(records)
+        return cp.analyze(records, lz78=lz78)
     text = read_text(path, "baseline curve")
     try:
         curve = bl.curve_from_json(text)
@@ -161,7 +161,7 @@ def _analyze(args, records: list[cp.TuneRecord]) -> list[cp.ComplexityReport]:
         detail = str(exc).removeprefix("baseline curve")
         raise cp.IngestError(f"baseline curve {path}{detail}") from exc
     try:
-        return cp.analyze(records, curve, reference)
+        return cp.analyze(records, curve, reference, lz78=lz78)
     except ValueError as exc:
         raise cp.IngestError(f"baseline curve {path} is not usable: {exc}") from exc
 
@@ -264,7 +264,8 @@ def _selected_categories(args, reports) -> list[cp.Category]:
 
 def cmd_corpus(args) -> list[cp.TuneRecord]:
     records = _load_records(args)
-    reports = _analyze(args, records)
+    # only the per-tune CSV prints an LZ78 count
+    reports = _analyze(args, records, lz78=args.format == "csv")
     stats_list = [cp.aggregate(reports, c, args.bins)
                   for c in _selected_categories(args, reports)]
     if args.hist_out:  # before any output, so that a failure leaves stdout empty
@@ -314,7 +315,8 @@ def cmd_baseline(args) -> list[cp.TuneRecord]:
 
 def cmd_rank(args) -> list[cp.TuneRecord]:
     records = _load_records(args)
-    reports = cp.analyze(records)
+    # the text ranking prints only the LZ77 ratio
+    reports = cp.analyze(records, lz78=args.format != "text")
     ranked = cp.rank(reports, cp.Order(args.order))
     if args.format == "text":
         for place, r in enumerate(ranked, start=1):

@@ -62,6 +62,10 @@ class TuneRecord(Value):
 
 
 class ComplexityReport(Value, defaults=(None,)):
+    """One accepted tune's token counts and ratios.  ``lz78_tokens`` and
+    ``ratio_lz78`` are ``None`` when ``analyze`` did not count LZ78, and
+    ``normalized_ratio`` is ``None`` without a curve."""
+
     __slots__ = (
         "id", "name", "category", "length", "lz77_tokens", "lz78_tokens",
         "ratio_lz77", "ratio_lz78", "normalized_ratio")
@@ -214,8 +218,11 @@ def analyze(
     records: list[TuneRecord],
     curve: BaselineCurve | None = None,
     reference_length: int | None = None,
+    *,
+    lz78: bool = True,
 ) -> list[ComplexityReport]:
-    """Compress every accepted record with both coders.
+    """Compress every accepted record with LZ77, and count its LZ78 phrases
+    unless ``lz78`` is false, which leaves both LZ78 fields ``None``.
 
     When ``curve`` and ``reference_length`` are given, each report also
     carries its LZ77 ratio rescaled to the reference length, so the curve
@@ -238,7 +245,10 @@ def analyze(
             continue
         symbols = record.outcome.symbols
         stream_77 = compress_lz77(symbols)
-        lz78_tokens = token_count(symbols, Algorithm.LZ78)
+        lz78_tokens = ratio_78 = None
+        if lz78:
+            lz78_tokens = token_count(symbols, Algorithm.LZ78)
+            ratio_78 = Fraction(len(symbols), lz78_tokens)
         ratio_77 = compression_ratio(stream_77)
         normalized = None
         if curve is not None:
@@ -254,7 +264,7 @@ def analyze(
                 lz77_tokens=len(stream_77.tokens),
                 lz78_tokens=lz78_tokens,
                 ratio_lz77=ratio_77,
-                ratio_lz78=Fraction(len(symbols), lz78_tokens),
+                ratio_lz78=ratio_78,
                 normalized_ratio=normalized,
             )
         )

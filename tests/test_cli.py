@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tunelz
+from tunelz import corpus as cp
 from tunelz import lz
 from tunelz._value import IngestError, integer, read_stdin
 from tunelz.cli import build_parser, main
@@ -453,6 +454,50 @@ def test_a_rejection_is_one_line_whatever_its_id_or_name(capsys, tmp_path, field
     assert code == 1
     assert line.startswith(f"tunelz: rejected {shows['setting_id']} ({shows['name']}): "
                            "unsupported_construct: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("reference", ["128", "96"])
+def test_corpus_statistics_are_of_raw_ratios_whatever_the_curve(capsys, data_dir, dump_path,
+                                                                fmt, reference):
+    # the curve flags add the per-tune CSV's normalized_ratio column and check
+    # the curve's span; the statistics aggregate the raw LZ77 ratios
+    curve = ["--baseline", str(data_dir / "baseline_curve.json"), "--normalize-to", reference]
+    without = run(capsys, "corpus", "--format", fmt, "--dump", str(dump_path))
+    assert without[0] == 1 and without[1]
+    assert run(capsys, "corpus", "--format", fmt, *curve, "--dump", str(dump_path)) == without
+    csv = [run(capsys, "corpus", "--format", "csv", *flags, "--dump", str(dump_path))[1]
+           for flags in ([], curve)]
+    assert csv[0] != csv[1]
+
+
+# the LZ78 count of each accepted tune is made only where it is printed
+@pytest.mark.parametrize("argv, counts_lz78", [
+    (["corpus"], False),
+    (["corpus", "--format", "json"], False),
+    (["corpus", "--format", "csv"], True),
+    (["rank"], False),
+    (["rank", "--format", "json"], True),
+    (["rank", "--format", "csv"], True),
+    (["analyze"], True),
+    (["analyze", "--format", "json"], True),
+    (["analyze", "--format", "csv"], True),
+], ids=lambda value: "-".join(value) if isinstance(value, list) else None)
+def test_lz78_is_counted_only_where_it_is_printed(capsys, monkeypatch, dump_path, argv,
+                                                  counts_lz78):
+    asked = []
+    count = cp.token_count
+
+    def spy(seq, algorithm):
+        asked.append(algorithm)
+        return count(seq, algorithm)
+
+    monkeypatch.setattr(cp, "token_count", spy)
+    code, out, _ = run(capsys, *argv, "--dump", str(dump_path))
+    accepted = sum(r.accepted for r in cp.ingest_json_dump(dump_path))
+    assert (code, accepted) == (1, 2)
+    assert asked == [lz.Algorithm.LZ78] * accepted * counts_lz78
+    assert ("lz78" in out) is counts_lz78
 
 
 def test_corpus_runs_are_byte_identical(capsys, extreme_reels_path):

@@ -502,6 +502,18 @@ def test_analyze_lz78_counts_equal_the_coders_stream(data_dir, dump_path):
         assert type(report.ratio_lz78) is Fraction
 
 
+@pytest.mark.parametrize("curve, reference", [(None, None), (CURVE, 128), (CURVE, 96)],
+                         ids=["no-curve", "curve-128", "curve-96"])
+def test_analyze_without_lz78_leaves_only_the_lz78_fields_empty(data_dir, dump_path,
+                                                                 curve, reference):
+    records = ingest_abc_files(sorted(data_dir.glob("*.abc"))) + ingest_json_dump(dump_path)
+    full = analyze(records, curve, reference)
+    assert len(full) == 6  # every accepted tune in tests/data
+    expected = [ComplexityReport(r.id, r.name, r.category, r.length, r.lz77_tokens, None,
+                                 r.ratio_lz77, None, r.normalized_ratio) for r in full]
+    assert analyze(records, curve, reference, lz78=False) == expected
+
+
 def test_analyze_empty():
     assert analyze([]) == []
 
