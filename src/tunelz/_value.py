@@ -27,6 +27,7 @@ from fractions import Fraction
 # by its size, and in text unread, as int() of a long digit string is
 # slow; so an error prints every number it names in full.
 MAX_DIGITS = 100
+TOO_LONG = 10**MAX_DIGITS  # the least int of more than MAX_DIGITS digits
 # Most symbols a sequence may hold: the longest tune is a few hundred
 # quavers.  This bounds the memory a short input can expand to, and the
 # LZ77 parse's time, which grows about quadratically: 20,000 letters over

@@ -1,14 +1,15 @@
 """Command-line front end: tunelz <subcommand> [flags] [paths...].
 
 Machine-readable output goes to stdout, diagnostics to stderr.  Each
-command returns the records it read, and ``main`` alone picks the exit
-code: 0 all good, 1 some tunes were rejected (one stderr line each,
-after the command's stdout), 2 fatal input or usage error (no rejection
-lines).  Every subcommand is a pure function of its arguments, input
-files and seed, so repeated runs produce byte-identical output.
+command returns the records it read and its stdout text, and ``main``
+alone writes: stdout once, then one stderr line per rejected tune (exit
+1), or in place of both one error line (exit 2, as for a usage error);
+else exit 0.  Every subcommand is a pure function of its arguments,
+input files and seed, so repeated runs produce byte-identical output.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -26,7 +27,8 @@ class _Parser(argparse.ArgumentParser):
     argparse quotes a refused value whole (an invalid integer or choice,
     an ambiguous option, unrecognized arguments), so each argument this
     parser read, and the value after an ``=`` in it, is excerpted
-    wherever the message holds it.  Subparsers are of this class too.
+    wherever the message holds it, and the usage and the message go
+    through ``_warn``.  Subparsers are of this class too.
     """
 
     _argv: tuple[str, ...] = ()
@@ -40,7 +42,8 @@ class _Parser(argparse.ArgumentParser):
         texts = {text for arg in self._argv for text in (arg, arg.partition("=")[2]) if text}
         for text in sorted(texts, key=len, reverse=True):
             message = message.replace(repr(text), excerpt(text)).replace(text, excerpt(text, str))
-        super().error(message)
+        _warn(*self.format_usage().splitlines(), f"{self.prog}: error: {message}")
+        self.exit(2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,22 +115,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        records = args.run(args)
+        records, out = args.run(args)
+        sys.stdout.write(out)
     except (OSError, ValueError) as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
+        _warn(f"{PROG}: error: {exc}")
         return 2
     rejected = [r for r in records if not r.accepted]
-    for record in rejected:
-        print(f"{PROG}: rejected {_one_line(record.id)} ({_one_line(record.name)}): "
-              f"{record.outcome}", file=sys.stderr)
+    _warn(*[f"{PROG}: rejected {excerpt(r.id, str)} ({excerpt(r.name, str)}): {r.outcome}"
+            for r in rejected])
     return 1 if rejected else 0
 
 
-def _one_line(text: str) -> str:
-    """``text`` cut by ``excerpt``, with each character that ``str.isprintable``
-    refuses (a line break among them) escaped as ``repr`` writes it."""
-    return excerpt(text, lambda part: part if part.isprintable() else "".join(
-        [c if c.isprintable() else repr(c)[1:-1] for c in part]))
+def _warn(*lines: str) -> None:
+    """Write each line to stderr, one line each: every character that
+    ``str.isprintable`` refuses, a line break among them, escaped as ``repr`` writes it."""
+    escaped = [line if line.isprintable() else
+               "".join([c if c.isprintable() else repr(c)[1:-1] for c in line]) for line in lines]
+    with contextlib.suppress(OSError):  # as argparse, so a closed stderr keeps the exit code
+        sys.stderr.write("".join([f"{line}\n" for line in escaped]))
 
 
 # ----------------------------------------------------------------- commands
@@ -166,18 +171,22 @@ def _analyze(args, records: list[cp.TuneRecord], *, lz78: bool = True) -> list[c
         raise cp.IngestError(f"baseline curve {path} is not usable: {exc}") from exc
 
 
-def cmd_normalize(args) -> list[cp.TuneRecord]:
+def _json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def _lines(lines) -> str:
+    return "".join([f"{line}\n" for line in lines])
+
+
+def cmd_normalize(args) -> tuple[list[cp.TuneRecord], str]:
     records = cp.ingest_abc_files(args.paths)
     accepted = [r for r in records if r.accepted]
     if args.format == "json":
-        payload = [{"id": r.id, "name": r.name, "length": len(r.outcome.symbols),
-                    **plain(r.outcome)} for r in accepted]
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for r in accepted:
-            print(f"{r.id}\t{r.outcome.category.value}\t"
-                  f"{len(r.outcome.symbols)}\t{r.outcome.symbols}")
-    return records
+        return records, _json([{"id": r.id, "name": r.name, "length": len(r.outcome.symbols),
+                                **plain(r.outcome)} for r in accepted])
+    return records, _lines(f"{r.id}\t{r.outcome.category.value}\t"
+                           f"{len(r.outcome.symbols)}\t{r.outcome.symbols}" for r in accepted)
 
 
 def _sequences_for_compression(args) -> tuple[list[str], list[cp.TuneRecord]]:
@@ -197,7 +206,7 @@ def _sequences_for_compression(args) -> tuple[list[str], list[cp.TuneRecord]]:
     return [symbols], []
 
 
-def cmd_compress(args) -> list[cp.TuneRecord]:
+def cmd_compress(args) -> tuple[list[cp.TuneRecord], str]:
     sequences, records = _sequences_for_compression(args)
     algorithm = lz.Algorithm(args.algo)
     outputs = []
@@ -212,12 +221,10 @@ def cmd_compress(args) -> list[cp.TuneRecord]:
                 block += (f"\nratio {stream.source_length}/{len(stream.tokens)}"
                           f" ≈ {float(ratio):.2f}")
             outputs.append(block)
-    if outputs:
-        print("\n\n".join(outputs))
-    return records
+    return records, "\n\n".join(outputs) + "\n" if outputs else ""
 
 
-def cmd_decompress(args) -> list[cp.TuneRecord]:
+def cmd_decompress(args) -> tuple[list[cp.TuneRecord], str]:
     text = _read_input(args.path)
     head = text.lstrip()[:2]
     try:
@@ -230,29 +237,23 @@ def cmd_decompress(args) -> list[cp.TuneRecord]:
     except lz.CorruptStream as exc:
         # the path goes last, so each message still starts with what went wrong
         raise lz.CorruptStream(f"{exc} (token stream {args.path})") from exc
-    print(symbols)
-    return []
+    return [], f"{symbols}\n"
 
 
-def cmd_analyze(args) -> list[cp.TuneRecord]:
+def _reports_text(reports: list[cp.ComplexityReport], fmt: str) -> str:
+    return _json(plain(reports)) if fmt == "json" else cp.reports_to_csv(reports)
+
+
+def cmd_analyze(args) -> tuple[list[cp.TuneRecord], str]:
     records = _load_records(args)
     reports = _analyze(args, records)
-    if args.format == "text":
-        for r in reports:
-            extra = "" if r.normalized_ratio is None else f"\tnorm {r.normalized_ratio:.4f}"
-            print(f"{r.id}\t{r.name}\t{r.category.value}\t{r.length}\t"
-                  f"lz77 {r.lz77_tokens}\tlz78 {r.lz78_tokens}\t"
-                  f"ratio {float(r.ratio_lz77):.4f}{extra}")
-    else:
-        _print_reports(reports, args.format)
-    return records
-
-
-def _print_reports(reports: list[cp.ComplexityReport], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(plain(reports), indent=2, sort_keys=True))
-    else:
-        print(cp.reports_to_csv(reports), end="")
+    if args.format != "text":
+        return records, _reports_text(reports, args.format)
+    return records, _lines(
+        f"{r.id}\t{r.name}\t{r.category.value}\t{r.length}\t"
+        f"lz77 {r.lz77_tokens}\tlz78 {r.lz78_tokens}\tratio {float(r.ratio_lz77):.4f}"
+        + ("" if r.normalized_ratio is None else f"\tnorm {r.normalized_ratio:.4f}")
+        for r in reports)
 
 
 def _selected_categories(args, reports) -> list[cp.Category]:
@@ -262,33 +263,32 @@ def _selected_categories(args, reports) -> list[cp.Category]:
     return [c for c in cp.Category if c in present]
 
 
-def cmd_corpus(args) -> list[cp.TuneRecord]:
+def cmd_corpus(args) -> tuple[list[cp.TuneRecord], str]:
     records = _load_records(args)
     # only the per-tune CSV prints an LZ78 count
     reports = _analyze(args, records, lz78=args.format == "csv")
     stats_list = [cp.aggregate(reports, c, args.bins)
                   for c in _selected_categories(args, reports)]
-    if args.hist_out:  # before any output, so that a failure leaves stdout empty
+    if args.hist_out:
         if len(stats_list) != 1:
             raise cp.IngestError("--hist-out needs exactly one category")
         write_text(args.hist_out, "histogram", cp.histogram_to_csv(stats_list[0].histogram))
     if args.format == "json":
-        print(json.dumps([cp.stats_to_dict(s) for s in stats_list],
-                         indent=2, sort_keys=True))
-    elif args.format == "csv":
-        print(cp.reports_to_csv(reports), end="")
-    else:
-        for stats in stats_list:
-            flag = "  (single tune: spread not meaningful)" if stats.degenerate else ""
-            print(f"{stats.category.value}: {stats.count} tunes{flag}")
-            print(f"  mean ratio {stats.mean_ratio:.4f}  std dev {stats.std_dev:.4f}")
-            print(f"  min {float(stats.min[1]):.4f}  {stats.min[0]}")
-            print(f"  max {float(stats.max[1]):.4f}  {stats.max[0]}")
-            print(cp.histogram_to_text(stats.histogram), end="")
-    return records
+        return records, _json([cp.stats_to_dict(s) for s in stats_list])
+    if args.format == "csv":
+        return records, cp.reports_to_csv(reports)
+    out = []
+    for stats in stats_list:
+        flag = "  (single tune: spread not meaningful)" if stats.degenerate else ""
+        out += [f"{stats.category.value}: {stats.count} tunes{flag}\n",
+                f"  mean ratio {stats.mean_ratio:.4f}  std dev {stats.std_dev:.4f}\n",
+                f"  min {float(stats.min[1]):.4f}  {stats.min[0]}\n",
+                f"  max {float(stats.max[1]):.4f}  {stats.max[0]}\n",
+                cp.histogram_to_text(stats.histogram)]
+    return records, "".join(out)
 
 
-def cmd_baseline(args) -> list[cp.TuneRecord]:
+def cmd_baseline(args) -> tuple[list[cp.TuneRecord], str]:
     try:
         lengths = [integer(part) for part in map(str.strip, args.lengths.split(",")) if part]
     except ValueError:
@@ -304,26 +304,22 @@ def cmd_baseline(args) -> list[cp.TuneRecord]:
     if args.out:
         write_text(args.out, "baseline curve", bl.curve_to_json(curve))
     if args.format == "json":
-        print(bl.curve_to_json(curve))
-    elif args.format == "text":
-        for p in curve.points:
-            print(f"length {p.length}: mean {p.mean_ratio:.4f}  std {p.std_dev:.4f}")
-    else:
-        print(bl.curve_to_csv(curve), end="")
-    return []
+        return [], bl.curve_to_json(curve) + "\n"
+    if args.format == "text":
+        return [], _lines(f"length {p.length}: mean {p.mean_ratio:.4f}  std {p.std_dev:.4f}"
+                          for p in curve.points)
+    return [], bl.curve_to_csv(curve)
 
 
-def cmd_rank(args) -> list[cp.TuneRecord]:
+def cmd_rank(args) -> tuple[list[cp.TuneRecord], str]:
     records = _load_records(args)
     # the text ranking prints only the LZ77 ratio
     reports = cp.analyze(records, lz78=args.format != "text")
     ranked = cp.rank(reports, cp.Order(args.order))
-    if args.format == "text":
-        for place, r in enumerate(ranked, start=1):
-            print(f"{place}\t{r.id}\t{r.name}\t{float(r.ratio_lz77):.4f}")
-    else:
-        _print_reports(ranked, args.format)
-    return records
+    if args.format != "text":
+        return records, _reports_text(ranked, args.format)
+    return records, _lines(f"{place}\t{r.id}\t{r.name}\t{float(r.ratio_lz77):.4f}"
+                           for place, r in enumerate(ranked, start=1))
 
 
 if __name__ == "__main__":

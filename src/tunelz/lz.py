@@ -23,11 +23,10 @@ from enum import Enum
 from fractions import Fraction
 from itertools import count
 
-from ._value import (ARRAY, INTEGER, MAX_DIGITS, MAX_STREAM_SYMBOLS, Value, excerpt, field,
-                     integer, load_json, plain, shown)
+from ._value import (ARRAY, INTEGER, MAX_DIGITS, MAX_STREAM_SYMBOLS, TOO_LONG, Value, excerpt,
+                     field, integer, load_json, plain, shown)
 
 MIN_MATCH = 2
-_TOO_LONG = 10 ** MAX_DIGITS  # the least int of more than MAX_DIGITS digits
 CODER_NAME = ("lz77 or lz78", ("lz77", "lz78"))  # JSON kind of a saved stream's or curve's coder
 
 
@@ -243,7 +242,7 @@ def _check_field(i: int, name: str, value, kind: type) -> None:
     if type(value) is not kind or kind is str and len(value) != 1:
         wanted = "an integer" if kind is int else "a one-character string"
         raise CorruptStream(f"token {i}: {name} {shown(value, repr)} is not {wanted}")
-    if kind is int and not -_TOO_LONG < value < _TOO_LONG:
+    if kind is int and not -TOO_LONG < value < TOO_LONG:
         raise CorruptStream(f"token {i}: {name} of more than {MAX_DIGITS} digits")
 
 
@@ -307,7 +306,7 @@ def _checked(stream: TokenStream) -> TokenStream:
     claimed = stream.source_length
     if type(claimed) is not int:
         raise CorruptStream(f"stream source_length is not an integer: {shown(claimed, repr)}")
-    if not -_TOO_LONG < claimed < _TOO_LONG:
+    if not -TOO_LONG < claimed < TOO_LONG:
         raise CorruptStream(f"stream source_length of more than {MAX_DIGITS} digits")
     length = _stream_length(stream.algorithm, stream.tokens, claimed, "stream claims")
     if length != claimed:

@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 
-from ._value import MAX_DIGITS, MAX_STREAM_SYMBOLS, Value, excerpt, integer
+from ._value import MAX_DIGITS, MAX_STREAM_SYMBOLS, TOO_LONG, Value, excerpt, integer
 
 QUAVER = Fraction(1, 8)
 PITCH_LETTERS = frozenset("ABCDEFGabcdefg")
@@ -82,7 +82,6 @@ _FIELD_RE = re.compile(r"^([A-Za-z])\s*:\s*(.*?)\s*$")
 # from a "%" to the end of its line, where str.splitlines ends one
 _COMMENT_RE = re.compile(r"%[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
 _NUMBER = rf"([0-9]{{1,{MAX_DIGITS}}})"
-_TOO_LONG = 10**MAX_DIGITS  # the least number of more than MAX_DIGITS digits
 _RATIO_RE = re.compile(rf"^{_NUMBER}\s*/\s*{_NUMBER}$")
 _METER_LETTERS = {"C": (4, 4), "C|": (2, 2)}  # common and cut time
 
@@ -101,7 +100,7 @@ def _ratio(value: str, what: str, location: int, at_most_one=False) -> tuple[int
 def _check_digits(what: str, numbers: tuple[int, ...]) -> None:
     """MALFORMED_HEADER if a number of ``what`` has more than ``MAX_DIGITS`` digits;
     ``parse_abc`` reads none such, but a hand-built tune may hold one."""
-    if max(map(abs, numbers)) >= _TOO_LONG:
+    if max(map(abs, numbers)) >= TOO_LONG:
         raise NormalizationError(ErrorKind.MALFORMED_HEADER,
                                  f"{what} has a number of more than {MAX_DIGITS} digits")
 
@@ -232,6 +231,9 @@ def _quaver_notes(body: str, unit_note_length: Fraction) -> list[tuple[str, int]
     fill whole quavers raises only once the scan has ended.
     """
     _check_digits("unit note length", (unit_note_length.numerator, unit_note_length.denominator))
+    if not 0 < unit_note_length <= 1:  # the L: range parse_abc reads; a hand-built tune may not
+        raise NormalizationError(ErrorKind.MALFORMED_HEADER,
+                                 f"unusable unit note length {excerpt(str(unit_note_length))}", 0)
     # a note lasts unit * num/den whole notes, that is 8 * unit * num/den quavers
     unit_num, unit_den = 8 * unit_note_length.numerator, unit_note_length.denominator
     bare = divmod(unit_num, unit_den)  # the quavers of a note with no written length
@@ -400,7 +402,8 @@ def expand_body(body: str, unit_note_length: Fraction = QUAVER) -> str:
     is applied here (see ``normalize``), but a body lasting more than
     ``MAX_STREAM_SYMBOLS`` quavers raises WRONG_LENGTH, judged on the
     quaver count before any symbol string is built, and so only once
-    the scan has found no unreadable construct and no off-grid note.
+    the scan has found no unreadable construct and no off-grid note.  A
+    unit note length that ``normalize`` refuses raises MALFORMED_HEADER here too.
     """
     pairs = _quaver_notes(body, unit_note_length)
     total = sum([quavers for _, quavers in pairs])
@@ -419,8 +422,8 @@ def normalize(tune: AbcTune) -> QuaverSequence:
     meter and its length in quavers, which give its category (a reel or a
     jig); anything else raises WRONG_LENGTH, judged on the quaver count
     before any symbol string is built.  A meter or unit note length number
-    of more than ``MAX_DIGITS`` digits, which ``parse_abc`` never reads,
-    raises MALFORMED_HEADER.
+    of more than ``MAX_DIGITS`` digits, or a unit outside 0 < unit <= 1,
+    none of which ``parse_abc`` reads, raises MALFORMED_HEADER.
     """
     pairs = _quaver_notes(tune.body, tune.unit_note_length)
     total = sum([quavers for _, quavers in pairs])

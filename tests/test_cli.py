@@ -456,6 +456,73 @@ def test_a_rejection_is_one_line_whatever_its_id_or_name(capsys, tmp_path, field
                            "unsupported_construct: ")
 
 
+# a path or an argument is printed as given, but for each character that
+# str.isprintable refuses, escaped; so the error stays one line, the last
+@pytest.mark.parametrize("char", ["\n", "\r", "\x85", "\u2028"],
+                         ids=["newline", "carriage-return", "next-line", "line-separator"])
+@pytest.mark.parametrize("argv, arg", [
+    (["analyze", "{tmp}/a{c}b.abc"], 1),
+    (["corpus", "--dump", "{tmp}/d{c}.json"], 2),
+    (["analyze", "--baseline", "{tmp}/c{c}.json", "--normalize-to", "128", "{sally}"], 2),
+    (["corpus", "--category", "reel", "--hist-out", "{tmp}/no{c}/h.csv", "--dump", "{dump}"], 4),
+    (["decompress", "{stream}", "x{c}y"], 2),
+], ids=["abc-path", "dump-path", "baseline-path", "hist-out-path", "decompress-extra-argument"])
+def test_an_error_is_one_line_whatever_an_argument_holds(capsys, tmp_path, sally_path, dump_path,
+                                                         char, argv, arg):
+    fill = {"tmp": tmp_path, "c": char, "sally": sally_path, "dump": dump_path,
+            "stream": DATA_DIR / "sally_gardens.lz77.txt"}
+    argv = [part.format(**fill) for part in argv]
+    (tmp_path / f"c{char}.json").write_text("{}", encoding="utf-8")  # a curve with no fields
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert (code, out) == (2, "")
+    assert err == "".join(f"{line}\n" for line in lines)
+    assert lines[-1].startswith("tunelz: error: ")
+    assert argv[arg].replace(char, repr(char)[1:-1]) in lines[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "{jig}"], ["compress", "{jig}"], ["decompress", "{stream}"],
+    ["analyze", "{jig}"], ["corpus", "{jig}"], ["rank", "{jig}"],
+    ["baseline", "--lengths", "4", "--samples", "2"],
+], ids=lambda argv: argv[0])
+def test_a_closed_stdout_is_one_error_line(capsys, monkeypatch, jig_path, argv):
+    # stdout is written once, where a failed write is an error like any
+    # other: no rejection lines follow it
+    def broken_pipe(text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    fill = {"jig": jig_path, "stream": DATA_DIR / "sally_gardens.lz77.txt"}
+    monkeypatch.setattr(sys.stdout, "write", broken_pipe)
+    code = main([part.format(**fill) for part in argv])
+    monkeypatch.undo()
+    assert (code, capsys.readouterr().err) == (2, "tunelz: error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["analyze", "{tmp}/missing.abc"], 2),
+    (["analyze", "--bins", "1"], 2),
+    (["analyze", "{jig}"], 1),
+], ids=["error", "usage-error", "rejection"])
+def test_a_closed_stderr_keeps_the_exit_code(capsys, monkeypatch, tmp_path, jig_path, argv, want):
+    # a line that stderr cannot take is dropped, as argparse drops its own
+    def closed(text):
+        raise OSError(9, "Bad file descriptor")
+
+    monkeypatch.setattr(sys.stderr, "write", closed)
+    try:
+        code = main([part.format(tmp=tmp_path, jig=jig_path) for part in argv])
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+    monkeypatch.undo()
+    assert code == want
+    assert bool(capsys.readouterr().out) == (want == 1)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("reference", ["128", "96"])
 def test_corpus_statistics_are_of_raw_ratios_whatever_the_curve(capsys, data_dir, dump_path,

@@ -409,6 +409,23 @@ def test_hand_built_header_number_past_the_digit_rule_is_refused(meter, unit, fi
     assert exc.value.detail == f"{field} has a number of more than 100 digits"
 
 
+# parse_abc reads an L: of 0 < unit <= 1 only; outside it the notes would vanish,
+# or last a negative or a too-long time
+@pytest.mark.parametrize("body, unit, shown", [
+    ("ABC", Fraction(0), "'0'"),
+    ("A2B", Fraction(-1, 8), "'-1/8'"),
+    ("ABcd", Fraction(1 - 10**100, 10**100 - 2), f"'-{'9' * 100}/{'9' * 18}'... (202 characters)"),
+    ("ABcd", Fraction(9, 8), "'9/8'"),
+    ("A", Fraction(2), "'2'"),
+], ids=["zero", "negative", "negative-of-100-digits", "past-one", "two"])
+def test_hand_built_unit_note_length_outside_the_l_range_is_refused(body, unit, shown):
+    for run in (lambda: expand_body(body, unit), lambda: normalize(make_tune(body, unit=unit))):
+        with pytest.raises(NormalizationError) as exc:
+            run()
+        assert exc.value.kind is ErrorKind.MALFORMED_HEADER
+        assert (exc.value.detail, exc.value.location) == (f"unusable unit note length {shown}", 0)
+
+
 def test_expand_body_refuses_a_unit_past_the_digit_rule():
     with pytest.raises(NormalizationError) as exc:
         expand_body("A", Fraction(1, 10**5000))
