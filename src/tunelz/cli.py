@@ -127,12 +127,17 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _warn(*lines: str) -> None:
-    """Write each line to stderr, one line each: every character that
-    ``str.isprintable`` refuses, a line break among them, escaped as ``repr`` writes it."""
-    escaped = [line if line.isprintable() else
-               "".join([c if c.isprintable() else repr(c)[1:-1] for c in line]) for line in lines]
+    """Write each line to stderr through ``_one_line``, so that it stays one line."""
     with contextlib.suppress(OSError):  # as argparse, so a closed stderr keeps the exit code
-        sys.stderr.write("".join([f"{line}\n" for line in escaped]))
+        sys.stderr.write("".join([f"{_one_line(line)}\n" for line in lines]))
+
+
+def _one_line(text: str) -> str:
+    """``text`` with every character that ``str.isprintable`` refuses, a line break
+    or a tab among them, escaped as ``repr`` writes it: one line, one column."""
+    if text.isprintable():
+        return text
+    return "".join([c if c.isprintable() else repr(c)[1:-1] for c in text])
 
 
 # ----------------------------------------------------------------- commands
@@ -185,7 +190,7 @@ def cmd_normalize(args) -> tuple[list[cp.TuneRecord], str]:
     if args.format == "json":
         return records, _json([{"id": r.id, "name": r.name, "length": len(r.outcome.symbols),
                                 **plain(r.outcome)} for r in accepted])
-    return records, _lines(f"{r.id}\t{r.outcome.category.value}\t"
+    return records, _lines(f"{_one_line(r.id)}\t{r.outcome.category.value}\t"
                            f"{len(r.outcome.symbols)}\t{r.outcome.symbols}" for r in accepted)
 
 
@@ -250,7 +255,7 @@ def cmd_analyze(args) -> tuple[list[cp.TuneRecord], str]:
     if args.format != "text":
         return records, _reports_text(reports, args.format)
     return records, _lines(
-        f"{r.id}\t{r.name}\t{r.category.value}\t{r.length}\t"
+        f"{_one_line(r.id)}\t{_one_line(r.name)}\t{r.category.value}\t{r.length}\t"
         f"lz77 {r.lz77_tokens}\tlz78 {r.lz78_tokens}\tratio {float(r.ratio_lz77):.4f}"
         + ("" if r.normalized_ratio is None else f"\tnorm {r.normalized_ratio:.4f}")
         for r in reports)
@@ -282,8 +287,8 @@ def cmd_corpus(args) -> tuple[list[cp.TuneRecord], str]:
         flag = "  (single tune: spread not meaningful)" if stats.degenerate else ""
         out += [f"{stats.category.value}: {stats.count} tunes{flag}\n",
                 f"  mean ratio {stats.mean_ratio:.4f}  std dev {stats.std_dev:.4f}\n",
-                f"  min {float(stats.min[1]):.4f}  {stats.min[0]}\n",
-                f"  max {float(stats.max[1]):.4f}  {stats.max[0]}\n",
+                f"  min {float(stats.min[1]):.4f}  {_one_line(stats.min[0])}\n",
+                f"  max {float(stats.max[1]):.4f}  {_one_line(stats.max[0])}\n",
                 cp.histogram_to_text(stats.histogram)]
     return records, "".join(out)
 
@@ -318,8 +323,8 @@ def cmd_rank(args) -> tuple[list[cp.TuneRecord], str]:
     ranked = cp.rank(reports, cp.Order(args.order))
     if args.format != "text":
         return records, _reports_text(ranked, args.format)
-    return records, _lines(f"{place}\t{r.id}\t{r.name}\t{float(r.ratio_lz77):.4f}"
-                           for place, r in enumerate(ranked, start=1))
+    return records, _lines(f"{place}\t{_one_line(r.id)}\t{_one_line(r.name)}\t"
+                           f"{float(r.ratio_lz77):.4f}" for place, r in enumerate(ranked, start=1))
 
 
 if __name__ == "__main__":

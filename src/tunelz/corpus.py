@@ -108,16 +108,14 @@ def ingest_json_dump(path: str | os.PathLike) -> list[TuneRecord]:
     what = f"dump {path}"
     text = read_text(path, "dump")
     try:
-        entries = [_dump_entry(entry, f"{what} entry {n}")
-                   for n, entry in enumerate(load_json(text, what, list))]
+        return [_dump_record(entry, f"{what} entry {n}")
+                for n, entry in enumerate(load_json(text, what, list))]
     except ValueError as exc:
         raise IngestError(str(exc)) from exc
-    return [TuneRecord(record_id, name, category, key, body, _entry_outcome(meter, body))
-            for record_id, name, category, key, body, meter in entries]
 
 
-def _dump_entry(entry, what: str) -> tuple:
-    """A dump entry's record id, name, category, key, body and meter, as ingest_json_dump says."""
+def _dump_record(entry, what: str) -> TuneRecord:
+    """A dump entry's record, as ingest_json_dump says, its fields checked in one fixed order."""
     item(entry, OBJECT, what)
     id_key = next((k for k in _ID_KEYS if entry.get(k) not in (None, "")), None)
     if id_key is None:
@@ -128,9 +126,11 @@ def _dump_entry(entry, what: str) -> tuple:
     meter = field(entry, "meter", _OPTIONAL_STRING, what, None) or ""
     if not _COMMENT_RE.sub("", meter).strip():
         meter = "{}/{}".format(*_DEFAULT_METERS.get(category, DEFAULT_METER))
-    return (str(field(entry, id_key, _ID, what)), field(entry, "name", STRING, what), category,
-            field(entry, "mode", _OPTIONAL_STRING, what, None) or "C",
-            field(entry, "abc", STRING, what), meter.rstrip())
+    record_id = str(field(entry, id_key, _ID, what))
+    name = field(entry, "name", STRING, what)
+    key = field(entry, "mode", _OPTIONAL_STRING, what, None) or "C"
+    body = field(entry, "abc", STRING, what)
+    return TuneRecord(record_id, name, category, key, body, _entry_outcome(meter.rstrip(), body))
 
 
 def _entry_outcome(meter: str, body: str) -> QuaverSequence | NormalizationError:

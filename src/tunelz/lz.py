@@ -79,8 +79,8 @@ class TokenStream(Value):
     __slots__ = ("algorithm", "tokens", "source_length")
 
 
-def _lz77_parse(seq: str) -> list[tuple[int, int] | None]:
-    """Greedy LZ77 parse: ``(start, length)`` per back-reference, None per literal.
+def _lz77_parse(seq: str) -> list[tuple[int, int] | int]:
+    """Greedy LZ77 parse: ``(start, length)`` per back-reference, its position per literal.
 
     At each position the longest match against any earlier start is
     taken, with the smallest start among the longest.  A match starting
@@ -102,12 +102,12 @@ def _lz77_parse(seq: str) -> list[tuple[int, int] | None]:
     n = len(seq)
     first = list(map({}.setdefault, zip(seq, seq[1:]), count()))
     first.append(n - 1)
-    parse: list[tuple[int, int] | None] = []
+    parse: list[tuple[int, int] | int] = []
     pos = 0
     while pos < n:
         start = first[pos]
         if start == pos:
-            parse.append(None)
+            parse.append(pos)
             pos += 1
             continue
         if first[pos + 1] == pos + 1:
@@ -141,17 +141,10 @@ def compress_lz77(seq: str) -> TokenStream:
     position is taken (ties broken toward the smallest start, overlap
     allowed); matches shorter than two symbols become literals.
     """
-    tokens: list[Lz77Token] = []
     letter = _LETTER_LITERALS.get
-    pos = 0
-    for match in _lz77_parse(seq):
-        if match is None:
-            ch = seq[pos]
-            tokens.append(letter(ch) or Literal(ch))
-            pos += 1
-        else:
-            tokens.append(BackRef(*match))
-            pos += match[1]
+    # a literal's position may be 0, so the kinds are told apart by type
+    tokens = [BackRef(*match) if type(match) is tuple else letter(seq[match]) or Literal(seq[match])
+              for match in _lz77_parse(seq)]
     return TokenStream(Algorithm.LZ77, tuple(tokens), len(seq))
 
 

@@ -88,6 +88,12 @@ def test_precondition_violations(kwargs):
         estimate_baseline(**{"alphabet_size": 13, "samples": 5, **kwargs})
 
 
+def test_the_whole_lowercase_alphabet_is_drawn_and_loads_back():
+    curve = estimate_baseline([40], alphabet_size=26, samples=5, seed=1)
+    assert curve.alphabet_size == 26
+    assert curve_from_json(curve_to_json(curve)) == curve
+
+
 def test_length_past_the_ceiling_draws_no_string(monkeypatch):
     drawn = []
     monkeypatch.setattr(baseline, "_random_string", lambda *args: drawn.append(args))

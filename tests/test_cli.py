@@ -485,6 +485,39 @@ def test_an_error_is_one_line_whatever_an_argument_holds(capsys, tmp_path, sally
     assert argv[arg].replace(char, repr(char)[1:-1]) in lines[-1]
 
 
+# an id or a name in a text row is printed as a rejection shows it: each
+# character str.isprintable refuses, a tab among them, escaped, so every row
+# is one record and its columns hold; the run prints what it would print for
+# a dump or a file whose text holds those escapes as plain characters
+HELD, SHOWN = "L\nB\tT\u2028E", "L\\nB\\tT\\u2028E"
+
+
+@pytest.mark.parametrize("command", ["analyze", "corpus", "rank"])
+def test_a_text_row_is_one_record_whatever_a_dump_id_or_name_holds(capsys, tmp_path, dump_path,
+                                                                   command):
+    first, *rest = json.loads(dump_path.read_text(encoding="utf-8"))
+    path = tmp_path / "dump.json"
+    runs = []
+    for text in (HELD, SHOWN):
+        path.write_text(json.dumps([first | {"setting_id": f"27{text}", "name": text}, *rest]),
+                        encoding="utf-8")
+        runs.append(run(capsys, command, "--dump", str(path)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 1 and f"27{SHOWN}" in runs[0][1]
+
+
+@pytest.mark.parametrize("command", ["normalize", "analyze", "corpus", "rank"])
+def test_a_text_row_is_one_record_whatever_an_abc_file_name_holds(capsys, tmp_path, sally_path,
+                                                                  command):
+    runs = []
+    for name in ("a\nb.abc", "a\\nb.abc"):
+        path = tmp_path / name
+        path.write_text(sally_path.read_text(encoding="utf-8"), encoding="utf-8")
+        runs.append(run(capsys, command, str(path)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and "a\\nb:1" in runs[0][1]
+
+
 @pytest.mark.parametrize("argv", [
     ["normalize", "{jig}"], ["compress", "{jig}"], ["decompress", "{stream}"],
     ["analyze", "{jig}"], ["corpus", "{jig}"], ["rank", "{jig}"],
@@ -536,6 +569,20 @@ def test_corpus_statistics_are_of_raw_ratios_whatever_the_curve(capsys, data_dir
     csv = [run(capsys, "corpus", "--format", "csv", *flags, "--dump", str(dump_path))[1]
            for flags in ([], curve)]
     assert csv[0] != csv[1]
+
+
+@pytest.mark.parametrize("curve", [
+    [], ["--baseline", str(DATA_DIR / "baseline_curve.json"), "--normalize-to", "128"],
+], ids=["raw", "curve-128"])
+@pytest.mark.parametrize("choice", [
+    [], ["--category", "jig"], ["--category", "reel", "--bins", "3"],
+], ids=["all", "jig", "reel-3-bins"])
+def test_corpus_csv_is_the_analyze_csv_whatever_the_category(capsys, dump_path, curve, choice):
+    # --category and --bins choose the statistics and the histogram, not the rows
+    analyzed = run(capsys, "analyze", "--format", "csv", *curve, "--dump", str(dump_path))
+    assert analyzed[0] == 1 and analyzed[1].count("\n") == 3
+    corpus = run(capsys, "corpus", "--format", "csv", *curve, *choice, "--dump", str(dump_path))
+    assert corpus == analyzed
 
 
 # the LZ78 count of each accepted tune is made only where it is printed
@@ -600,6 +647,13 @@ def test_baseline_out_file(capsys, tmp_path):
     assert code == 0
     payload = json.loads(curve_file.read_text(encoding="utf-8"))
     assert [p["length"] for p in payload["points"]] == [6, 12]
+
+
+def test_baseline_takes_an_alphabet_of_26_letters_and_refuses_27(capsys):
+    code, out, _ = run(capsys, "baseline", "--lengths", "8", "--alphabet", "26", "--samples", "3")
+    assert code == 0 and out.startswith("length,mean_ratio\n8,")
+    assert run(capsys, "baseline", "--lengths", "8", "--alphabet", "27") == (
+        2, "", "tunelz: error: alphabet_size must be in 1..26\n")
 
 
 def test_baseline_length_past_the_ceiling_is_refused_undrawn(capsys):

@@ -28,7 +28,7 @@ from tunelz import (
     TokenStream,
     TuneRecord,
 )
-from tunelz._value import plain
+from tunelz._value import _MAX_QUOTED, excerpt, plain
 
 POINT = BaselinePoint(96, 1.25, 0.5)
 HIST = HistogramSpec(2, 1.0, 2.0, (1, 0))
@@ -243,3 +243,9 @@ def test_plain_refuses_a_value_it_has_no_form_for():
     with pytest.raises(TypeError) as exc:
         plain({"a": 1})
     assert str(exc.value) == "no plain form for a dict"
+
+
+def test_an_excerpt_cuts_only_a_text_longer_than_its_limit():
+    assert _MAX_QUOTED == 120
+    assert excerpt("x" * 120, str) == "x" * 120
+    assert excerpt("x" * 121, str) == "x" * 120 + "... (121 characters)"
