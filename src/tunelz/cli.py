@@ -55,13 +55,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # flags of the commands that read tune collections, declared once
     tunes = argparse.ArgumentParser(add_help=False)
-    tunes.add_argument("--format", choices=("text", "json", "csv"), default="text")
     tunes.add_argument("--dump", help="JSON dump instead of ABC paths")
     tunes.add_argument("paths", nargs="*")
     curve = argparse.ArgumentParser(add_help=False)
     curve.add_argument("--baseline", dest="baseline_path", help="baseline curve JSON")
     curve.add_argument("--normalize-to", type=integer, dest="normalize_to",
                        help="reference length for normalized ratios")
+    # the formats of the commands that print one row per tune
+    reports = argparse.ArgumentParser(add_help=False)
+    reports.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = sub.add_parser("normalize", help="flatten ABC tunes onto the quaver grid")
     p.set_defaults(run=cmd_normalize)
@@ -81,13 +83,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index-base", type=integer, choices=(0, 1), default=0)
     p.add_argument("path", help="token stream file (text or JSON), or - for stdin")
 
-    p = sub.add_parser("analyze", parents=[tunes, curve],
+    p = sub.add_parser("analyze", parents=[reports, tunes, curve],
                        help="per-tune token counts and ratios")
     p.set_defaults(run=cmd_analyze)
 
     p = sub.add_parser("corpus", parents=[tunes, curve],
                        help="aggregate statistics over a tune collection")
     p.set_defaults(run=cmd_corpus)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--category", default="all",
                    choices=[c.value for _, c in cp.STANDARD_SHAPES.values()] + ["all"])
     p.add_argument("--bins", type=integer, default=cp.DEFAULT_BINS)
@@ -104,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--out", help="write the full curve as JSON to a file")
 
-    p = sub.add_parser("rank", parents=[tunes],
+    p = sub.add_parser("rank", parents=[reports, tunes],
                        help="order tunes from most to least repetitive")
     p.set_defaults(run=cmd_rank)
     p.add_argument("--order", choices=[o.value for o in cp.Order], default="easiest")
@@ -270,8 +273,7 @@ def _selected_categories(args, reports) -> list[cp.Category]:
 
 def cmd_corpus(args) -> tuple[list[cp.TuneRecord], str]:
     records = _load_records(args)
-    # only the per-tune CSV prints an LZ78 count
-    reports = _analyze(args, records, lz78=args.format == "csv")
+    reports = _analyze(args, records, lz78=False)
     stats_list = [cp.aggregate(reports, c, args.bins)
                   for c in _selected_categories(args, reports)]
     if args.hist_out:
@@ -280,8 +282,6 @@ def cmd_corpus(args) -> tuple[list[cp.TuneRecord], str]:
         write_text(args.hist_out, "histogram", cp.histogram_to_csv(stats_list[0].histogram))
     if args.format == "json":
         return records, _json([cp.stats_to_dict(s) for s in stats_list])
-    if args.format == "csv":
-        return records, cp.reports_to_csv(reports)
     out = []
     for stats in stats_list:
         flag = "  (single tune: spread not meaningful)" if stats.degenerate else ""

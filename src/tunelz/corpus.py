@@ -7,7 +7,8 @@ becomes exactly one TuneRecord; tunes the normalizer rejects are kept
 with their error rather than dropped, so accepted + rejected always
 equals the number of entries ingested.
 
-Statistics of record use the LZ77 ratio.  Aggregate statistics do not
+Statistics of record use the LZ77 ratio, normalized to one length when
+the reports carry a curve's rescaling.  Aggregate statistics do not
 depend on the order of the reports: sums are exact and ties between
 extremes break by name then id.
 """
@@ -17,6 +18,7 @@ import io
 import os
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 
 from ._value import (OBJECT, STRING, IngestError, Value, excerpt, field, item,
                      load_json, plain, read_text)
@@ -299,27 +301,32 @@ def aggregate(
     category: Category,
     bin_count: int = DEFAULT_BINS,
 ) -> CorpusStats:
-    """Mean, spread, extremes and histogram of a category's LZ77 ratios.
+    """Mean, spread, extremes and histogram of a category's LZ77 ratios:
+    the normalized ones when every report of the category carries one,
+    so that categories of different lengths compare at one length, else
+    the raw ones.
 
     Standard deviation uses the sample (n-1) convention; a single-report
     category gets std 0 and the ``degenerate`` flag.  The extremes are
-    the reports ``rank`` would put first in each order, so ties break
-    by name then id.
+    the reports ``rank`` would put first in each order by that ratio, so
+    ties break by name then id.
     """
     selected = [r for r in reports if r.category is category]
     if not selected:
         raise EmptyCategoryError(f"no reports in category {category.value!r}")
-    ratios = [float(r.ratio_lz77) for r in selected]
+    normalized = all(r.normalized_ratio is not None for r in selected)
+    ratio = attrgetter("normalized_ratio" if normalized else "ratio_lz77")
+    ratios = [float(ratio(r)) for r in selected]
     mean, std = mean_and_spread(ratios)
-    low = min(selected, key=_rank_key(Order.HARDEST_FIRST))
-    high = min(selected, key=_rank_key(Order.EASIEST_FIRST))
+    low = min(selected, key=_rank_key(Order.HARDEST_FIRST, ratio))
+    high = min(selected, key=_rank_key(Order.EASIEST_FIRST, ratio))
     return CorpusStats(
         category=category,
         count=len(selected),
         mean_ratio=mean,
         std_dev=std,
-        min=(low.id, low.ratio_lz77),
-        max=(high.id, high.ratio_lz77),
+        min=(low.id, ratio(low)),
+        max=(high.id, ratio(high)),
         histogram=build_histogram(ratios, bin_count),
         degenerate=len(selected) == 1,
     )
@@ -333,10 +340,10 @@ def rank(reports: list[ComplexityReport], order: Order = Order.EASIEST_FIRST) ->
     return sorted(reports, key=_rank_key(order))
 
 
-def _rank_key(order: Order):
+def _rank_key(order: Order, ratio=attrgetter("ratio_lz77")):
     if order is Order.EASIEST_FIRST:
-        return lambda r: (-r.ratio_lz77, r.name, r.id)
-    return lambda r: (r.ratio_lz77, r.name, r.id)
+        return lambda r: (-ratio(r), r.name, r.id)
+    return lambda r: (ratio(r), r.name, r.id)
 
 
 # ------------------------------------------------------------------ exports

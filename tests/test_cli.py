@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tunelz
 from tunelz import corpus as cp
@@ -557,39 +557,55 @@ def test_a_closed_stderr_keeps_the_exit_code(capsys, monkeypatch, tmp_path, jig_
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("reference", ["128", "96"])
-def test_corpus_statistics_are_of_raw_ratios_whatever_the_curve(capsys, data_dir, dump_path,
-                                                                fmt, reference):
-    # the curve flags add the per-tune CSV's normalized_ratio column and check
-    # the curve's span; the statistics aggregate the raw LZ77 ratios
-    curve = ["--baseline", str(data_dir / "baseline_curve.json"), "--normalize-to", reference]
-    without = run(capsys, "corpus", "--format", fmt, "--dump", str(dump_path))
-    assert without[0] == 1 and without[1]
-    assert run(capsys, "corpus", "--format", fmt, *curve, "--dump", str(dump_path)) == without
-    csv = [run(capsys, "corpus", "--format", "csv", *flags, "--dump", str(dump_path))[1]
-           for flags in ([], curve)]
-    assert csv[0] != csv[1]
+@pytest.mark.parametrize("reference, reel, jig", [
+    pytest.param(None, "2.7234", "2.5263", id="raw"),
+    pytest.param("128", "2.7234", "2.6381", id="128"),
+    pytest.param("96", "2.6080", "2.5263", id="96"),
+])
+def test_corpus_statistics_are_of_normalized_ratios_under_a_curve(capsys, data_dir, dump_path,
+                                                                  fmt, reference, reel, jig):
+    # the sample dump's reel is 128 quavers long and its jig 96, so a curve moves
+    # the statistics of the category whose length is not the reference length
+    curve = [] if reference is None else [
+        "--baseline", str(data_dir / "baseline_curve.json"), "--normalize-to", reference]
+    code, out, _ = run(capsys, "corpus", "--format", fmt, *curve, "--dump", str(dump_path))
+    assert code == 1
+    if fmt == "text":
+        assert re.findall(r"mean ratio (\S+)", out) == [reel, jig]
+        return
+    stats = json.loads(out)
+    assert [f"{s['mean_ratio']:.4f}" for s in stats] == [reel, jig]
+    # one tune each: the extremes and the histogram's lower edge are of the same ratio
+    for s in stats:
+        assert s["min"]["ratio"] == s["max"]["ratio"] == s["histogram"]["lower"] == s["mean_ratio"]
 
 
-@pytest.mark.parametrize("curve", [
-    [], ["--baseline", str(DATA_DIR / "baseline_curve.json"), "--normalize-to", "128"],
-], ids=["raw", "curve-128"])
-@pytest.mark.parametrize("choice", [
-    [], ["--category", "jig"], ["--category", "reel", "--bins", "3"],
-], ids=["all", "jig", "reel-3-bins"])
-def test_corpus_csv_is_the_analyze_csv_whatever_the_category(capsys, dump_path, curve, choice):
-    # --category and --bins choose the statistics and the histogram, not the rows
-    analyzed = run(capsys, "analyze", "--format", "csv", *curve, "--dump", str(dump_path))
-    assert analyzed[0] == 1 and analyzed[1].count("\n") == 3
-    corpus = run(capsys, "corpus", "--format", "csv", *curve, *choice, "--dump", str(dump_path))
-    assert corpus == analyzed
+# the per-tune CSV of Sally Gardens and the extreme reels, byte for byte as
+# `corpus --format csv --bins 5` printed it when corpus had that format
+_CORPUS_CSV = (
+    "id,name,category,length,lz77_tokens,lz78_tokens,ratio_lz77,ratio_lz78,normalized_ratio\n"
+    "sally_gardens:1,Sally Gardens,reel,128,47,56,2.723404,2.285714,\n"
+    "extreme_reels:2,The Concertina Reel,reel,128,26,44,4.923077,2.909091,\n"
+    "extreme_reels:3,The Star of Munster,reel,128,64,58,2.000000,2.206897,\n"
+)
+
+
+def test_the_per_tune_csv_is_analyzes_alone(capsys, sally_path, extreme_reels_path):
+    paths = [str(sally_path), str(extreme_reels_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "--format", "csv", "--bins", "5", *paths])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == err.splitlines()[-1:]
+    assert errors[0].startswith("tunelz corpus: error: argument --format: invalid choice: 'csv'")
+    assert run(capsys, "analyze", "--format", "csv", *paths) == (0, _CORPUS_CSV, "")
 
 
 # the LZ78 count of each accepted tune is made only where it is printed
 @pytest.mark.parametrize("argv, counts_lz78", [
     (["corpus"], False),
     (["corpus", "--format", "json"], False),
-    (["corpus", "--format", "csv"], True),
     (["rank"], False),
     (["rank", "--format", "json"], True),
     (["rank", "--format", "csv"], True),
@@ -873,7 +889,7 @@ def _help_entries(capsys, command) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("command, shared", [
-    ("corpus", ("--format", "--dump", "paths", "--baseline", "--normalize-to")),
+    ("corpus", ("--dump", "paths", "--baseline", "--normalize-to")),
     ("rank", ("--format", "--dump", "paths")),
 ])
 def test_shared_flags_read_the_same_in_help(capsys, command, shared):
@@ -1135,7 +1151,9 @@ _DUMPS = st.lists(
         "setting_id": st.one_of(st.integers(0, 10**4), st.text(max_size=3)),
         "name": st.text(max_size=5),
         "type": st.sampled_from(["reel", "jig", "polka", ""]),
-        "abc": st.lists(st.one_of(_ATOMS, _NUMBERS), max_size=12).map("".join),
+        # Sally Gardens' notes make an accepted reel, whose id and name a text row prints
+        "abc": st.one_of(st.lists(st.one_of(_ATOMS, _NUMBERS), max_size=12).map("".join),
+                         st.just(goldens.SALLY)),
     }),
     max_size=3,
 ).map(json.dumps)
@@ -1150,20 +1168,26 @@ _CONTENTS = st.one_of(
     st.binary(max_size=200),
     st.lists(st.one_of(_ATOMS, _NUMBERS), max_size=30).map("".join).map(str.encode),
     _DUMPS.map(str.encode),
+    st.text(max_size=5).map(f"X:1\nT:{{}}\nK:G\n{goldens.SALLY}\n".format).map(str.encode),
     _CURVES.map(str.encode),
 )
 # each reads the arbitrary file as its last argument
 _SUBCOMMANDS = (
     ["normalize"], ["compress", "--algo", "lz77"], ["compress", "--algo", "lz78"],
-    ["decompress"], ["analyze"], ["corpus"], ["rank"], ["corpus", "--dump"],
+    ["decompress"], ["analyze"], ["corpus"], ["rank"], ["corpus", "--dump"], ["rank", "--dump"],
     ["analyze", "--normalize-to", "128", str(DATA_DIR / "sally_gardens.abc"), "--baseline"],
 )
+# the tabs in each stdout row of a text command that prints one row per accepted record
+_ROW_TABS = {"normalize": 3, "analyze": 6, "rank": 3}
 _REJECTION = re.compile(
     rf"tunelz: rejected .* \(.*\): ({'|'.join(kind.value for kind in tunelz.ErrorKind)}): ")
 
 
 @settings(deadline=None)
 @given(content=_CONTENTS)
+# an accepted tune whose name holds a tab, and in a dump a line break
+@example(content=json.dumps([SALLY_ENTRY | {"name": "a\tb\nc"}]).encode())
+@example(content=f"X:1\nT:a\tb\nK:G\n{goldens.SALLY}\n".encode())
 def test_every_subcommand_is_total_on_arbitrary_input(tmp_path_factory, content):
     path = tmp_path_factory.getbasetemp() / "arbitrary_input"
     path.write_bytes(content)
@@ -1182,12 +1206,28 @@ def test_every_subcommand_is_total_on_arbitrary_input(tmp_path_factory, content)
             assert lines and all(_REJECTION.match(line) for line in lines), (argv, lines)
         else:
             assert len(lines) == 1 and lines[0].startswith("tunelz: error: "), (argv, lines)
+        if code == 2 or argv[0] not in _ROW_TABS:
+            continue
+        # a result or rejections print one row per accepted record, whatever an id or name holds
+        curve = "--baseline" in argv  # the arbitrary file is the curve, of Sally Gardens
+        if "--dump" in argv:
+            records = cp.ingest_json_dump(path)
+        else:
+            records = cp.ingest_abc_files([DATA_DIR / "sally_gardens.abc" if curve else path])
+        rows = out.getvalue().splitlines()
+        assert out.getvalue() == "".join(f"{row}\n" for row in rows), argv
+        assert len(rows) == sum(r.accepted for r in records), (argv, rows)
+        tabs = _ROW_TABS[argv[0]] + curve
+        assert all(row.count("\t") == tabs for row in rows), (argv, rows)
 
 
 @pytest.mark.parametrize("case", sorted(STDOUT_GOLDEN))
 def test_stdout_matches_golden(capsys, case):
     argv = case.replace("{data}", str(DATA_DIR)).split()
-    code, out, _ = run(capsys, *argv)
+    try:
+        code, out, _ = run(capsys, *argv)
+    except SystemExit as exc:  # a usage error
+        code, out = exc.code, capsys.readouterr().out
     assert (code, out) == (STDOUT_GOLDEN[case]["exit"], STDOUT_GOLDEN[case]["stdout"])
 
 

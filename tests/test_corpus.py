@@ -4,6 +4,7 @@ import copy
 import gc
 import json
 import pickle
+import statistics
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
@@ -35,7 +36,7 @@ from tunelz.corpus import (
 )
 from tunelz.notation import ErrorKind, NormalizationError, QuaverSequence
 from tunelz.corpus import TuneRecord
-from tunelz.lz import Algorithm, compress_lz78, compression_ratio
+from tunelz.lz import Algorithm, compress_lz77, compress_lz78, compression_ratio
 
 import goldens
 
@@ -500,6 +501,12 @@ def test_analyze_lz78_counts_equal_the_coders_stream(data_dir, dump_path):
         assert report.lz78_tokens == len(stream.tokens), record.id
         assert report.ratio_lz78 == compression_ratio(stream), record.id
         assert type(report.ratio_lz78) is Fraction
+    # and the LZ77 counts equal the LZ77 coder's, whether or not LZ78 is counted
+    for lz78 in (True, False):
+        for record, report in zip(accepted, analyze(records, lz78=lz78), strict=True):
+            stream = compress_lz77(record.outcome.symbols)
+            assert report.lz77_tokens == len(stream.tokens), (record.id, lz78)
+            assert report.ratio_lz77 == compression_ratio(stream), (record.id, lz78)
 
 
 @pytest.mark.parametrize("curve, reference", [(None, None), (CURVE, 128), (CURVE, 96)],
@@ -605,6 +612,28 @@ def test_aggregate_breaks_ties_at_both_extremes_by_name_then_id():
     ]
     stats = aggregate(reports, Category.REEL)
     assert (stats.max[0], stats.min[0]) == ("3", "1")
+
+
+@given(rows=st.lists(st.tuples(st.sampled_from([Category.REEL, Category.JIG]),
+                               st.fractions(min_value=1, max_value=64, max_denominator=200),
+                               st.floats(min_value=0.5, max_value=64.0)),
+                     min_size=1, max_size=12),
+       curve=st.booleans(), unscaled=st.integers(0, 12))
+def test_aggregate_is_of_the_normalized_ratios_when_every_report_has_one(rows, curve, unscaled):
+    # analyze gives every report a normalized ratio under a curve and none without;
+    # in a hand-built list the one report ``unscaled`` lacks one
+    reports = [ComplexityReport(str(n), f"T{n % 3}", category, 128, 1, None, ratio, None,
+                                normalized if curve and n != unscaled else None)
+               for n, (category, ratio, normalized) in enumerate(rows)]
+    for category in {r.category for r in reports}:
+        selected = [r for r in reports if r.category is category]
+        if all(r.normalized_ratio is not None for r in selected):
+            ratios = [r.normalized_ratio for r in selected]
+        else:
+            ratios = [r.ratio_lz77 for r in selected]
+        stats = aggregate(reports, category)
+        assert stats.mean_ratio == statistics.fmean(ratios)
+        assert (stats.min[1], stats.max[1]) == (min(ratios), max(ratios))
 
 
 def test_histogram_mass_and_last_bin():
