@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_corpus)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--category", default="all",
-                   choices=[c.value for _, c in cp.STANDARD_SHAPES.values()] + ["all"])
+                   choices=[c.value for c in cp.Category] + ["all"])
     p.add_argument("--bins", type=integer, default=cp.DEFAULT_BINS)
     p.add_argument("--hist-out", dest="hist_out", help="write histogram CSV to a file")
 
@@ -281,14 +281,14 @@ def cmd_corpus(args) -> tuple[list[cp.TuneRecord], str]:
             raise cp.IngestError("--hist-out needs exactly one category")
         write_text(args.hist_out, "histogram", cp.histogram_to_csv(stats_list[0].histogram))
     if args.format == "json":
-        return records, _json([cp.stats_to_dict(s) for s in stats_list])
+        return records, _json(plain(stats_list))
     out = []
     for stats in stats_list:
         flag = "  (single tune: spread not meaningful)" if stats.degenerate else ""
         out += [f"{stats.category.value}: {stats.count} tunes{flag}\n",
                 f"  mean ratio {stats.mean_ratio:.4f}  std dev {stats.std_dev:.4f}\n",
-                f"  min {float(stats.min[1]):.4f}  {_one_line(stats.min[0])}\n",
-                f"  max {float(stats.max[1]):.4f}  {_one_line(stats.max[0])}\n",
+                f"  min {float(stats.min.ratio):.4f}  {_one_line(stats.min.id)}\n",
+                f"  max {float(stats.max.ratio):.4f}  {_one_line(stats.max.id)}\n",
                 cp.histogram_to_text(stats.histogram)]
     return records, "".join(out)
 

@@ -22,7 +22,7 @@ from operator import attrgetter
 
 from ._value import (OBJECT, STRING, IngestError, Value, excerpt, field, item,
                      load_json, plain, read_text)
-from .baseline import BaselineCurve, mean_and_spread, normalize_ratio
+from .baseline import BaselineCurve, baseline_at, mean_and_spread, normalize_ratio
 from .lz import Algorithm, compress_lz77, compression_ratio, token_count
 from .notation import (
     _COMMENT_RE,
@@ -75,6 +75,12 @@ class ComplexityReport(Value, defaults=(None,)):
 
 class HistogramSpec(Value):
     __slots__ = ("bin_count", "lower", "upper", "counts")
+
+
+class Extreme(Value):
+    """The report at one end of a category's ratios: its id and that ratio."""
+
+    __slots__ = ("id", "ratio")
 
 
 class CorpusStats(Value, defaults=(False,)):
@@ -233,14 +239,16 @@ def analyze(
 
     Raises ValueError when only one of ``curve`` and ``reference_length``
     is given, or when the curve holds LZ78 ratios; CurveRangeError, a
-    ValueError, when the reference length or an accepted tune's length
-    lies outside the curve's sampled span.
+    ValueError, when the reference length, even with no record accepted,
+    or an accepted tune's length lies outside the curve's sampled span.
     """
     if (curve is None) != (reference_length is None):
         raise ValueError("length normalization needs both a curve and a reference length")
     if curve is not None and curve.algorithm is not Algorithm.LZ77:
         raise ValueError(f"length normalization needs an lz77 baseline curve, "
                          f"not {curve.algorithm.value}")
+    if curve is not None:  # so a reference outside the span fails with no tune accepted too
+        baseline_at(curve, reference_length)
     reports = []
     for record in records:
         if not record.accepted:
@@ -325,8 +333,8 @@ def aggregate(
         count=len(selected),
         mean_ratio=mean,
         std_dev=std,
-        min=(low.id, ratio(low)),
-        max=(high.id, ratio(high)),
+        min=Extreme(low.id, ratio(low)),
+        max=Extreme(high.id, ratio(high)),
         histogram=build_histogram(ratios, bin_count),
         degenerate=len(selected) == 1,
     )
@@ -357,14 +365,6 @@ def reports_to_csv(reports: list[ComplexityReport]) -> str:
     writer.writerows([f"{value:.6f}" if type(value) is float else value
                       for value in row.values()] for row in plain(reports))
     return out.getvalue()
-
-
-def stats_to_dict(stats: CorpusStats) -> dict:
-    payload = plain(stats)
-    for end in ("min", "max"):
-        report_id, ratio = payload[end]
-        payload[end] = {"id": report_id, "ratio": ratio}
-    return payload
 
 
 def _bins(hist: HistogramSpec) -> list[tuple[float, float, int]]:

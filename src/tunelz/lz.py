@@ -65,14 +65,14 @@ _LETTER_LITERALS = {ch: Literal(ch)
 
 
 class Lz78Token(Value, defaults=(None,)):
-    """Dictionary phrase ``prefix_index`` extended by one symbol.
+    """Dictionary phrase ``prefix`` extended by one symbol.
 
-    ``prefix_index`` 0 is the empty phrase; index k >= 1 is the phrase
+    ``prefix`` is a phrase index: 0 is the empty phrase, and k >= 1 the phrase
     created by the k-th token of the stream.  ``extension`` is None only
     on a final token whose phrase already exists in the dictionary.
     """
 
-    __slots__ = ("prefix_index", "extension")
+    __slots__ = ("prefix", "extension")
 
 
 class TokenStream(Value):
@@ -149,7 +149,7 @@ def compress_lz77(seq: str) -> TokenStream:
 
 
 def _lz78_parse(seq: str) -> list[tuple[int, str | None]]:
-    """Incremental LZ78 parse: ``(prefix_index, extension)`` per token.
+    """Incremental LZ78 parse: ``(prefix, extension)`` per token.
 
     The dictionary is a trie held as one ``{symbol: phrase index}`` dict
     per phrase, listed by phrase index (0 = the empty phrase), so walking
@@ -277,10 +277,10 @@ def _stream_length(algorithm: Algorithm, tokens: tuple, limit: int, bound: str) 
     for i, tok in enumerate(tokens):
         if not isinstance(tok, Lz78Token):
             raise CorruptStream(f"token {i} is not an LZ78 token: {shown(tok, repr)}")
-        _check_field(i, "phrase index", tok.prefix_index, int)
-        if not 0 <= tok.prefix_index < len(phrase_lengths):
-            raise CorruptStream(f"token {i}: phrase index {tok.prefix_index} not yet defined")
-        phrase = phrase_lengths[tok.prefix_index]
+        _check_field(i, "phrase index", tok.prefix, int)
+        if not 0 <= tok.prefix < len(phrase_lengths):
+            raise CorruptStream(f"token {i}: phrase index {tok.prefix} not yet defined")
+        phrase = phrase_lengths[tok.prefix]
         if tok.extension is None:
             if i != len(tokens) - 1:
                 raise CorruptStream(f"token {i}: terminal token before end of stream")
@@ -337,9 +337,9 @@ def _decompress_lz78(tokens: tuple[Lz78Token, ...]) -> str:
     out: list[str] = []
     for tok in tokens:
         if tok.extension is None:
-            out.append(phrases[tok.prefix_index])
+            out.append(phrases[tok.prefix])
         else:
-            phrase = phrases[tok.prefix_index] + tok.extension
+            phrase = phrases[tok.prefix] + tok.extension
             phrases.append(phrase)
             out.append(phrase)
     return "".join(out)
@@ -382,10 +382,10 @@ def stream_to_text(stream: TokenStream, index_base: int = 0) -> str:
         elif isinstance(tok, BackRef):
             parts.append(f"[{tok.start + index_base},{tok.length}]")
         elif tok.extension is None:
-            parts.append(str(tok.prefix_index))
+            parts.append(str(tok.prefix))
         else:
             extension = _letter(i, "extension", tok.extension, ValueError)
-            parts.append(extension if tok.prefix_index == 0 else f"{tok.prefix_index}{extension}")
+            parts.append(extension if tok.prefix == 0 else f"{tok.prefix}{extension}")
     return " ".join(parts)
 
 
@@ -447,13 +447,12 @@ def _number(i: int, word: str, digits: str) -> int:
 
 # ----------------------------------------------------------------- JSON form
 
+# each token class by its fields, the keys of its object in a saved stream
+_TOKEN_KINDS = {frozenset(kind.__slots__): kind for kind in (Literal, BackRef, Lz78Token)}
+
 
 def stream_to_json(stream: TokenStream) -> str:
-    payload = plain(stream)
-    for token in payload["tokens"]:
-        if "prefix_index" in token:  # an LZ78 token; the file format calls it prefix
-            token["prefix"] = token.pop("prefix_index")
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(plain(stream), sort_keys=True)
 
 
 def stream_from_json(text: str) -> TokenStream:
@@ -478,12 +477,9 @@ def stream_from_json(text: str) -> TokenStream:
 
 
 def _token_from_json(i: int, entry) -> Lz77Token | Lz78Token:
-    """One token object: {symbol}, {start, length} or {prefix, extension}, values unchecked."""
-    keys = set(entry) if isinstance(entry, dict) else None
-    if keys == {"symbol"}:
-        return Literal(entry["symbol"])
-    if keys == {"start", "length"}:
-        return BackRef(entry["start"], entry["length"])
-    if keys == {"prefix", "extension"}:
-        return Lz78Token(entry["prefix"], entry["extension"])
+    """One token object, its kind told by its keys alone, values unchecked."""
+    # a frozenset of a list's items would match too
+    kind = _TOKEN_KINDS.get(frozenset(entry)) if type(entry) is dict else None
+    if kind is not None:
+        return kind(**entry)
     raise CorruptStream(f"token {i} is not a valid token object: {shown(json.dumps(entry))}")

@@ -161,7 +161,7 @@ def cumulative_counts(stream):
         elif isinstance(tok, BackRef):
             total += tok.length
         else:
-            length = phrase_lengths[tok.prefix_index] + (tok.extension is not None)
+            length = phrase_lengths[tok.prefix] + (tok.extension is not None)
             if tok.extension is not None:
                 phrase_lengths.append(length)
             total += length

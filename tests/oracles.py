@@ -4,7 +4,9 @@ they share nothing with the production matcher."""
 
 import random
 
+from tunelz._value import excerpt
 from tunelz.lz import BackRef, Literal, Lz78Token
+from tunelz.notation import ErrorKind, NormalizationError, normalize, parse_abc
 
 
 def naive_longest_match(seq, pos):
@@ -59,7 +61,7 @@ def plain_tokens(stream):
 def naive_compress_lz78(seq):
     """LZ78 parse against a plain list of phrases, scanned in full at each step.
 
-    Returns (prefix_index, extension) pairs.  The extension is None only
+    Returns (prefix, extension) pairs.  The extension is None only
     on a final pair whose phrase runs exactly to the end of ``seq``.
     """
     phrases = [""]
@@ -86,7 +88,7 @@ def plain_lz78_tokens(stream):
     for tok in stream.tokens:
         if not isinstance(tok, Lz78Token):
             raise TypeError(f"not an LZ78 token: {tok!r}")
-        out.append((tok.prefix_index, tok.extension))
+        out.append((tok.prefix, tok.extension))
     return out
 
 
@@ -94,3 +96,32 @@ def choices_draw(letters, length, seed, index):
     """The baseline's random string as ``random.choices`` draws it, one
     ``random()`` call a letter, from the generator seeded for this string."""
     return "".join(random.Random(f"{seed}:{length}:{index}").choices(letters, k=length))
+
+
+def dump_entry_outcome(type_name, meter, body):
+    """A dump entry's outcome as read from the ABC block written in front of
+    its body: the QuaverSequence, or the error as ``(kind, detail, offset)``.
+
+    A meter that is None, or blank once each line's ``%`` comment is cut,
+    is the standard one of the type (6/8 for a jig, else 4/4).  A meter of
+    more than one line is refused before the block is written.  An error
+    ``parse_abc`` finds in the block has its offset moved into the body, an
+    offset on the written header lines becoming 0.
+    """
+    if all(not line.split("%")[0].strip() for line in (meter or "").splitlines()):
+        meter = "6/8" if type_name.strip().lower() == "jig" else "4/4"
+    meter = meter.rstrip()
+    if len(meter.splitlines()) > 1:
+        return ErrorKind.MALFORMED_HEADER, f"unusable meter {excerpt(meter)}", 0
+    header = f"X: 1\nM: {meter}\nK:\n"
+    try:
+        tunes = parse_abc(f"{header}{body}\n")
+    except NormalizationError as err:
+        return err.kind, err.detail, max(err.location - len(header), 0)
+    if len(tunes) != 1:
+        return (ErrorKind.MALFORMED_HEADER, f"abc body holds {len(tunes)} tunes (an X: line "
+                "starts a new one); a dump entry must hold exactly one", 0)
+    try:
+        return normalize(tunes[0])
+    except NormalizationError as err:
+        return err.kind, err.detail, err.location

@@ -226,7 +226,7 @@ def test_decompress_refuses_a_text_symbol_that_is_not_a_letter(capsys, tmp_path)
     ([{"symbol": "ab"}], "token 0: symbol 'ab' is not a one-character string"),
     ([{"start": 0, "length": "2"}], "token 0: length '2' is not an integer"),
     ([{"prefix": 0, "extension": "ab"}],
-     "token 0 is not an LZ77 token: Lz78Token(prefix_index=0, extension='ab')"),
+     "token 0 is not an LZ77 token: Lz78Token(prefix=0, extension='ab')"),
     ([{"prefix": 0}], "token 0 is not a valid token object"),
     ([{"symbol": "a", "start": 0, "length": 2}], "token 0 is not a valid token object"),
     ({"symbol": "a"}, 'stream tokens is not an array: {"symbol": "a"}'),
@@ -390,6 +390,26 @@ def test_corpus_hist_out(capsys, tmp_path, extreme_reels_path):
     lines = hist_file.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "bin_lower,bin_upper,count"
     assert len(lines) == 21
+
+
+def test_corpus_category_other_selects_the_block_that_all_prints(capsys, tmp_path):
+    dump = tmp_path / "dump.json"
+    dump.write_text(json.dumps([
+        {"setting_id": "1", "name": "Reel", "type": "reel", "abc": goldens.SALLY},
+        {"setting_id": "2", "name": "Hornpipe", "type": "hornpipe", "abc": goldens.SALLY},
+    ]), encoding="utf-8")
+    code, every, _ = run(capsys, "corpus", "--dump", str(dump))
+    assert code == 0
+    other = every[every.index("other: 1 tunes"):]
+    hist = tmp_path / "hist.csv"
+    code, out, _ = run(capsys, "corpus", "--category", "other", "--bins", "3",
+                       "--hist-out", str(hist), "--dump", str(dump))
+    assert (code, out.startswith("other: 1 tunes")) == (0, True)
+    assert run(capsys, "corpus", "--category", "other", "--dump", str(dump)) == (0, other, "")
+    assert hist.read_text(encoding="utf-8") == ("bin_lower,bin_upper,count\n"
+                                                "2.723404,3.056738,1\n"
+                                                "3.056738,3.390071,0\n"
+                                                "3.390071,3.723404,0\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -849,6 +869,23 @@ def test_length_outside_the_curve_names_the_curve_file(capsys, tmp_path, command
                          str(DATA_DIR / tunes))
     assert (code, out) == (2, "")
     assert err == f"tunelz: error: baseline curve {curve} is not usable: {span}\n"
+
+
+# the reference length is checked against the curve even when no tune is accepted
+@pytest.mark.parametrize("argv, reference", [
+    (["analyze", "{tmp}/short.abc"], "500"),
+    (["corpus", "--dump", "{tmp}/empty.json"], "5"),
+], ids=["analyze-all-rejected", "corpus-empty-dump"])
+def test_reference_outside_the_curve_fails_with_no_tune_accepted(capsys, tmp_path, argv,
+                                                                 reference):
+    (tmp_path / "short.abc").write_text("X: 1\nM: 4/4\nK: G\nABc\n", encoding="utf-8")
+    (tmp_path / "empty.json").write_text("[]", encoding="utf-8")
+    curve = DATA_DIR / "baseline_curve.json"
+    code, out, err = run(capsys, *[arg.format(tmp=tmp_path) for arg in argv],
+                         "--baseline", str(curve), "--normalize-to", reference)
+    assert (code, out) == (2, "")
+    assert err == (f"tunelz: error: baseline curve {curve} is not usable: "
+                   f"length {reference} outside sampled span [96, 128]\n")
 
 
 def test_bins_at_the_ceiling_are_written(capsys, extreme_reels_path):

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tunelz.baseline import BaselineCurve, BaselinePoint
+from tunelz._value import plain
+from tunelz.baseline import BaselineCurve, BaselinePoint, CurveRangeError
 from tunelz.corpus import (
     BAR_WIDTH,
     Category,
@@ -32,13 +33,13 @@ from tunelz.corpus import (
     rank,
     records_from_abc,
     reports_to_csv,
-    stats_to_dict,
 )
 from tunelz.notation import ErrorKind, NormalizationError, QuaverSequence
 from tunelz.corpus import TuneRecord
 from tunelz.lz import Algorithm, compress_lz77, compress_lz78, compression_ratio
 
 import goldens
+import oracles
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -92,13 +93,13 @@ def test_dump_body_holding_a_second_tune_is_rejected(tmp_path):
     ]
     path = tmp_path / "dump.json"
     path.write_text(json.dumps(entries), encoding="utf-8")
-    hidden, plain = ingest_json_dump(path)
+    hidden, clean = ingest_json_dump(path)
     assert not hidden.accepted
     assert hidden.outcome.kind is ErrorKind.MALFORMED_HEADER
     assert "holds 2 tunes" in hidden.outcome.detail
     assert hidden.abc == goldens.SALLY + tail
-    assert plain.accepted
-    assert plain.outcome.symbols == goldens.SALLY
+    assert clean.accepted
+    assert clean.outcome.symbols == goldens.SALLY
 
 
 def test_dump_entry_with_an_oversized_number_fails_alone(tmp_path):
@@ -111,11 +112,11 @@ def test_dump_entry_with_an_oversized_number_fails_alone(tmp_path):
     ]
     path = tmp_path / "dump.json"
     path.write_text(json.dumps(entries), encoding="utf-8")
-    note, meter, plain = ingest_json_dump(path)
+    note, meter, clean = ingest_json_dump(path)
     assert note.outcome.kind is ErrorKind.NON_QUAVER_DURATION
     assert meter.outcome.kind is ErrorKind.MALFORMED_HEADER
-    assert plain.accepted
-    assert plain.outcome.symbols == goldens.SALLY
+    assert clean.accepted
+    assert clean.outcome.symbols == goldens.SALLY
 
 
 @pytest.mark.parametrize("field, value", [
@@ -194,6 +195,43 @@ def test_dump_header_error_offset_is_a_body_offset(tmp_path, meter, body, offset
     assert record.outcome.kind is ErrorKind.MALFORMED_HEADER
     assert record.outcome.location == offset
     assert str(record.outcome).endswith(f"(offset {offset})")
+
+
+_DUMP_METERS = st.one_of(
+    st.sampled_from([None, "", "   ", "4/4", "6/8", "C", "3/4", "4/0", "0/4", "% jig",
+                     "6/8 % jig", "4/4\n", "6/8\r", "4/4\nK: G", "\n4/4", "4/\r4", "% c\n6/8"]),
+    st.text("468/ %C\n\r", max_size=8),
+)
+# what a body may hold besides bars of pitch letters: a second tune, a field
+# line, a construct the normalizer refuses, a note of another length, a comment
+_BODY_EXTRAS = ["\nX: 2\nK: G\n", "X: 3", "\nX: two\n", "[CEG]", "z", "(3abc", "\nT: Two\n",
+                "\nK: D\n", "\nM: 6/8\n", "\nL: 1/4\n", "% note\n", "\r\n", "A2", "B/"]
+
+
+@st.composite
+def _dump_bodies(draw):
+    length = draw(st.sampled_from([96, 128, 100]))
+    letters = draw(st.text("ABCDEFGabcdefg", min_size=length, max_size=length))
+    bars = [letters[i:i + 8] for i in range(0, length, 8)]
+    for at, extra in draw(st.lists(st.tuples(st.integers(0, len(bars)),
+                                             st.sampled_from(_BODY_EXTRAS)), max_size=2)):
+        bars.insert(at, extra)
+    return " | ".join(bars)
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=st.lists(st.tuples(st.sampled_from(["reel", "jig", " Jig ", "hornpipe"]),
+                                  _DUMP_METERS, _dump_bodies()), min_size=1, max_size=3))
+def test_each_dump_record_reads_as_the_block_written_from_its_entry(tmp_path_factory, entries):
+    # the guard of any other route from a dump entry to its tune: kind, detail and offset
+    path = tmp_path_factory.getbasetemp() / "drawn_dump.json"
+    path.write_text(json.dumps([{"setting_id": str(n), "name": "T", "type": type_name,
+                                 "meter": meter, "abc": body}
+                                for n, (type_name, meter, body) in enumerate(entries)]),
+                    encoding="utf-8")
+    got = [r.outcome if r.accepted else (r.outcome.kind, r.outcome.detail, r.outcome.location)
+           for r in ingest_json_dump(path)]
+    assert got == [oracles.dump_entry_outcome(*entry) for entry in entries]
 
 
 def test_dump_type_mapping_is_case_insensitive(dump_path):
@@ -560,6 +598,14 @@ def test_analyze_refuses_a_curve_of_lz78_ratios(sally_path):
         analyze(ingest_abc_files([sally_path]), curve, 128)
 
 
+@pytest.mark.parametrize("records", [[], "rejected"], ids=["no-record", "all-rejected"])
+def test_analyze_refuses_a_reference_outside_the_curve_with_no_tune_accepted(records, jig_path):
+    if records:
+        records = [r for r in ingest_abc_files([jig_path]) if not r.accepted]
+    with pytest.raises(CurveRangeError, match=r"^length 500 outside sampled span \[96, 128\]$"):
+        analyze(records, CURVE, 500)
+
+
 # --------------------------------------------------------------- aggregate
 
 
@@ -567,11 +613,11 @@ def test_aggregate_extremes(extreme_reels_path):
     reports = analyze(ingest_abc_files([extreme_reels_path]))
     stats = aggregate(reports, Category.REEL)
     assert stats.count == 2
-    assert stats.max[0] == "extreme_reels:2"
-    assert float(stats.max[1]) == pytest.approx(128 / 26)
-    assert stats.min[0] == "extreme_reels:3"
-    assert stats.min[1] == 2
-    assert stats.min[1] <= Fraction(stats.mean_ratio).limit_denominator() <= stats.max[1]
+    assert stats.max.id == "extreme_reels:2"
+    assert float(stats.max.ratio) == pytest.approx(128 / 26)
+    assert stats.min.id == "extreme_reels:3"
+    assert stats.min.ratio == 2
+    assert stats.min.ratio <= Fraction(stats.mean_ratio).limit_denominator() <= stats.max.ratio
 
 
 def test_aggregate_single_report_is_degenerate():
@@ -611,7 +657,7 @@ def test_aggregate_breaks_ties_at_both_extremes_by_name_then_id():
         make_report("0", 2.0, name="Alpha"),
     ]
     stats = aggregate(reports, Category.REEL)
-    assert (stats.max[0], stats.min[0]) == ("3", "1")
+    assert (stats.max.id, stats.min.id) == ("3", "1")
 
 
 @given(rows=st.lists(st.tuples(st.sampled_from([Category.REEL, Category.JIG]),
@@ -633,7 +679,7 @@ def test_aggregate_is_of_the_normalized_ratios_when_every_report_has_one(rows, c
             ratios = [r.ratio_lz77 for r in selected]
         stats = aggregate(reports, category)
         assert stats.mean_ratio == statistics.fmean(ratios)
-        assert (stats.min[1], stats.max[1]) == (min(ratios), max(ratios))
+        assert (stats.min.ratio, stats.max.ratio) == (min(ratios), max(ratios))
 
 
 def test_histogram_mass_and_last_bin():
@@ -661,7 +707,7 @@ def test_rank_easiest_first(extreme_reels_path):
 def test_rank_first_matches_aggregate_max(extreme_reels_path):
     reports = analyze(ingest_abc_files([extreme_reels_path]))
     stats = aggregate(reports, Category.REEL)
-    assert rank(reports, Order.EASIEST_FIRST)[0].id == stats.max[0]
+    assert rank(reports, Order.EASIEST_FIRST)[0].id == stats.max.id
 
 
 def test_rank_breaks_ties_by_name_then_id():
@@ -692,7 +738,7 @@ def test_reports_csv(extreme_reels_path):
 
 def test_stats_json_round_trips(extreme_reels_path):
     reports = analyze(ingest_abc_files([extreme_reels_path]))
-    payload = stats_to_dict(aggregate(reports, Category.REEL))
+    payload = plain(aggregate(reports, Category.REEL))
     blob = json.dumps(payload, sort_keys=True)
     assert json.loads(blob) == payload
     assert payload["histogram"]["bin_count"] == 20
@@ -731,7 +777,7 @@ def test_pipeline_output_is_deterministic(extreme_reels_path, sally_path):
     def run():
         reports = analyze(ingest_abc_files([sally_path, extreme_reels_path]))
         stats = aggregate(reports, Category.REEL)
-        return reports_to_csv(reports) + json.dumps(stats_to_dict(stats), sort_keys=True)
+        return reports_to_csv(reports) + json.dumps(plain(stats), sort_keys=True)
 
     assert run() == run()
 
@@ -749,7 +795,7 @@ def test_stats_and_csv_rows_do_not_depend_on_report_order(data_dir):
     row = {r.id: line for r, line in zip(reports, lines)}
 
     def stats(order):
-        return json.dumps([stats_to_dict(aggregate(order, c)) for c in (Category.REEL, Category.JIG)],
+        return json.dumps([plain(aggregate(order, c)) for c in (Category.REEL, Category.JIG)],
                           sort_keys=True)
 
     expected = stats(reports)

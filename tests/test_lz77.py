@@ -130,7 +130,7 @@ def test_decompress_rejects_wrong_source_length():
 
 @pytest.mark.parametrize("stream, message", [
     (TokenStream(Algorithm.LZ77, (Lz78Token(0, "a"),), 1),
-     "token 0 is not an LZ77 token: Lz78Token(prefix_index=0, extension='a')"),
+     "token 0 is not an LZ77 token: Lz78Token(prefix=0, extension='a')"),
     (TokenStream(Algorithm.LZ78, (Literal("a"),), 1),
      "token 0 is not an LZ78 token: Literal(symbol='a')"),
 ], ids=["lz78-token-in-lz77", "literal-in-lz78"])
@@ -368,8 +368,8 @@ HUGE_INTS = [
     pytest.param(Algorithm.LZ77, (Literal("a"), BackRef(-(10**5000), 2)), 3,
                  "token 1: start of more than 100 digits", id="negative-start"),
     pytest.param(Algorithm.LZ77, (Lz78Token(10**200, "a"),), 1,
-                 "token 0 is not an LZ77 token: Lz78Token(prefix_index=1" + "0" * 96
-                 + "... (240 characters)", id="wrong-kind"),
+                 "token 0 is not an LZ77 token: Lz78Token(prefix=1" + "0" * 102
+                 + "... (234 characters)", id="wrong-kind"),
     # between the interpreter's lowest int/str digit limit, 640, and its default
     pytest.param(Algorithm.LZ77, (Literal("a"), BackRef(0, 10**700)), 3,
                  "token 1: length of more than 100 digits", id="length-past-the-limit"),

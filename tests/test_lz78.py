@@ -169,7 +169,7 @@ def phrases_of(stream):
     phrases = [""]
     for token in stream.tokens:
         if token.extension is not None:
-            phrases.append(phrases[token.prefix_index] + token.extension)
+            phrases.append(phrases[token.prefix] + token.extension)
     return phrases[1:]
 
 
@@ -188,7 +188,7 @@ def test_dictionary_grows_one_distinct_phrase_per_token(seq):
 def test_prefix_indices_reference_existing_phrases(seq):
     stream = compress_lz78(seq)
     for emitted_before, token in enumerate(stream.tokens):
-        assert token.prefix_index < 1 + emitted_before
+        assert token.prefix < 1 + emitted_before
 
 
 @given(sequences(max_size=400))

@@ -20,6 +20,7 @@ from tunelz import (
     ComplexityReport,
     CorpusStats,
     ErrorKind,
+    Extreme,
     HistogramSpec,
     Literal,
     Lz78Token,
@@ -33,13 +34,14 @@ from tunelz._value import _MAX_QUOTED, excerpt, plain
 POINT = BaselinePoint(96, 1.25, 0.5)
 HIST = HistogramSpec(2, 1.0, 2.0, (1, 0))
 SEQ = QuaverSequence("ab", Category.JIG)
+EXTREME = Extreme("7", Fraction(3, 2))
 
 # (type, fields in declaration order as (name, value), exact repr)
 CASES = [
     (Literal, [("symbol", "a")], "Literal(symbol='a')"),
     (BackRef, [("start", 0), ("length", 2)], "BackRef(start=0, length=2)"),
-    (Lz78Token, [("prefix_index", 1), ("extension", "d")],
-     "Lz78Token(prefix_index=1, extension='d')"),
+    (Lz78Token, [("prefix", 1), ("extension", "d")],
+     "Lz78Token(prefix=1, extension='d')"),
     (TokenStream,
      [("algorithm", Algorithm.LZ77), ("tokens", (Literal("a"), BackRef(0, 2))),
       ("source_length", 3)],
@@ -75,13 +77,15 @@ CASES = [
      "ratio_lz78=Fraction(64, 25), normalized_ratio=3.5)"),
     (HistogramSpec, [("bin_count", 2), ("lower", 1.0), ("upper", 2.0), ("counts", (1, 0))],
      "HistogramSpec(bin_count=2, lower=1.0, upper=2.0, counts=(1, 0))"),
+    (Extreme, [("id", "7"), ("ratio", Fraction(3, 2))],
+     "Extreme(id='7', ratio=Fraction(3, 2))"),
     (CorpusStats,
      [("category", Category.REEL), ("count", 1), ("mean_ratio", 1.5), ("std_dev", 0.0),
-      ("min", ("7", Fraction(3, 2))), ("max", ("7", Fraction(3, 2))), ("histogram", HIST),
-      ("degenerate", True)],
+      ("min", EXTREME), ("max", EXTREME), ("histogram", HIST), ("degenerate", True)],
      "CorpusStats(category=<Category.REEL: 'reel'>, count=1, mean_ratio=1.5, std_dev=0.0, "
-     "min=('7', Fraction(3, 2)), max=('7', Fraction(3, 2)), histogram=HistogramSpec("
-     "bin_count=2, lower=1.0, upper=2.0, counts=(1, 0)), degenerate=True)"),
+     "min=Extreme(id='7', ratio=Fraction(3, 2)), max=Extreme(id='7', ratio=Fraction(3, 2)), "
+     "histogram=HistogramSpec(bin_count=2, lower=1.0, upper=2.0, counts=(1, 0)), "
+     "degenerate=True)"),
 ]
 # last field optional
 WITH_DEFAULT = (Lz78Token, BaselineCurve, ComplexityReport, CorpusStats, AbcTune)
@@ -129,7 +133,8 @@ def test_defaults():
     report = ComplexityReport("7", "N", Category.REEL, 128, 40, 50, Fraction(16, 5),
                               Fraction(64, 25))
     assert report.normalized_ratio is None
-    stats = CorpusStats(Category.JIG, 2, 1.5, 0.1, ("a", Fraction(1)), ("b", Fraction(2)), HIST)
+    stats = CorpusStats(Category.JIG, 2, 1.5, 0.1, Extreme("a", Fraction(1)),
+                        Extreme("b", Fraction(2)), HIST)
     assert stats.degenerate is False
     tune = AbcTune(1, "T", (4, 4), Fraction(1, 8), "G", "AB")
     assert tune.rhythm is None
