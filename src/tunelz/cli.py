@@ -22,27 +22,12 @@ PROG = "tunelz"
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors quote each argument through ``excerpt``.
-
-    argparse quotes a refused value whole (an invalid integer or choice,
-    an ambiguous option, unrecognized arguments), so each argument this
-    parser read, and the value after an ``=`` in it, is excerpted
-    wherever the message holds it, and the usage and the message go
-    through ``_warn``.  Subparsers are of this class too.
-    """
-
-    _argv: tuple[str, ...] = ()
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._argv = tuple(sys.argv[1:] if args is None else args)
-        return super().parse_known_args(list(self._argv), namespace)
+    """An ArgumentParser whose usage error is its usage lines, then argparse's
+    message cut once through ``excerpt``, all written through ``_warn``;
+    subparsers are of this class too."""
 
     def error(self, message):
-        # longest first, so that a shorter argument cannot cut into a longer one's quote
-        texts = {text for arg in self._argv for text in (arg, arg.partition("=")[2]) if text}
-        for text in sorted(texts, key=len, reverse=True):
-            message = message.replace(repr(text), excerpt(text)).replace(text, excerpt(text, str))
-        _warn(*self.format_usage().splitlines(), f"{self.prog}: error: {message}")
+        _warn(*self.format_usage().splitlines(), f"{self.prog}: error: {excerpt(message, str)}")
         self.exit(2)
 
 
@@ -119,7 +104,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         records, out = args.run(args)
-        sys.stdout.write(out)
+        # each character UTF-8 cannot encode, a lone surrogate as a dump's "\ud800"
+        # reads, as repr writes it: no locale fails the write or gets a byte not UTF-8
+        sys.stdout.write(out.encode("utf-8", "backslashreplace").decode("utf-8"))
     except (OSError, ValueError) as exc:
         _warn(f"{PROG}: error: {exc}")
         return 2
@@ -191,9 +178,10 @@ def cmd_normalize(args) -> tuple[list[cp.TuneRecord], str]:
     records = cp.ingest_abc_files(args.paths)
     accepted = [r for r in records if r.accepted]
     if args.format == "json":
-        return records, _json([{"id": r.id, "name": r.name, "length": len(r.outcome.symbols),
-                                **plain(r.outcome)} for r in accepted])
-    return records, _lines(f"{_one_line(r.id)}\t{r.outcome.category.value}\t"
+        return records, _json([{"id": r.id, "name": r.name, "category": r.category.value,
+                                "length": len(r.outcome.symbols), "symbols": r.outcome.symbols}
+                               for r in accepted])
+    return records, _lines(f"{_one_line(r.id)}\t{r.category.value}\t"
                            f"{len(r.outcome.symbols)}\t{r.outcome.symbols}" for r in accepted)
 
 

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import operator
 import os
 import random
 import re
@@ -12,15 +13,16 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import tunelz
 from tunelz import corpus as cp
 from tunelz import lz
 from tunelz._value import IngestError, integer, read_stdin
-from tunelz.cli import build_parser, main
+from tunelz.cli import _one_line, _Parser, build_parser, main
 
 import goldens
 
@@ -53,6 +55,21 @@ def test_normalize_json(capsys, sally_path):
     (entry,) = json.loads(out)
     assert entry["symbols"] == goldens.SALLY
     assert entry["category"] == "reel"
+
+
+# a record's category is its R: label's, and its shape's only where it has
+# none, in normalize as in every other command
+@pytest.mark.parametrize("rhythm, category", [("jig", "jig"), ("hornpipe", "other")])
+def test_normalize_prints_the_category_of_the_record(capsys, tmp_path, rhythm, category):
+    path = tmp_path / "labelled.abc"
+    path.write_text(f"X: 1\nT: Sally\nR: {rhythm}\nM: 4/4\nK: G\n{goldens.SALLY}\n",
+                    encoding="utf-8")
+    code, out, _ = run(capsys, "normalize", str(path))
+    assert (code, out) == (0, f"labelled:1\t{category}\t128\t{goldens.SALLY}\n")
+    code, out, _ = run(capsys, "normalize", "--format", "json", str(path))
+    assert code == 0 and json.loads(out)[0]["category"] == category
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0 and out.split("\t")[2] == category
 
 
 def test_normalize_reports_rejections(capsys, jig_path):
@@ -526,6 +543,31 @@ def test_a_text_row_is_one_record_whatever_a_dump_id_or_name_holds(capsys, tmp_p
     assert runs[0][0] == 1 and f"27{SHOWN}" in runs[0][1]
 
 
+# a lone surrogate, which a dump's "\ud800" or "\udcff" reads as, is written
+# as repr writes it, so that a CSV run neither fails nor prints a byte that is
+# not UTF-8, whatever the locale: it prints what it would print for a dump
+# whose text holds that escape as plain characters
+@pytest.mark.parametrize("held", ["A\ud800B", "A\udcffB"], ids=["ud800", "udcff"])
+@pytest.mark.parametrize("command", ["analyze", "rank"])
+def test_a_csv_row_escapes_a_lone_surrogate_whatever_the_locale(tmp_path, command, held):
+    shown = repr(held)[1:-1]
+    env = {**os.environ, "PYTHONPATH": str(Path(tunelz.__file__).parent.parent)}
+    env.pop("PYTHONIOENCODING", None)
+    outputs = set()
+    for name, locale in [(held, {"LC_ALL": "C"}), (held, {"PYTHONIOENCODING": "utf-8"}),
+                         (shown, {"PYTHONIOENCODING": "utf-8"})]:
+        path = tmp_path / "dump.json"
+        path.write_text(json.dumps([SALLY_ENTRY | {"setting_id": f"7{name}", "name": name}]),
+                        encoding="utf-8")
+        result = subprocess.run([sys.executable, "-m", "tunelz.cli", command, "--format", "csv",
+                                 "--dump", str(path)], env=env | locale, capture_output=True,
+                                check=False)
+        assert (result.returncode, result.stderr) == (0, b""), locale
+        outputs.add(result.stdout)
+    (out,) = outputs
+    assert f"7{shown},{shown},".encode() in out
+
+
 @pytest.mark.parametrize("command", ["normalize", "analyze", "corpus", "rank"])
 def test_a_text_row_is_one_record_whatever_an_abc_file_name_holds(capsys, tmp_path, sally_path,
                                                                   command):
@@ -816,29 +858,127 @@ def test_unreadable_number_exits_2_with_one_error_line(tmp_path, argv, curve, la
 LONG = "x" * 100_000
 
 
-# argparse's three messages that quote a refused argument, the first also for a
-# value given after "="; whether the choices are quoted depends on the Python version
-@pytest.mark.parametrize("argv, message", [
-    (["baseline", "--lengths", "10", "--samples", LONG],
-     "tunelz baseline: error: argument --samples: invalid integer value: {quoted}"),
-    (["baseline", "--lengths", "10", f"--samples={LONG}"],
-     "tunelz baseline: error: argument --samples: invalid integer value: {quoted}"),
-    (["baseline", "--lengths", "10", "--format", LONG],
-     "tunelz baseline: error: argument --format: invalid choice: {quoted} (choose from "),
-    (["baseline", "--lengths", "10", LONG],
-     "tunelz: error: unrecognized arguments: {shown}"),
+class _Refused(Exception):
+    """A usage error, raised in place of being printed."""
+
+
+def _refusal(argv):
+    """The prog and the whole message of the usage error that argparse gives
+    ``argv``, or None when it takes ``argv``."""
+    def refuse(parser, message):
+        raise _Refused(parser.prog, message)
+
+    with mock.patch.object(_Parser, "error", refuse):
+        try:
+            build_parser().parse_args(argv)
+        except _Refused as exc:
+            return exc.args
+    return None
+
+
+def _error_line(prog, message):
+    """A usage error's last stderr line: argparse's message, cut after 120
+    characters with its length noted, then escaped as every stderr line is."""
+    if len(message) > 120:
+        message = f"{message[:120]}... ({len(message)} characters)"
+    return _one_line(f"{prog}: error: {message}")
+
+
+# argparse's three messages that quote a refused argument whole, the first also
+# for a value given after "="; whether the choices are quoted depends on the
+# Python version.  The message is cut once, whatever it quotes.
+@pytest.mark.parametrize("argv, prog, message", [
+    (["baseline", "--lengths", "10", "--samples", LONG], "tunelz baseline",
+     f"argument --samples: invalid integer value: '{LONG}'"),
+    (["baseline", "--lengths", "10", f"--samples={LONG}"], "tunelz baseline",
+     f"argument --samples: invalid integer value: '{LONG}'"),
+    (["baseline", "--lengths", "10", "--format", LONG], "tunelz baseline",
+     f"argument --format: invalid choice: '{LONG}' (choose from "),
+    (["baseline", "--lengths", "10", LONG], "tunelz", f"unrecognized arguments: {LONG}"),
 ], ids=["invalid-integer", "invalid-integer-after-equals", "invalid-choice", "unrecognized"])
-def test_refused_argument_is_quoted_through_excerpt(argv, message):
+def test_refused_argument_is_quoted_through_excerpt(argv, prog, message):
     env = {**os.environ, "PYTHONPATH": str(Path(tunelz.__file__).parent.parent)}
     result = subprocess.run([sys.executable, "-m", "tunelz.cli", *argv], env=env,
                             capture_output=True, encoding="utf-8", check=False)
     assert (result.returncode, result.stdout) == (2, "")
-    last = result.stderr.splitlines()[-1]
-    cut = "x" * 120
-    assert last.startswith(message.format(quoted=f"'{cut}'... (100000 characters)",
-                                          shown=f"{cut}... (100000 characters)"))
-    assert max(map(len, re.findall("x+", last))) == 120
+    refused_by, whole = _refusal(argv)
+    assert refused_by == prog and whole.startswith(message)
+    assert result.stderr.splitlines()[-1] == _error_line(prog, whole)
     assert len(result.stderr) < 1000
+
+
+# argparse alone refuses each list in a few hundredths of a second, so only a
+# cost per argument over the whole message passes 10 s of CPU
+@pytest.mark.parametrize("extra", [
+    [chr(0x4E00 + i) for i in range(32_000)],
+    [f"{i:0150d}" for i in range(8_000)],
+], ids=["32000-of-1-character", "8000-of-150-characters"])
+def test_many_refused_arguments_are_one_short_line_under_a_cpu_limit(extra):
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_CPU, (10, 10)); "
+            "from tunelz.cli import main; sys.exit(main())")
+    env = {**os.environ, "PYTHONPATH": str(Path(tunelz.__file__).parent.parent)}
+    result = subprocess.run([sys.executable, "-c", code, "decompress", *extra], env=env,
+                            capture_output=True, encoding="utf-8", check=False)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert len(result.stderr) < 1000
+
+
+# Property: whatever argument list argparse refuses, the run ends in exit 2
+# with nothing on stdout, and its last stderr line holds at most 120
+# characters of argparse's message
+_VALUE_FLAGS = [(name, action.option_strings[0]) for name, action in _command_actions()
+                if action.type is integer or action.choices is not None]
+_OPTIONS = sorted({option for _, action in _command_actions() for option in action.option_strings}
+                  - {"-h", "--help"})
+# the arguments that complete each command line
+_COMPLETE = {"normalize": ["x.abc"], "compress": ["x"], "decompress": ["x"], "analyze": ["x.abc"],
+             "corpus": ["x.abc"], "baseline": ["--lengths", "4"], "rank": ["x.abc"]}
+
+
+def _not_help(arg):
+    """False for an argument that argparse may read as -h, --help or an abbreviation of it."""
+    return re.match("--?h", arg) is None
+
+
+_DRAWN = st.one_of(
+    st.text(),
+    st.text(st.sampled_from("x-=\n\u2028"), max_size=10),
+    st.builds(operator.mul, st.sampled_from(["x", "a\nb", "\u2028", "-x=y"]),
+              st.integers(40, 2000)),  # long text
+    st.sampled_from(["CSV", "jsonx", "lz7", "reel ", "2", "01", "-1", "1e3", "0x10", "\u0661"]),
+).filter(_not_help)
+_ARGUMENT = st.one_of(
+    _DRAWN,
+    st.builds("{}={}".format, st.one_of(st.sampled_from(_OPTIONS), _DRAWN.map("--{}".format)),
+              _DRAWN),
+).filter(_not_help)
+
+
+@st.composite
+def _refused_argvs(draw):
+    if draw(st.booleans()):  # a number or choice flag given drawn text
+        command, flag = draw(st.sampled_from(_VALUE_FLAGS))
+        text = draw(_DRAWN)
+        given = draw(st.sampled_from([[f"{flag}={text}"], [flag, text]]))
+        return [command, *given, *_COMPLETE[command]]
+    # drawn arguments after a complete command line
+    command = draw(st.sampled_from(["compress", "decompress", "baseline"]))
+    return [command, *_COMPLETE[command], *draw(st.lists(_ARGUMENT, min_size=1, max_size=4))]
+
+
+@settings(deadline=None)
+@given(argv=_refused_argvs())
+def test_every_refused_argument_list_is_one_bounded_error_line(argv):
+    refusal = _refusal(argv)
+    assume(refusal is not None)
+    out, err = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          pytest.raises(SystemExit) as exc):
+        main(argv)
+    assert (exc.value.code, out.getvalue()) == (2, "")
+    lines = err.getvalue().splitlines()
+    assert err.getvalue() == "".join(f"{line}\n" for line in lines)
+    assert lines[0].startswith("usage: ") and lines[-1] == _error_line(*refusal)
 
 
 def test_curve_out_of_range_is_refused(capsys, tmp_path, sally_path):
