@@ -26,13 +26,12 @@ from .baseline import BaselineCurve, baseline_at, mean_and_spread, normalize_rat
 from .lz import Algorithm, compress_lz77, compression_ratio, token_count
 from .notation import (
     _COMMENT_RE,
-    DEFAULT_METER,
-    STANDARD_SHAPES,
     AbcTune,
     Category,
     ErrorKind,
     NormalizationError,
     QuaverSequence,
+    category_from_type,
     normalize,
     parse_abc,
 )
@@ -46,9 +45,6 @@ BAR_WIDTH = 40
 _ID_KEYS = ("setting_id", "tune_id")  # dump identifier, first present wins
 _ID = ("a string or a JSON integer", (str, int))
 _OPTIONAL_STRING = ("a string or null", (str, type(None)))
-_CATEGORIES = {category.value: category for category in Category}
-# the meter of a dump entry that gives none: its category's standard one, else the default
-_DEFAULT_METERS = {category: meter for meter, (_, category) in STANDARD_SHAPES.items()}
 
 
 class EmptyCategoryError(ValueError):
@@ -93,10 +89,6 @@ class Order(Enum):
     HARDEST_FIRST = "hardest"
 
 
-def category_from_type(type_name: str) -> Category:
-    return _CATEGORIES.get(type_name.strip().lower(), Category.OTHER)
-
-
 # ------------------------------------------------------------------ ingest
 
 
@@ -129,23 +121,23 @@ def _dump_record(entry, what: str) -> TuneRecord:
     if id_key is None:
         raise ValueError(f"{what} lacks field {' or '.join(map(repr, _ID_KEYS))}")
     category = category_from_type(field(entry, "type", STRING, what))
-    # a null meter or mode takes its default, as "" does, and so does a meter
-    # that is blank once its comment is blanked
-    meter = field(entry, "meter", _OPTIONAL_STRING, what, None) or ""
-    if not _COMMENT_RE.sub("", meter).strip():
-        meter = "{}/{}".format(*_DEFAULT_METERS.get(category, DEFAULT_METER))
+    meter = (field(entry, "meter", _OPTIONAL_STRING, what, None) or "").rstrip()
     record_id = str(field(entry, id_key, _ID, what))
     name = field(entry, "name", STRING, what)
     key = field(entry, "mode", _OPTIONAL_STRING, what, None) or "C"
     body = field(entry, "abc", STRING, what)
-    return TuneRecord(record_id, name, category, key, body, _entry_outcome(meter.rstrip(), body))
+    return TuneRecord(record_id, name, category, key, body, _entry_outcome(meter, category, body))
 
 
-def _entry_outcome(meter: str, body: str) -> QuaverSequence | NormalizationError:
-    if len(meter.splitlines()) > 1:  # it would end the M: line early
+def _entry_outcome(meter: str, category: Category, body: str) -> QuaverSequence | NormalizationError:
+    # name and mode stay on the record; a meter blank once its comment is blanked
+    # (null and "" too) is left to parse_abc, which reads the tune in its category's meter
+    if not _COMMENT_RE.sub("", meter).strip():
+        header = f"X: 1\nR: {category.value}\nK:\n"
+    elif len(meter.splitlines()) > 1:  # it would end the M: line early
         return NormalizationError(ErrorKind.MALFORMED_HEADER, f"unusable meter {excerpt(meter)}")
-    # name, type and mode stay on the record: the block needs only the meter
-    header = f"X: 1\nM: {meter}\nK:\n"
+    else:
+        header = f"X: 1\nM: {meter}\nK:\n"
     try:
         tunes = parse_abc(f"{header}{body}\n")
     except NormalizationError as err:

@@ -38,11 +38,18 @@ class Category(Enum):
 
 
 # The paper's two tune shapes: each standard meter's length in quavers and
-# category.  A tune with no M: line is read in the first meter.
+# category.  A tune that writes no meter is read in its category's, else the first.
 STANDARD_SHAPES = {(4, 4): (128, Category.REEL), (6, 8): (96, Category.JIG)}
 DEFAULT_METER = next(iter(STANDARD_SHAPES))
+_DEFAULT_METERS = {category: meter for meter, (_, category) in STANDARD_SHAPES.items()}
+_CATEGORIES = {category.value: category for category in Category}
 _STANDARD_NAMES = " or ".join(f"{category.value} ({n}/{d}, {length})"
                               for (n, d), (length, category) in STANDARD_SHAPES.items())
+
+
+def category_from_type(type_name: str) -> Category:
+    """The category a tune type (``R:`` or a dump's ``type``) names, case aside; else OTHER."""
+    return _CATEGORIES.get(type_name.strip().lower(), Category.OTHER)
 
 
 class ErrorKind(Enum):
@@ -108,10 +115,11 @@ def _check_digits(what: str, numbers: tuple[int, ...]) -> None:
 def parse_abc(source: str) -> list[AbcTune]:
     """Split ABC text into tunes, one per block starting at an ``X:`` line.
 
-    Header fields X, T, M, L, K and R are extracted (M defaults to
-    ``DEFAULT_METER``, the first of the ``STANDARD_SHAPES``, and L to
-    1/8); other header lines are ignored.  The body is everything
-    after the ``K:`` line up to the next ``X:`` line or end of input.
+    Header fields X, T, M, L, K and R are extracted (with no M, a tune is
+    read in the standard meter of the category its R names, else in
+    ``DEFAULT_METER``; L defaults to 1/8); other header lines are ignored.
+    The body is everything after the ``K:`` line up to the next ``X:``
+    line or end of input.
     Every ``%`` comment, header lines included, is first blanked to
     spaces up to its line break, so header values are read without it
     and every offset counts in ``source`` as written.
@@ -136,7 +144,7 @@ def _is_field(line: str, letter: str) -> bool:
 def _parse_block(lines: list[str], offsets: list[int], start: int, end: int) -> AbcTune:
     reference = None
     title = ""
-    meter = DEFAULT_METER
+    meter = None
     unit = QUAVER
     key = None
     rhythm = None
@@ -187,7 +195,7 @@ def _parse_block(lines: list[str], offsets: list[int], start: int, end: int) -> 
     return AbcTune(
         reference_number=reference,
         title=title,
-        meter=meter,
+        meter=meter or _DEFAULT_METERS.get(category_from_type(rhythm or ""), DEFAULT_METER),
         unit_note_length=unit,
         key=key,
         body="".join(lines[body_start:end]),

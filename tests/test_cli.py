@@ -363,6 +363,19 @@ def test_curve_of_lz78_ratios_is_refused_by_name(capsys, tmp_path, jig_path, com
                    "length normalization needs an lz77 baseline curve, not lz78\n")
 
 
+# a tune that writes no meter is read in its category's, so a meterless
+# R: jig is judged as a 6/8 jig of 96 quavers
+@pytest.mark.parametrize("bar, code, out, err", [
+    ("gab", 0, "jig:1\tJ\tjig\t96\tlz77 4\tlz78 23\tratio 24.0000\n", ""),
+    ("gabc", 1, "", "tunelz: rejected jig:1 (J): wrong_length: meter 6/8 with 128 quavers is "
+                    "not a standard-length reel (4/4, 128) or jig (6/8, 96) (offset 0)\n"),
+], ids=["96-quavers", "128-quavers"])
+def test_analyze_reads_a_meterless_jig_in_6_8(capsys, tmp_path, bar, code, out, err):
+    path = tmp_path / "jig.abc"
+    path.write_text(f"X: 1\nT: J\nR: jig\nK: G\n{bar * 32}\n", encoding="utf-8")
+    assert run(capsys, "analyze", str(path)) == (code, out, err)
+
+
 def test_analyze_from_dump(capsys, dump_path):
     code, out, err = run(capsys, "analyze", "--format", "json", "--dump",
                          str(dump_path))

@@ -234,6 +234,34 @@ def test_each_dump_record_reads_as_the_block_written_from_its_entry(tmp_path_fac
     assert got == [oracles.dump_entry_outcome(*entry) for entry in entries]
 
 
+@st.composite
+def _route_bodies(draw):
+    body = draw(st.sampled_from([goldens.SALLY, "gab" * 32]))
+    fault = draw(st.sampled_from(["", "z", "A,", "<"]))
+    at = draw(st.integers(0, len(body)))
+    return body[:at] + fault + body[at:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=_route_bodies(), type_name=st.sampled_from(["reel", "jig", " Jig ", "hornpipe",
+                                                        "slip jig"]),
+       meter=st.sampled_from([None, "4/4", "6/8", "C", "3/4"]))
+def test_an_abc_file_and_a_dump_read_a_tune_alike(tmp_path_factory, body, type_name, meter):
+    # a dump's type is taken as given and an R: line loses its comment, so
+    # neither type holds a "%" or a line break
+    meter_line = "" if meter is None else f"M: {meter}\n"
+    (from_abc,) = records_from_abc(f"X: 1\nT: t\nR: {type_name}\n{meter_line}K: G\n{body}\n")
+    entry = {"setting_id": "1", "name": "t", "type": type_name, "abc": body}
+    path = tmp_path_factory.getbasetemp() / "route_dump.json"
+    path.write_text(json.dumps([entry if meter is None else {**entry, "meter": meter}]),
+                    encoding="utf-8")
+    (from_dump,) = ingest_json_dump(path)
+    abc_outcome, dump_outcome = [
+        r.outcome if r.accepted else (r.outcome.kind, r.outcome.detail, r.outcome.location)
+        for r in (from_abc, from_dump)]
+    assert (from_abc.category, abc_outcome) == (from_dump.category, dump_outcome)
+
+
 def test_dump_type_mapping_is_case_insensitive(dump_path):
     records = ingest_json_dump(dump_path)
     assert {r.id: r.category.value for r in records}["1403"] == "jig"
@@ -325,9 +353,11 @@ def test_dump_offset_after_a_comment_counts_in_the_abc_body(tmp_path):
     ({"meter": " % 6/8 "}, "1", "C"),
     ({"meter": "   "}, "1", "C"),
     ({"meter": "\n"}, "1", "C"),
+    # blank once its comment is blanked, though it holds two lines
+    ({"meter": "\r%"}, "1", "C"),
 ], ids=["int-id", "zero-id", "int-tune-id", "empty-setting-id", "null-defaults",
         "empty-defaults", "given", "comment-meter", "spaced-comment-meter", "spaces-meter",
-        "line-break-meter"])
+        "line-break-meter", "comment-after-line-break-meter"])
 def test_dump_entry_takes_integer_ids_and_null_or_empty_defaults(tmp_path, fields, record_id, key):
     path = tmp_path / "dump.json"
     path.write_text(json.dumps([{**_SALLY_ENTRY, **fields}]), encoding="utf-8")

@@ -60,10 +60,18 @@ def test_parse_preserves_block_order(extreme_reels_path):
     assert [t.title for t in tunes] == ["The Concertina Reel", "The Star of Munster"]
 
 
-def test_parse_defaults_unit_length_and_meter():
-    tunes = parse_abc("X:9\nK:D\nABcd ABcd|\n")
+# a tune that writes no meter is read in its R: category's standard one, else in 4/4
+@pytest.mark.parametrize("header, meter", [
+    ("", (4, 4)),
+    ("R: hornpipe\n", (4, 4)),
+    ("R: jig\n", (6, 8)),
+    ("R: Jig % fast\n", (6, 8)),
+    ("R: jig\nM: 4/4\n", (4, 4)),
+], ids=["no-rhythm", "hornpipe", "jig", "commented-jig", "jig-in-4-4"])
+def test_parse_defaults_unit_length_and_meter(header, meter):
+    tunes = parse_abc(f"X:9\n{header}K:D\nABcd ABcd|\n")
     assert tunes[0].unit_note_length == Fraction(1, 8)
-    assert tunes[0].meter == (4, 4)
+    assert tunes[0].meter == meter
     assert tunes[0].title == ""
 
 
